@@ -9,6 +9,8 @@
 //!   bit (stats + timing);
 //! * the serial and threaded sweeps produce bit-identical cells in
 //!   deterministic `(trace, spec, launch)` order;
+//! * the fused sweep prices every cell exactly as a one-spec
+//!   `replay_decoded` per spec;
 //! * the decode-once path prices every cell exactly as the byte path
 //!   that re-decodes the stream per spec.
 //!

@@ -13,8 +13,9 @@
 //!    ([`GpuSpec::presets_all`]): coalesced GM transactions, SM conflict
 //!    cycles, bandwidth waste and modeled time per architecture, with
 //!    drift guards against embedded expected values. The KTRC byte
-//!    stream is decoded **once** into [`Trace`] slabs; the gate and
-//!    every sweep preset re-price the same decoded form.
+//!    stream is decoded **once** into [`Trace`] slabs; the gate and the
+//!    preset sweep ([`kconv_replay::sweep`], one walk over the slabs for
+//!    all presets) re-price the same decoded form.
 //!
 //! A second, synthetic pair of traces isolates the paper's eq. 1 claim:
 //! full-warp unvectorized `float` loads (stride 4 B) replayed on 8-byte
@@ -37,7 +38,7 @@
 
 use kconv_bench::{fig8, Checker};
 use kconv_core::{Convolution, DataType, KernelShape};
-use kconv_replay::{replay_decoded, ReplayReport, TargetSpec};
+use kconv_replay::{replay_decoded, sweep, ReplayReport, TargetSpec};
 use kconv_sim::{
     Gpu, GpuSpec, KernelStats, LaneMask, LaunchReport, OverlapMode, Parallelism, SanitizerMode,
     SimMode, TraceEvent, TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
@@ -127,16 +128,15 @@ struct Row {
 }
 
 fn sweep_fig8(trace: &Trace) -> Vec<Row> {
-    GpuSpec::presets_all()
+    let specs = GpuSpec::presets_all();
+    sweep(std::slice::from_ref(trace), &specs, Parallelism::Serial)
         .into_iter()
-        .map(|spec| {
-            let report = replay_decoded(trace, &TargetSpec::Spec(spec.clone()))
-                .expect("fig8 trace replays")
-                .remove(0);
+        .map(|cell| {
+            let spec = &specs[cell.spec];
             Row {
                 spec_name: spec.name.to_string(),
                 bank_bytes: spec.bank_width.bytes(),
-                report,
+                report: cell.report.expect("fig8 trace replays"),
             }
         })
         .collect()

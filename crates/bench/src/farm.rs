@@ -18,6 +18,8 @@
 //!   launch's `KernelStats` and timing bit for bit;
 //! * the serial and threaded sweeps produce bit-identical cells in the
 //!   same deterministic `(trace, spec, launch)` order;
+//! * the fused sweep, which walks each launch once for the whole grid,
+//!   prices every cell exactly as a one-spec `replay_decoded` per spec;
 //! * the decode-once path prices every cell exactly as the
 //!   byte-stream path that re-decodes per spec — while decoding each
 //!   trace `1` time instead of `specs.len()` times.
@@ -362,6 +364,23 @@ pub fn run(iters: usize) -> Checker {
         threaded = sweep(&traces, &specs, Parallelism::Threads(threads));
         threaded_s = threaded_s.min(t0.elapsed().as_secs_f64());
     }
+    // The one-spec reference: every (trace, spec) replayed on its own, in
+    // the sweep's (trace, spec, launch) order.
+    let mut per_spec_s = f64::INFINITY;
+    let mut per_spec = Vec::new();
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        per_spec = traces
+            .iter()
+            .flat_map(|trace| {
+                specs.iter().flat_map(|s| {
+                    replay_decoded(trace, &TargetSpec::Spec(s.clone()))
+                        .expect("explicit spec replays")
+                })
+            })
+            .collect::<Vec<_>>();
+        per_spec_s = per_spec_s.min(t0.elapsed().as_secs_f64());
+    }
     println!(
         "\n[sweep] {} traces × {} specs = {} cells",
         traces.len(),
@@ -375,6 +394,10 @@ pub fn run(iters: usize) -> Checker {
     println!(
         "  threaded ({threads} workers):  {threaded_s:.3} s  ({:.0} cells/s)",
         cells_per_s(threaded.len(), threaded_s)
+    );
+    println!(
+        "  per-spec serial:      {per_spec_s:.3} s  ({:.0} cells/s, one walk per cell)",
+        cells_per_s(per_spec.len(), per_spec_s)
     );
     if !valid_scaling {
         println!(
@@ -392,6 +415,15 @@ pub fn run(iters: usize) -> Checker {
         "serial and threaded sweeps bit-identical",
         sweeps_identical(&cells, &threaded),
         &format!("{} cells, {threads} workers", cells.len()),
+    );
+    c.check(
+        "fused sweep prices every cell exactly as per-spec replay_decoded",
+        cells.len() == per_spec.len()
+            && cells
+                .iter()
+                .zip(&per_spec)
+                .all(|(cell, r)| cell.report.as_ref().is_ok_and(|p| p == r)),
+        &format!("{} cells compared", per_spec.len()),
     );
     c.check(
         "every cell priced",
@@ -507,7 +539,7 @@ pub fn run(iters: usize) -> Checker {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"per_spec_serial_seconds\": {per_spec_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         specs.len(),
         sweeps_identical(&cells, &threaded),
         lane_auto.name(),

@@ -4,23 +4,27 @@
 //! A sweep cell — "re-price launch L of trace T under spec S" — touches
 //! only immutable inputs ([`Trace`] slabs and a [`GpuSpec`]) and produces
 //! an owned [`ReplayReport`], so cells are embarrassingly parallel. The
-//! engine distributes cells over `std::thread::scope` workers (the PR-1
-//! recipe: no external dependencies, an atomic work index, per-worker
-//! result buffers) and then places every result into its pre-assigned
-//! slot, so the output is **bit-identical and deterministically ordered**
-//! — ascending `(trace, spec, launch)` — no matter the thread count or
-//! the order cells were requested in. The farm harness and the
-//! serial ≡ threaded tests pin that invariant.
+//! unit of work is one launch with every spec requested for its trace,
+//! priced in a single walk over the launch's slabs (once per pricing key,
+//! see the crate docs). The engine distributes units over
+//! `std::thread::scope` workers (no external dependencies, an atomic work
+//! index, per-worker result buffers) and then places every result into
+//! its pre-assigned slot, so the output is **bit-identical and
+//! deterministically ordered** — ascending `(trace, spec, launch)` — no
+//! matter the thread count or the order cells were requested in. The
+//! farm harness and the serial ≡ threaded tests pin that invariant.
 //!
 //! Cells that fail to replay (a v1 trace swept under
-//! [`TargetSpec::Capture`]) surface as [`SweepCell::report`] `Err` rather
+//! [`TargetSpec::Capture`](crate::TargetSpec::Capture)) surface as [`SweepCell::report`] `Err` rather
 //! than aborting the rest of the sweep: a farm corpus can mix trace
 //! generations.
+
+use std::ops::Range;
 
 use kconv_sim::{GpuSpec, Parallelism};
 use kconv_trace::Trace;
 
-use crate::{replay_launch, ReplayError, ReplayReport, TargetSpec};
+use crate::{price_launch, ReplayError, ReplayReport};
 
 /// One completed cell of a sweep: the replay of `trace`'s `launch`-th
 /// launch under `spec`, with the indices that place it in the grid.
@@ -73,64 +77,92 @@ pub fn sweep_cells(
     work.sort_unstable();
     work.dedup();
 
-    // Expand (trace, spec) pairs into per-launch cells: the unit of work
-    // the pool schedules.
-    let units: Vec<(usize, usize, usize)> = work
-        .iter()
-        .flat_map(|&(t, s)| (0..traces[t].launches().len()).map(move |l| (t, s, l)))
-        .collect();
+    // Output slots: pair `work[i]` owns `base[i]..base[i] + launches`, so
+    // the slot order is ascending (trace, spec, launch).
+    let mut base = Vec::with_capacity(work.len());
+    let mut slot_count = 0;
+    for &(t, _) in &work {
+        base.push(slot_count);
+        slot_count += traces[t].launches().len();
+    }
 
-    let price = |&(t, s, l): &(usize, usize, usize)| SweepCell {
-        trace: t,
-        launch: l,
-        spec: s,
-        report: replay_launch(
-            &traces[t].launches()[l],
-            &TargetSpec::Spec(specs[s].clone()),
-        ),
+    // The unit of work the pool schedules: one (trace, launch) with the
+    // contiguous run of `work` pairs that request that trace, priced under
+    // all of their specs in one walk over the launch's slabs. Largest
+    // launch first, so the long units do not straggle at the end.
+    let mut units: Vec<(usize, usize, Range<usize>)> = Vec::new();
+    let mut start = 0;
+    for run in work.chunk_by(|a, b| a.0 == b.0) {
+        let (t, pairs) = (run[0].0, start..start + run.len());
+        start = pairs.end;
+        units.extend((0..traces[t].launches().len()).map(|l| (t, l, pairs.clone())));
+    }
+    units.sort_by_key(|&(t, l, _)| std::cmp::Reverse(traces[t].launches()[l].event_count()));
+
+    let (work, base) = (&work, &base);
+    let price = |(t, l, run): &(usize, usize, Range<usize>)| -> Vec<(usize, SweepCell)> {
+        let unit_specs = work[run.clone()].iter().map(|&(_, s)| specs[s].clone());
+        let reports = price_launch(&traces[*t].launches()[*l], unit_specs.collect());
+        run.clone()
+            .zip(reports)
+            .map(|(i, report)| {
+                let cell = SweepCell {
+                    trace: *t,
+                    launch: *l,
+                    spec: work[i].1,
+                    report: Ok(report),
+                };
+                (base[i] + l, cell)
+            })
+            .collect()
     };
 
     let workers = parallelism.worker_threads().min(units.len().max(1));
-    if workers <= 1 {
-        return units.iter().map(price).collect();
-    }
-
-    // Scoped pool: an atomic cursor hands out unit indices, each worker
-    // collects (slot, cell) pairs, and the merge writes every cell into
-    // its slot — output order never depends on scheduling.
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<SweepCell>> = (0..units.len()).map(|_| None).collect();
-    let finished: Vec<Vec<(usize, SweepCell)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else {
-                            break;
-                        };
-                        local.push((i, price(unit)));
-                    }
-                    local
+    let finished: Vec<(usize, SweepCell)> = if workers <= 1 {
+        units.iter().flat_map(price).collect()
+    } else {
+        // Scoped pool: an atomic cursor hands out unit indices and each
+        // worker collects (slot, cell) pairs; the merge below writes
+        // every cell into its slot, so output order never depends on
+        // scheduling.
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            let Some(unit) = units.get(i) else {
+                                break;
+                            };
+                            local.extend(price(unit));
+                        }
+                        local
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (slot, cell) in finished.into_iter().flatten() {
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
+        })
+    };
+    let mut slots: Vec<Option<SweepCell>> = (0..slot_count).map(|_| None).collect();
+    for (slot, cell) in finished {
         debug_assert!(slots[slot].is_none());
         slots[slot] = Some(cell);
     }
     slots
         .into_iter()
-        .map(|c| c.expect("every unit priced exactly once"))
+        .map(|c| c.expect("every cell priced exactly once"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TargetSpec;
     use kconv_sim::{lane_addrs, BankWidth, Gpu, LaneMask, LaunchConfig, SimMode};
     use kconv_trace::{SharedBuffer, TraceWriter};
 

@@ -49,6 +49,22 @@
 //! [`farm`] module fans the pure trace×spec cells of a sweep over a
 //! scoped thread pool with deterministic, thread-count-invariant output.
 //!
+//! A sweep walks each launch **once** for all of its specs. No op's price
+//! reads more than two spec fields, so every event is priced once per
+//! distinct *pricing key* of the fields its op reads, and each spec's
+//! counters are the sum of its keys' parts:
+//!
+//! | op | key |
+//! |---|---|
+//! | `GmLd` | `gm_transaction_bytes` |
+//! | `GmSt` | `gm_store_transaction_bytes` |
+//! | `GmLdRo` | `(gm_transaction_bytes, ro_capacity_lines(..))`, with a per-block FIFO per key |
+//! | `SmLd`/`SmSt` | `(smem_banks, bank_width)` |
+//! | `CmLd` | `cm_line_bytes`, with a launch-scoped line set per key |
+//!
+//! Sampled scaling, the launch-end graft and the timing model then run
+//! per spec. [`replay_launch`] is the one-spec case of the same pricing.
+//!
 //! ```
 //! use kconv_replay::{replay, TargetSpec};
 //! use kconv_sim::{lane_addrs, Gpu, GpuSpec, LaneMask, LaunchConfig, SimMode};
@@ -85,7 +101,8 @@ use kconv_sim::pricing::{
     bank_conflict_cycles, for_each_unit, ro_capacity_lines, segment_count, RoCache,
 };
 use kconv_sim::{
-    timing, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceEvent, TraceOp, WarpAddrs,
+    timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceEvent, TraceOp,
+    WarpAddrs,
 };
 use kconv_trace::{read_trace, LaunchEnd, LaunchHeader, TraceVisitor};
 
@@ -224,126 +241,244 @@ impl ReplayReport {
     }
 }
 
-/// The shared pricing core: one launch being re-priced, fed either by the
-/// streaming byte visitor ([`replay_streamed`]) or by the decoded slab
-/// walker ([`replay_launch`]). Both paths go through the same three
-/// methods, which is what makes the decoded ≡ streamed differential hold
-/// by construction.
+/// Coalesced-transaction total for one transaction size: the `GmLd` part
+/// keyed by `gm_transaction_bytes`, the `GmSt` part keyed by
+/// `gm_store_transaction_bytes`.
+struct GmPart {
+    seg: u64,
+    transactions: u64,
+}
+
+/// Read-only-path loads for one `(gm_transaction_bytes, capacity)` key:
+/// the per-block FIFO those two fields size, and what it charged.
+struct RoPart {
+    seg: u64,
+    capacity: usize,
+    /// Fresh at each `block_begin` — the live simulator's reset discipline.
+    cache: RoCache,
+    hits: u64,
+    misses: u64,
+}
+
+/// Shared-memory bank math for one `(smem_banks, bank_width)` key.
+struct SmPart {
+    banks: u32,
+    bank_width: BankWidth,
+    ld_cycles: u64,
+    st_cycles: u64,
+    broadcasts: u64,
+    histogram: [u64; 6],
+}
+
+/// Constant-cache residency for one `cm_line_bytes` key: lines (address ÷
+/// line bytes) touched so far in the launch. The live model never evicts
+/// within a launch, so a `HashSet` reproduces its miss count exactly.
+struct CmPart {
+    line_bytes: u64,
+    lines: HashSet<u64>,
+    /// The line touched last: with no eviction it is resident, so a
+    /// repeat touch (consecutive broadcasts of one filter row) is a hit
+    /// without a set probe.
+    last: Option<u64>,
+    misses: u64,
+}
+
+impl CmPart {
+    fn touch(&mut self, line: u64) {
+        if self.last == Some(line) {
+            return;
+        }
+        self.last = Some(line);
+        if self.lines.insert(line) {
+            self.misses += 1;
+        }
+    }
+}
+
+/// Which part of each kind one target spec reads.
+#[derive(Clone, Copy)]
+struct SpecKeys {
+    gm_ld: usize,
+    gm_st: usize,
+    ro: usize,
+    sm: usize,
+    cm: usize,
+}
+
+/// Index of the part `is_key` matches, pushing `make()` if none does.
+fn key_of<P>(parts: &mut Vec<P>, is_key: impl Fn(&P) -> bool, make: impl FnOnce() -> P) -> usize {
+    parts.iter().position(is_key).unwrap_or_else(|| {
+        parts.push(make());
+        parts.len() - 1
+    })
+}
+
+/// The shared pricing core: one launch being re-priced under a set of
+/// target specs, fed either by the streaming byte visitor
+/// ([`replay_streamed`]) or by the decoded slab walker ([`replay_launch`],
+/// [`sweep`]). Every path goes through the same three methods, which is
+/// what makes the decoded ≡ streamed ≡ swept differentials hold by
+/// construction.
+///
+/// Each event is priced once per distinct *pricing key* (the crate docs'
+/// table), not once per spec. Request counts, lane counts, useful bytes
+/// and constant-memory cycles read no spec field and are counted once.
+/// [`LaunchAccum::finish`] sums each spec's keys' parts into its
+/// [`KernelStats`] and per-op table, then scales, grafts and times per
+/// spec.
 struct LaunchAccum {
     header: LaunchHeader,
-    spec: GpuSpec,
-    stats: KernelStats,
-    per_op: [OpCost; TraceOp::COUNT],
-    /// Per-block read-only (texture) cache, fresh at each `block_begin` —
-    /// the same reset discipline as the live simulator.
-    ro: RoCache,
-    /// Launch-scoped constant-cache residency: lines (address ÷ line
-    /// bytes) touched so far. The live model never evicts within a
-    /// launch, so a `HashSet` reproduces its miss count exactly.
-    cm_lines: HashSet<u64>,
+    specs: Vec<GpuSpec>,
+    keys: Vec<SpecKeys>,
+    blocks_executed: u64,
+    /// Spec-independent per-op totals: events, lanes, useful bytes, and
+    /// the constant-memory cycles (one per distinct address past the
+    /// first, whatever the line size).
+    common: [OpCost; TraceOp::COUNT],
+    gm_ld: Vec<GmPart>,
+    gm_st: Vec<GmPart>,
+    ro: Vec<RoPart>,
+    sm: Vec<SmPart>,
+    cm: Vec<CmPart>,
 }
 
 impl LaunchAccum {
-    fn begin(header: LaunchHeader, spec: GpuSpec) -> Self {
-        let ro_capacity = ro_capacity_lines(spec.ro_cache_bytes, spec.gm_transaction_bytes);
-        LaunchAccum {
+    fn begin(header: LaunchHeader, specs: Vec<GpuSpec>) -> Self {
+        let mut accum = LaunchAccum {
             header,
-            spec,
-            stats: KernelStats::default(),
-            per_op: [OpCost::default(); TraceOp::COUNT],
-            ro: RoCache::new(ro_capacity),
-            cm_lines: HashSet::new(),
+            specs: Vec::new(),
+            keys: Vec::with_capacity(specs.len()),
+            blocks_executed: 0,
+            common: [OpCost::default(); TraceOp::COUNT],
+            gm_ld: Vec::new(),
+            gm_st: Vec::new(),
+            ro: Vec::new(),
+            sm: Vec::new(),
+            cm: Vec::new(),
+        };
+        for spec in &specs {
+            let seg = spec.gm_transaction_bytes;
+            let st_seg = spec.gm_store_transaction_bytes;
+            let capacity = ro_capacity_lines(spec.ro_cache_bytes, seg);
+            let (banks, bank_width) = (spec.smem_banks, spec.bank_width);
+            let line_bytes = spec.cm_line_bytes;
+            let keys = SpecKeys {
+                gm_ld: key_of(
+                    &mut accum.gm_ld,
+                    |p| p.seg == seg,
+                    || GmPart {
+                        seg,
+                        transactions: 0,
+                    },
+                ),
+                gm_st: key_of(
+                    &mut accum.gm_st,
+                    |p| p.seg == st_seg,
+                    || GmPart {
+                        seg: st_seg,
+                        transactions: 0,
+                    },
+                ),
+                ro: key_of(
+                    &mut accum.ro,
+                    |p| (p.seg, p.capacity) == (seg, capacity),
+                    || RoPart {
+                        seg,
+                        capacity,
+                        cache: RoCache::new(capacity),
+                        hits: 0,
+                        misses: 0,
+                    },
+                ),
+                sm: key_of(
+                    &mut accum.sm,
+                    |p| (p.banks, p.bank_width) == (banks, bank_width),
+                    || SmPart {
+                        banks,
+                        bank_width,
+                        ld_cycles: 0,
+                        st_cycles: 0,
+                        broadcasts: 0,
+                        histogram: [0; 6],
+                    },
+                ),
+                cm: key_of(
+                    &mut accum.cm,
+                    |p| p.line_bytes == line_bytes,
+                    || CmPart {
+                        line_bytes,
+                        lines: HashSet::new(),
+                        last: None,
+                        misses: 0,
+                    },
+                ),
+            };
+            accum.keys.push(keys);
         }
+        accum.specs = specs;
+        accum
     }
 
     fn block_begin(&mut self) {
-        self.stats.blocks_executed += 1;
+        self.blocks_executed += 1;
         // The read-only cache is per-SM, per-block residency in the live
         // model: fresh for every block.
-        self.ro = RoCache::new(ro_capacity_lines(
-            self.spec.ro_cache_bytes,
-            self.spec.gm_transaction_bytes,
-        ));
+        for p in &mut self.ro {
+            p.cache = RoCache::new(p.capacity);
+        }
     }
 
-    /// Re-prices one event, updating the stats exactly the way the live
-    /// memory models charge their counters (`GmPlane`, `SharedMemory`,
-    /// `CmPlane` in `kconv-sim`).
+    /// Re-prices one event under every key, charging each part exactly
+    /// the way the live memory models charge their counters (`GmPlane`,
+    /// `SharedMemory`, `CmPlane` in `kconv-sim`).
     fn event(&mut self, op: TraceOp, mask: LaneMask, lane_bytes: u32, addrs: &WarpAddrs) {
-        let (tx, cycles) = self.price(op, mask, lane_bytes, addrs);
-        let t = &mut self.per_op[op.index()];
+        let width = u64::from(lane_bytes);
+        let t = &mut self.common[op.index()];
         t.events += 1;
         t.lane_accesses += u64::from(mask.count());
-        t.useful_bytes += u64::from(mask.count()) * u64::from(lane_bytes);
-        t.transactions += tx;
-        t.cycles += cycles;
-    }
-
-    /// Returns the (transactions, cycles) pair for the per-op table.
-    fn price(
-        &mut self,
-        op: TraceOp,
-        mask: LaneMask,
-        lane_bytes: u32,
-        addrs: &WarpAddrs,
-    ) -> (u64, u64) {
-        let spec = &self.spec;
-        let stats = &mut self.stats;
-        let ro = &mut self.ro;
-        let cm_lines = &mut self.cm_lines;
-        let width = u64::from(lane_bytes);
-        let useful = u64::from(mask.count()) * width;
+        t.useful_bytes += u64::from(mask.count()) * width;
         match op {
             TraceOp::GmLd => {
-                let seg = spec.gm_transaction_bytes;
-                let segs = segment_count(addrs, width, mask, seg);
-                stats.gm_ld_requests += 1;
-                stats.gm_ld_transactions += segs;
-                stats.gm_ld_bytes_bus += segs * seg;
-                stats.gm_ld_bytes_useful += useful;
-                (segs, 0)
+                for p in &mut self.gm_ld {
+                    p.transactions += segment_count(addrs, width, mask, p.seg);
+                }
             }
             TraceOp::GmSt => {
-                let seg = spec.gm_store_transaction_bytes;
-                let segs = segment_count(addrs, width, mask, seg);
-                stats.gm_st_requests += 1;
-                stats.gm_st_transactions += segs;
-                stats.gm_st_bytes_bus += segs * seg;
-                stats.gm_st_bytes_useful += useful;
-                (segs, 0)
+                for p in &mut self.gm_st {
+                    p.transactions += segment_count(addrs, width, mask, p.seg);
+                }
             }
             TraceOp::GmLdRo => {
-                let seg = spec.gm_transaction_bytes;
-                let mut misses = 0u64;
-                for_each_unit(addrs, width, mask, seg, |line, first_visit| {
-                    if first_visit {
-                        if ro.touch(line) {
-                            stats.gm_ro_hits += 1;
-                        } else {
-                            misses += 1;
+                for p in &mut self.ro {
+                    let RoPart {
+                        seg,
+                        cache,
+                        hits,
+                        misses,
+                        ..
+                    } = p;
+                    for_each_unit(addrs, width, mask, *seg, |line, first_visit| {
+                        if first_visit {
+                            if cache.touch(line) {
+                                *hits += 1;
+                            } else {
+                                *misses += 1;
+                            }
                         }
-                    }
-                });
-                stats.gm_ld_requests += 1;
-                stats.gm_ld_transactions += misses;
-                stats.gm_ld_bytes_bus += misses * seg;
-                stats.gm_ld_bytes_useful += useful;
-                (misses, 0)
+                    });
+                }
             }
             TraceOp::SmLd | TraceOp::SmSt => {
-                let out =
-                    bank_conflict_cycles(addrs, width, mask, spec.smem_banks, spec.bank_width);
-                if op == TraceOp::SmLd {
-                    stats.sm_ld_requests += 1;
-                    stats.sm_ld_cycles += out.cycles;
-                } else {
-                    stats.sm_st_requests += 1;
-                    stats.sm_st_cycles += out.cycles;
+                for p in &mut self.sm {
+                    let out = bank_conflict_cycles(addrs, width, mask, p.banks, p.bank_width);
+                    if op == TraceOp::SmLd {
+                        p.ld_cycles += out.cycles;
+                    } else {
+                        p.st_cycles += out.cycles;
+                    }
+                    p.broadcasts += u64::from(out.broadcast);
+                    p.histogram[KernelStats::conflict_bucket(out.cycles)] += 1;
                 }
-                stats.sm_bytes_useful += useful;
-                stats.sm_broadcasts += u64::from(out.broadcast);
-                stats.sm_conflict_histogram[KernelStats::conflict_bucket(out.cycles)] += 1;
-                (0, out.cycles)
             }
             TraceOp::CmLd => {
                 // The live model dedups at word (not lane-width)
@@ -353,104 +488,164 @@ impl LaunchAccum {
                 // distinct lines before probing the set. The dominant
                 // constant-memory pattern is a fully-uniform broadcast,
                 // which one lane-engine bounds pass resolves to one
-                // distinct address and one probe — not thirty-two.
-                let mut touch = |line: u64| {
-                    if cm_lines.insert(line) {
-                        stats.cm_misses += 1;
-                    }
-                };
-                let line_bytes = spec.cm_line_bytes;
+                // distinct address and one probe per key — not thirty-two.
                 let distinct = match kconv_sim::mem::lanes::unit_bounds(addrs, 1, mask, 1) {
                     None => 0,
                     Some((lo, hi)) if lo == hi => {
-                        touch(lo / line_bytes);
+                        for p in &mut self.cm {
+                            p.touch(lo / p.line_bytes);
+                        }
                         1
                     }
                     Some(_) => {
-                        let distinct = segment_count(addrs, 1, mask, 1);
-                        if line_bytes.is_power_of_two() {
-                            for_each_unit(addrs, 1, mask, line_bytes, |line, first_visit| {
-                                if first_visit {
-                                    touch(line);
-                                }
-                            });
-                        } else {
-                            for_each_unit(addrs, 1, mask, 1, |a, first_visit| {
-                                if first_visit {
-                                    touch(a / line_bytes);
-                                }
-                            });
+                        for p in &mut self.cm {
+                            let line_bytes = p.line_bytes;
+                            if line_bytes.is_power_of_two() {
+                                for_each_unit(addrs, 1, mask, line_bytes, |line, first_visit| {
+                                    if first_visit {
+                                        p.touch(line);
+                                    }
+                                });
+                            } else {
+                                for_each_unit(addrs, 1, mask, 1, |a, first_visit| {
+                                    if first_visit {
+                                        p.touch(a / line_bytes);
+                                    }
+                                });
+                            }
                         }
-                        distinct
+                        segment_count(addrs, 1, mask, 1)
                     }
                 };
-                let cycles = distinct.saturating_sub(1);
-                stats.cm_requests += 1;
-                stats.cm_cycles += cycles;
-                (0, cycles)
+                t.cycles += distinct.saturating_sub(1);
             }
             TraceOp::Bar => {
                 // Barrier arrivals touch no memory and are
                 // architecture-independent: the counters come from the
                 // launch-end graft, so repricing charges nothing here.
-                (0, 0)
             }
         }
     }
 
-    fn finish(mut self, end: &LaunchEnd) -> ReplayReport {
-        let grid = self.header.grid_blocks;
-        let executed = self.stats.blocks_executed;
-        if end.aborted {
-            // A faulted capture has no final live stats: report the clean
-            // prefix as-is, unscaled.
-            self.stats.blocks_total = grid;
-        } else if executed == grid {
-            self.stats.blocks_total = grid;
-        } else {
-            // Sampled capture: extrapolate with the live launcher's
-            // round-to-nearest rule.
-            self.stats = self.stats.scaled_to_blocks(grid, executed.max(1));
-        }
-        // Arithmetic and barrier counts are not memory events — graft
-        // them from the (already scaled) launch-end stats. v1 ends carry
-        // only the FMA count.
-        if let Some(live) = &end.stats {
-            self.stats.fma_lane_ops = live.fma_lane_ops;
-            self.stats.alu_lane_ops = live.alu_lane_ops;
-            self.stats.barriers = live.barriers;
-            self.stats.bar_syncs = live.bar_syncs;
-        } else {
-            self.stats.fma_lane_ops = end.fma_lane_ops;
-        }
-        let (timing, timing_error) = if end.aborted {
-            (None, None)
-        } else {
-            let cfg = LaunchConfig {
-                name: self.header.kernel.clone(),
-                blocks: grid as usize,
-                threads_per_block: self.header.threads_per_block as usize,
-                smem_bytes: self.header.smem_bytes as u32,
-                regs_per_thread: self.header.regs_per_thread as u32,
-                overlap: self.header.overlap,
-            };
-            match timing::evaluate(&self.spec, &cfg, &self.stats) {
-                Ok(t) => (Some(t), None),
-                Err(e) => (None, Some(e.to_string())),
-            }
+    /// One spec's unscaled counters and per-op table: the spec-independent
+    /// totals plus the parts its keys select.
+    fn totals(&self, k: SpecKeys) -> (KernelStats, [OpCost; TraceOp::COUNT]) {
+        let c = |op: TraceOp| self.common[op.index()];
+        let (ld, st, ro, sm, cm) = (
+            &self.gm_ld[k.gm_ld],
+            &self.gm_st[k.gm_st],
+            &self.ro[k.ro],
+            &self.sm[k.sm],
+            &self.cm[k.cm],
+        );
+        let mut per_op = self.common;
+        per_op[TraceOp::GmLd.index()].transactions = ld.transactions;
+        per_op[TraceOp::GmSt.index()].transactions = st.transactions;
+        per_op[TraceOp::GmLdRo.index()].transactions = ro.misses;
+        per_op[TraceOp::SmLd.index()].cycles = sm.ld_cycles;
+        per_op[TraceOp::SmSt.index()].cycles = sm.st_cycles;
+        // Plain and read-only loads share the load transaction size.
+        debug_assert_eq!(ld.seg, ro.seg);
+        let ld_transactions = ld.transactions + ro.misses;
+        let stats = KernelStats {
+            gm_ld_requests: c(TraceOp::GmLd).events + c(TraceOp::GmLdRo).events,
+            gm_st_requests: c(TraceOp::GmSt).events,
+            gm_ld_transactions: ld_transactions,
+            gm_st_transactions: st.transactions,
+            gm_ld_bytes_bus: ld_transactions * ld.seg,
+            gm_st_bytes_bus: st.transactions * st.seg,
+            gm_ld_bytes_useful: c(TraceOp::GmLd).useful_bytes + c(TraceOp::GmLdRo).useful_bytes,
+            gm_st_bytes_useful: c(TraceOp::GmSt).useful_bytes,
+            gm_ro_hits: ro.hits,
+            sm_ld_requests: c(TraceOp::SmLd).events,
+            sm_st_requests: c(TraceOp::SmSt).events,
+            sm_ld_cycles: sm.ld_cycles,
+            sm_st_cycles: sm.st_cycles,
+            sm_bytes_useful: c(TraceOp::SmLd).useful_bytes + c(TraceOp::SmSt).useful_bytes,
+            sm_broadcasts: sm.broadcasts,
+            sm_conflict_histogram: sm.histogram,
+            cm_requests: c(TraceOp::CmLd).events,
+            cm_cycles: c(TraceOp::CmLd).cycles,
+            cm_misses: cm.misses,
+            blocks_executed: self.blocks_executed,
+            ..KernelStats::default()
         };
-        ReplayReport {
-            kernel: self.header.kernel,
-            grid_blocks: grid,
-            executed_blocks: executed,
-            capture_spec: self.header.spec,
-            target_spec: self.spec,
-            stats: self.stats,
-            per_op: self.per_op,
-            timing,
-            timing_error,
-            aborted: end.aborted,
+        (stats, per_op)
+    }
+
+    /// One report per target spec, in the order the specs were given.
+    fn finish(self, end: &LaunchEnd) -> Vec<ReplayReport> {
+        self.specs
+            .iter()
+            .zip(&self.keys)
+            .map(|(spec, &k)| {
+                let (stats, per_op) = self.totals(k);
+                finish_spec(&self.header, spec.clone(), stats, per_op, end)
+            })
+            .collect()
+    }
+}
+
+/// Completes one spec's report from its unscaled launch totals: sampled
+/// scaling, the launch-end graft and the timing model.
+fn finish_spec(
+    header: &LaunchHeader,
+    spec: GpuSpec,
+    mut stats: KernelStats,
+    per_op: [OpCost; TraceOp::COUNT],
+    end: &LaunchEnd,
+) -> ReplayReport {
+    let grid = header.grid_blocks;
+    let executed = stats.blocks_executed;
+    if end.aborted {
+        // A faulted capture has no final live stats: report the clean
+        // prefix as-is, unscaled.
+        stats.blocks_total = grid;
+    } else if executed == grid {
+        stats.blocks_total = grid;
+    } else {
+        // Sampled capture: extrapolate with the live launcher's
+        // round-to-nearest rule.
+        stats = stats.scaled_to_blocks(grid, executed.max(1));
+    }
+    // Arithmetic and barrier counts are not memory events — graft them
+    // from the (already scaled) launch-end stats. v1 ends carry only the
+    // FMA count.
+    if let Some(live) = &end.stats {
+        stats.fma_lane_ops = live.fma_lane_ops;
+        stats.alu_lane_ops = live.alu_lane_ops;
+        stats.barriers = live.barriers;
+        stats.bar_syncs = live.bar_syncs;
+    } else {
+        stats.fma_lane_ops = end.fma_lane_ops;
+    }
+    let (timing, timing_error) = if end.aborted {
+        (None, None)
+    } else {
+        let cfg = LaunchConfig {
+            name: header.kernel.clone(),
+            blocks: grid as usize,
+            threads_per_block: header.threads_per_block as usize,
+            smem_bytes: header.smem_bytes as u32,
+            regs_per_thread: header.regs_per_thread as u32,
+            overlap: header.overlap,
+        };
+        match timing::evaluate(&spec, &cfg, &stats) {
+            Ok(t) => (Some(t), None),
+            Err(e) => (None, Some(e.to_string())),
         }
+    };
+    ReplayReport {
+        kernel: header.kernel.clone(),
+        grid_blocks: grid,
+        executed_blocks: executed,
+        capture_spec: header.spec.clone(),
+        target_spec: spec,
+        stats,
+        per_op,
+        timing,
+        timing_error,
+        aborted: end.aborted,
     }
 }
 
@@ -478,7 +673,7 @@ struct Engine<'t> {
 impl TraceVisitor for Engine<'_> {
     fn launch_begin(&mut self, header: &LaunchHeader) {
         match resolve_spec(header, self.target) {
-            Ok(spec) => self.open = Some(LaunchAccum::begin(header.clone(), spec)),
+            Ok(spec) => self.open = Some(LaunchAccum::begin(header.clone(), vec![spec])),
             Err(_) => {
                 if self.missing_spec.is_none() {
                     self.missing_spec = Some(header.kernel.clone());
@@ -502,7 +697,7 @@ impl TraceVisitor for Engine<'_> {
 
     fn launch_end(&mut self, end: &LaunchEnd) {
         if let Some(open) = self.open.take() {
-            self.done.push(open.finish(end));
+            self.done.extend(open.finish(end));
         }
     }
 }
@@ -567,7 +762,8 @@ pub fn replay_decoded(
 }
 
 /// Re-prices one decoded launch under `target`: walks the flat slabs,
-/// borrowing each event's lane addresses zero-copy.
+/// borrowing each event's lane addresses zero-copy. This is the one-spec
+/// case of the pricing [`sweep`] runs.
 ///
 /// # Errors
 ///
@@ -578,14 +774,22 @@ pub fn replay_launch(
     target: &TargetSpec,
 ) -> Result<ReplayReport, ReplayError> {
     let spec = resolve_spec(&launch.header, target)?;
-    let mut accum = LaunchAccum::begin(launch.header.clone(), spec);
+    Ok(price_launch(launch, vec![spec])
+        .pop()
+        .expect("one report per spec"))
+}
+
+/// Re-prices one decoded launch under every spec of `specs` in a single
+/// walk over its slabs; one report per spec, in order.
+pub(crate) fn price_launch(launch: &DecodedLaunch, specs: Vec<GpuSpec>) -> Vec<ReplayReport> {
+    let mut accum = LaunchAccum::begin(launch.header.clone(), specs);
     for block in launch.blocks() {
         accum.block_begin();
         for (head, addrs) in block.events() {
             accum.event(head.op, head.mask, head.lane_bytes, addrs);
         }
     }
-    Ok(accum.finish(&launch.end))
+    accum.finish(&launch.end)
 }
 
 #[cfg(test)]

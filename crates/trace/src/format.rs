@@ -103,18 +103,19 @@ fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
     let lane_bytes = cur.read_u64("event lane bytes")? as u32;
     let transactions = cur.read_u64("event transactions")? as u32;
     let cycles = cur.read_u64("event cycles")? as u32;
+    // Walk only the active lanes, lowest first: the first carries an
+    // absolute address, each later one a delta from its predecessor.
     let mut addrs = [0u64; WARP_SIZE];
-    let mut prev: Option<u64> = None;
-    for (lane, slot) in addrs.iter_mut().enumerate() {
-        if !mask.is_active(lane) {
-            continue;
+    let mut lanes = mask.0;
+    if lanes != 0 {
+        let mut addr = cur.read_u64("event first address")?;
+        addrs[lanes.trailing_zeros() as usize] = addr;
+        lanes &= lanes - 1;
+        while lanes != 0 {
+            addr = addr.wrapping_add(cur.read_i64("event address delta")? as u64);
+            addrs[lanes.trailing_zeros() as usize] = addr;
+            lanes &= lanes - 1;
         }
-        let addr = match prev {
-            None => cur.read_u64("event first address")?,
-            Some(p) => p.wrapping_add(cur.read_i64("event address delta")? as u64),
-        };
-        *slot = addr;
-        prev = Some(addr);
     }
     Ok(TraceEvent {
         op,

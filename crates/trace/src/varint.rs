@@ -63,6 +63,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one raw byte.
+    #[inline]
     pub fn read_u8(&mut self, what: &str) -> Result<u8, TraceError> {
         let b = *self.buf.get(self.pos).ok_or_else(|| self.truncated(what))?;
         self.pos += 1;
@@ -82,7 +83,23 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one unsigned LEB128 varint.
+    ///
+    /// Most trace fields fit in one byte, so that case is inlined; longer
+    /// values and every error take the out-of-line loop, which starts from
+    /// the same position and so reports the same offsets and messages.
+    #[inline]
     pub fn read_u64(&mut self, what: &str) -> Result<u64, TraceError> {
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte & 0x80 == 0 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.read_u64_multi(what),
+        }
+    }
+
+    #[inline(never)]
+    fn read_u64_multi(&mut self, what: &str) -> Result<u64, TraceError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -103,6 +120,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one zigzag-folded signed varint.
+    #[inline]
     pub fn read_i64(&mut self, what: &str) -> Result<i64, TraceError> {
         Ok(unzigzag(self.read_u64(what)?))
     }
@@ -157,24 +175,69 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    /// The typed error `read_u64` gives on `buf` after first reading
+    /// `skip` values.
+    fn malformed_after(buf: &[u8], skip: usize) -> (usize, String) {
+        let mut cur = Cursor::new(buf);
+        for _ in 0..skip {
+            cur.read_u64("x").unwrap();
+        }
+        match cur.read_u64("x") {
+            Err(TraceError::Malformed { offset, reason }) => (offset, reason),
+            other => panic!("expected a malformed varint, got {other:?}"),
+        }
+    }
+
     #[test]
     fn truncated_varint_is_an_error() {
-        let mut cur = Cursor::new(&[0x80]);
-        assert!(matches!(
-            cur.read_u64("x"),
-            Err(TraceError::Malformed { .. })
-        ));
+        // A lone continuation byte at the end of the buffer.
+        assert_eq!(malformed_after(&[0x80], 0), (1, "truncated x".into()));
+        assert_eq!(malformed_after(&[0x05, 0x80], 1), (2, "truncated x".into()));
     }
 
     #[test]
     fn overlong_varint_is_an_error() {
-        // 11 continuation bytes can encode more than 64 bits.
-        let buf = [0xff; 11];
+        // Eleven continuation bytes: the tenth byte's payload overflows.
+        assert_eq!(
+            malformed_after(&[0xff; 11], 0),
+            (10, "varint overflow in x".into())
+        );
+        // A value of 0 padded to eleven bytes: the tenth byte's payload
+        // fits, the eleventh starts past bit 63.
+        let mut buf = [0x80; 11];
+        buf[10] = 0x00;
+        assert_eq!(
+            malformed_after(&buf, 0),
+            (11, "varint overflow in x".into())
+        );
+    }
+
+    #[test]
+    fn one_byte_value_at_end_of_buffer() {
+        let mut cur = Cursor::new(&[0x85, 0x01, 0x7f]);
+        assert_eq!(cur.read_u64("x").unwrap(), 133);
+        assert_eq!(cur.read_u64("x").unwrap(), 127);
+        assert_eq!(cur.pos(), 3);
+        assert!(cur.is_empty());
+        // Reading past the end is a truncation at the end offset.
+        assert_eq!(malformed_after(&[0x05], 1), (1, "truncated x".into()));
+    }
+
+    #[test]
+    fn ten_byte_max_value_round_trips() {
+        let mut buf = Vec::new();
+        write_u64(&mut buf, u64::MAX);
+        assert_eq!(buf.len(), 10);
+        assert_eq!(buf[9], 0x01);
         let mut cur = Cursor::new(&buf);
-        assert!(matches!(
-            cur.read_u64("x"),
-            Err(TraceError::Malformed { .. })
-        ));
+        assert_eq!(cur.read_u64("x").unwrap(), u64::MAX);
+        assert_eq!(cur.pos(), 10);
+        // One more payload bit in the tenth byte no longer fits.
+        buf[9] = 0x02;
+        assert_eq!(
+            malformed_after(&buf, 0),
+            (10, "varint overflow in x".into())
+        );
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Replay-farm integration through the public facade: the decoded
 //! [`Trace`] form, the byte-stream replayer and the live simulator must
-//! agree bit for bit, and the farm sweep must be deterministic no matter
-//! how its cells are scheduled.
+//! agree bit for bit, the fused multi-spec sweep must price every cell
+//! exactly as the one-spec replay does, and the farm sweep must be
+//! deterministic no matter how its cells are scheduled.
 
 use kconv::core::{Convolution, GeneralConv, SpecialConv};
-use kconv::replay::{replay, replay_decoded, sweep, sweep_cells, TargetSpec};
+use kconv::replay::{
+    replay, replay_decoded, replay_launch, sweep, sweep_cells, SweepCell, TargetSpec,
+};
 use kconv::sim::{
     BankWidth, Gpu, GpuSpec, KernelStats, LaneMask, OverlapMode, Parallelism, SimMode, TraceEvent,
     TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
@@ -26,14 +29,19 @@ impl Rng {
 }
 
 /// Captures a real kernel launch as KTRC bytes plus its live stats.
-fn capture(conv: &dyn Convolution, problem: ConvProblem, seed: u64) -> (Vec<u8>, KernelStats) {
+fn capture(
+    conv: &dyn Convolution,
+    problem: ConvProblem,
+    seed: u64,
+    mode: SimMode,
+) -> (Vec<u8>, KernelStats) {
     let input = random_maps(problem.channels, problem.height, problem.width, seed);
     let filters = random_filters(problem.filters, problem.channels, problem.k, seed + 1);
     let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
     let buf = SharedBuffer::new();
     gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
     let run = conv
-        .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
+        .run(&mut gpu, &problem, &input, &filters, mode)
         .expect("corpus kernel runs");
     gpu.set_trace_sink(None);
     (buf.take(), run.report.stats)
@@ -41,7 +49,8 @@ fn capture(conv: &dyn Convolution, problem: ConvProblem, seed: u64) -> (Vec<u8>,
 
 /// A synthetic multi-launch trace of seeded random events — the
 /// adversarial input the real kernels never produce (partial masks,
-/// zero-event blocks, every op kind).
+/// zero-event blocks, every op kind, sampled grids, and for odd seeds a
+/// last launch cut off before its end record).
 fn random_stream(seed: u64) -> Vec<u8> {
     let mut rng = Rng(0xFA12_0000 + seed);
     let spec = GpuSpec::kepler_k40m();
@@ -50,9 +59,10 @@ fn random_stream(seed: u64) -> Vec<u8> {
     for li in 0..1 + (seed % 3) {
         let name = format!("rand-{seed}-{li}");
         let blocks = 1 + (rng.next() % 4);
+        let grid = blocks * (1 + rng.next() % 3);
         w.launch_begin(&TraceLaunch {
             kernel: &name,
-            grid_blocks: blocks as usize,
+            grid_blocks: grid as usize,
             executed_blocks: blocks as usize,
             threads_per_block: 64,
             smem_bytes: (rng.next() % 48_000) as u32,
@@ -94,7 +104,9 @@ fn random_stream(seed: u64) -> Vec<u8> {
             barriers: rng.next() % (1 << 20),
             ..KernelStats::default()
         };
-        w.launch_end(&stats);
+        if seed.is_multiple_of(2) || li < seed % 3 {
+            w.launch_end(&stats);
+        }
     }
     buf.take()
 }
@@ -134,12 +146,17 @@ fn decoded_and_byte_replay_agree_on_random_corpora_under_every_preset() {
 
 #[test]
 fn farm_sweep_is_deterministic_and_reproduces_live_stats() {
-    let (special, special_live) =
-        capture(&SpecialConv::default(), ConvProblem::special(66, 8, 3), 11);
+    let (special, special_live) = capture(
+        &SpecialConv::default(),
+        ConvProblem::special(66, 8, 3),
+        11,
+        SimMode::Full,
+    );
     let (general, general_live) = capture(
         &GeneralConv::table1(3),
         ConvProblem::general(34, 4, 64, 3),
         13,
+        SimMode::Full,
     );
     let traces = vec![
         Trace::decode(&special).expect("decodes"),
@@ -177,6 +194,164 @@ fn farm_sweep_is_deterministic_and_reproduces_live_stats() {
         for (g, b) in got.iter().zip(&baseline) {
             assert_eq!((g.trace, g.spec, g.launch), (b.trace, b.spec, b.launch));
             assert_eq!(g.report.as_ref().unwrap(), b.report.as_ref().unwrap());
+        }
+    }
+}
+
+/// xorshift shuffle — deterministic, dependency-free.
+fn shuffle<T>(items: &mut [T], mut state: u64) {
+    for i in (1..items.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        items.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+}
+
+/// The one-spec reference for a cell list: `replay_launch` per
+/// `(trace, spec, launch)`, in the sweep's canonical ascending order.
+fn per_spec_reference(
+    traces: &[Trace],
+    specs: &[GpuSpec],
+    cells: &[(usize, usize)],
+) -> Vec<(usize, usize, usize, kconv::replay::ReplayReport)> {
+    let mut pairs = cells.to_vec();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+        .into_iter()
+        .flat_map(|(t, s)| {
+            let target = TargetSpec::Spec(specs[s].clone());
+            traces[t]
+                .launches()
+                .iter()
+                .enumerate()
+                .map(move |(l, launch)| {
+                    let report = replay_launch(launch, &target).expect("explicit spec replays");
+                    (t, s, l, report)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+fn assert_cells_equal(
+    got: &[SweepCell],
+    want: &[(usize, usize, usize, kconv::replay::ReplayReport)],
+    what: &str,
+) {
+    assert_eq!(got.len(), want.len(), "{what}: cell count");
+    for (g, (t, s, l, report)) in got.iter().zip(want) {
+        assert_eq!((g.trace, g.spec, g.launch), (*t, *s, *l), "{what}: order");
+        assert_eq!(
+            g.report.as_ref().expect("swept cell priced"),
+            report,
+            "{what}: cell ({t}, {s}, {l})"
+        );
+    }
+}
+
+#[test]
+fn fused_sweep_equals_per_spec_replay_launch_on_every_spec_set() {
+    let (special, _) = capture(
+        &SpecialConv::default(),
+        ConvProblem::special(66, 8, 3),
+        11,
+        SimMode::Full,
+    );
+    let (sampled, _) = capture(
+        &GeneralConv::table1(3),
+        ConvProblem::general(34, 4, 64, 3),
+        13,
+        SimMode::Sampled(2),
+    );
+    let mut traces = vec![
+        Trace::decode(&special).expect("decodes"),
+        Trace::decode(&sampled).expect("decodes"),
+    ];
+    traces.extend((0..4).map(|seed| Trace::decode(&random_stream(seed)).expect("decodes")));
+    let launches = || traces.iter().flat_map(Trace::launches);
+    assert!(launches().any(|l| l.end.aborted), "an aborted launch");
+    assert!(
+        launches().any(|l| !l.end.aborted && l.header.executed_blocks < l.header.grid_blocks),
+        "a sampled launch"
+    );
+    for op in TraceOp::ALL {
+        assert!(
+            launches().any(|l| l.blocks().any(|b| b.events().any(|(h, _)| h.op == op))),
+            "no {op} events in the corpus"
+        );
+    }
+
+    // Hand-built specs that move the keys the farm grid leaves fixed: the
+    // store transaction size, the bank count, a line size that is not a
+    // power of two, and a read-only cache clamped to a single line.
+    let anchor = GpuSpec::kepler_k40m();
+    let hand_built = vec![
+        GpuSpec {
+            gm_store_transaction_bytes: 64,
+            ..anchor.clone()
+        },
+        GpuSpec {
+            smem_banks: 16,
+            ..anchor.clone()
+        },
+        GpuSpec {
+            cm_line_bytes: 48,
+            ..anchor.clone()
+        },
+        GpuSpec {
+            ro_cache_bytes: 64,
+            ..anchor.clone()
+        },
+        GpuSpec {
+            gm_store_transaction_bytes: 128,
+            smem_banks: 16,
+            cm_line_bytes: 96,
+            ..GpuSpec::fermi_m2090()
+        },
+        anchor.clone(),
+    ];
+
+    for (name, specs) in [
+        ("spec_grid", kconv_bench::farm::spec_grid()),
+        ("presets_all", GpuSpec::presets_all()),
+        ("hand-built", hand_built),
+    ] {
+        let all: Vec<(usize, usize)> = (0..traces.len())
+            .flat_map(|t| (0..specs.len()).map(move |s| (t, s)))
+            .collect();
+        let want = per_spec_reference(&traces, &specs, &all);
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+        ] {
+            let what = format!("{name}, sweep, {parallelism:?}");
+            assert_cells_equal(&sweep(&traces, &specs, parallelism), &want, &what);
+        }
+
+        // A shuffled request for a subset, with duplicates: each trace's
+        // launches are priced under a different spec subset.
+        let mut cells: Vec<(usize, usize)> = all
+            .iter()
+            .copied()
+            .filter(|&(t, s)| (t + 2 * s) % 3 != 0)
+            .collect();
+        cells.extend(all.iter().copied().step_by(4));
+        let want = per_spec_reference(&traces, &specs, &cells);
+        for (i, parallelism) in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            shuffle(&mut cells, 0x5EED + i as u64);
+            let what = format!("{name}, shuffled cells, {parallelism:?}");
+            let got = sweep_cells(&traces, &specs, &cells, parallelism);
+            assert_cells_equal(&got, &want, &what);
         }
     }
 }
