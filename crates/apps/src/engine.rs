@@ -4,8 +4,7 @@ use std::collections::HashMap;
 
 use kconv_core::{
     run_with_fallback, ConvError, ConvRun, Convolution, DataType, ExplicitGemmConv, FaultRecord,
-    GeneralConfig, GeneralConv, ImplicitGemmConv, KernelShape, NaiveConv, SpecialConfig,
-    SpecialConv, SpecialConvHalf2, SpecialConvI8,
+    GeneralConfig, GeneralConv, ImplicitGemmConv, KernelShape, NaiveConv, SpecialConv,
 };
 use kconv_sim::{Gpu, GpuSpec, SimMode};
 use kconv_systolic::{PipelineConfig, SystolicConv};
@@ -59,14 +58,7 @@ impl EnginePlan {
     /// Builds the runnable implementation this plan names.
     pub fn instantiate(&self) -> Box<dyn Convolution> {
         match self {
-            EnginePlan::Special(shape) => {
-                let config = SpecialConfig::with_vec_width(shape.vec_width);
-                match shape.dtype {
-                    DataType::F32 => Box::new(SpecialConv::new(config)),
-                    DataType::F16 => Box::new(SpecialConvHalf2::new(config)),
-                    DataType::I8 => Box::new(SpecialConvI8::new(config)),
-                }
-            }
+            EnginePlan::Special(shape) => Box::new(SpecialConv::for_shape(*shape)),
             EnginePlan::General(cfg) => Box::new(GeneralConv::new(*cfg)),
             EnginePlan::ImplicitGemm => Box::new(ImplicitGemmConv::default()),
             EnginePlan::ExplicitGemm => Box::new(ExplicitGemmConv::default()),
@@ -232,16 +224,14 @@ impl Engine {
         dtype: DataType,
         pipeline_depth: usize,
     ) -> Result<EnginePlan, ConvError> {
-        // The narrow-dtype kernels exist only in the special family.
-        let special_fits = |elem_bytes: usize| {
-            problem.stride == 1
-                && problem.channels == 1
-                && (problem.filters * problem.k * problem.k * elem_bytes) as u64 <= spec.cm_bytes
-        };
+        // A special plan is a promise that the kernel runs: the kernel's
+        // own validator decides. The narrow-dtype kernels exist only in the
+        // special family.
+        let shape = KernelShape::matched(spec, dtype);
+        let special_check = SpecialConv::for_shape(shape).validate(spec, problem);
         if dtype != DataType::F32 {
-            let shape = KernelShape::matched(spec, dtype);
             return match self {
-                Engine::Special | Engine::Auto if special_fits(shape.elem_bytes()) => {
+                Engine::Special | Engine::Auto if special_check.is_ok() => {
                     Ok(EnginePlan::Special(shape))
                 }
                 _ => Err(ConvError::Shape(format!(
@@ -251,15 +241,7 @@ impl Engine {
             };
         }
         match self {
-            Engine::Special => {
-                if problem.channels != 1 {
-                    return Err(ConvError::Shape(format!(
-                        "special engine requires C = 1, got {}",
-                        problem.channels
-                    )));
-                }
-                Ok(EnginePlan::Special(KernelShape::matched(spec, dtype)))
-            }
+            Engine::Special => special_check.map(|()| EnginePlan::Special(shape)),
             Engine::General => {
                 let cfg =
                     GeneralConfig::for_problem(spec, problem.k, problem.channels, problem.filters)
@@ -292,8 +274,8 @@ impl Engine {
                     // The paper's direct kernels are stride-1 specialized;
                     // strided dense layers take the universal GEMM path.
                     Ok(EnginePlan::ImplicitGemm)
-                } else if problem.channels == 1 && special_fits(dtype.bytes()) {
-                    Ok(EnginePlan::Special(KernelShape::matched(spec, dtype)))
+                } else if special_check.is_ok() {
+                    Ok(EnginePlan::Special(shape))
                 } else if let Some(cfg) =
                     GeneralConfig::for_problem(spec, problem.k, problem.channels, problem.filters)
                 {

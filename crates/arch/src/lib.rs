@@ -53,7 +53,7 @@
 use kconv_core::{
     i8_input_scale, i8_output_scale, quantize_filters_f16, quantize_maps, quantize_maps_f16,
     ConvError, ConvRun, Convolution, DataType, Encoding, GeneralConfig, GeneralConv, KernelShape,
-    SpecialConfig, SpecialConv, SpecialConvHalf2, SpecialConvI8, F16_TOL, I8_TOL,
+    SpecialConv, F16_TOL, I8_TOL,
 };
 use kconv_replay::{replay, ReplayError, TargetSpec};
 use kconv_sim::{Gpu, GpuSpec, LaunchReport, SanitizerMode, SimMode};
@@ -101,12 +101,7 @@ impl GeneratedVariant {
 
 /// Instantiates the special-case kernel template for `shape`.
 fn instantiate(shape: KernelShape) -> Box<dyn Convolution> {
-    let config = SpecialConfig::with_vec_width(shape.vec_width);
-    match shape.dtype {
-        DataType::F32 => Box::new(SpecialConv::new(config)),
-        DataType::F16 => Box::new(SpecialConvHalf2::new(config)),
-        DataType::I8 => Box::new(SpecialConvI8::new(config)),
-    }
+    Box::new(SpecialConv::for_shape(shape))
 }
 
 /// Generates the matched special-case kernel variant for `dtype` on
@@ -386,6 +381,7 @@ pub fn measured_mismatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kconv_core::SpecialConfig;
 
     #[test]
     fn generator_reproduces_the_papers_kepler_kernels() {

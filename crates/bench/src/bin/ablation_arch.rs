@@ -12,7 +12,7 @@
 //! Usage: `cargo run --release -p kconv-bench --bin ablation_arch`
 
 use kconv_bench::print_table;
-use kconv_core::{Convolution, SpecialConfig, SpecialConv, SpecialConvF16, SpecialConvI8};
+use kconv_core::{Convolution, SpecialConfig, SpecialConv, Storage};
 use kconv_sim::{Gpu, GpuSpec, Parallelism, SimMode};
 use kconv_tensor::{random_filters, random_maps, ConvProblem};
 
@@ -62,14 +62,11 @@ fn main() {
 
         let n_f16 = spec.mismatch_factor(2);
         let matched16 = seconds(
-            &SpecialConvF16::new(SpecialConfig {
-                vec_width: n_f16 as usize,
-                ..SpecialConfig::kepler_best()
-            }),
+            &SpecialConv::with_storage(Storage::F16, n_f16 as usize),
             spec,
             &problem,
         );
-        let unmatched16 = seconds(&SpecialConvF16::unmatched(), spec, &problem);
+        let unmatched16 = seconds(&SpecialConv::with_storage(Storage::F16, 1), spec, &problem);
         rows.push(vec![
             spec.name.to_string(),
             "fp16".into(),
@@ -81,14 +78,11 @@ fn main() {
 
         let n_i8 = spec.mismatch_factor(1);
         let matched8 = seconds(
-            &SpecialConvI8::new(SpecialConfig {
-                vec_width: n_i8 as usize,
-                ..SpecialConfig::kepler_best()
-            }),
+            &SpecialConv::with_storage(Storage::I8, n_i8 as usize),
             spec,
             &problem,
         );
-        let unmatched8 = seconds(&SpecialConvI8::unmatched(), spec, &problem);
+        let unmatched8 = seconds(&SpecialConv::with_storage(Storage::I8, 1), spec, &problem);
         rows.push(vec![
             spec.name.to_string(),
             "int8".into(),

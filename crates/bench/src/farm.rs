@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use kconv_core::{
     Convolution, GeneralConfig, GeneralConv, GeneralConvStrided, ImplicitGemmConv, SpecialConfig,
-    SpecialConv, SpecialConvF16, SpecialConvHalf2, SpecialConvI8,
+    SpecialConv, Storage,
 };
 use kconv_replay::{replay, replay_decoded, sweep, SweepCell, TargetSpec};
 use kconv_sim::mem::lanes;
@@ -118,12 +118,12 @@ pub fn corpus() -> Vec<CorpusEntry> {
         ),
         entry(
             "special-3x3-fp16",
-            Box::new(SpecialConvF16::kepler_matched()),
+            Box::new(SpecialConv::with_storage(Storage::F16, 4)),
             ConvProblem::special(66, 16, 3),
         ),
         entry(
             "special-3x3-int8",
-            Box::new(SpecialConvI8::kepler_matched()),
+            Box::new(SpecialConv::with_storage(Storage::I8, 8)),
             ConvProblem::special(66, 16, 3),
         ),
         // The generator's (kconv-arch) outputs, appended after the
@@ -139,7 +139,7 @@ pub fn corpus() -> Vec<CorpusEntry> {
         ),
         entry(
             "special-3x3-half2",
-            Box::new(SpecialConvHalf2::default()),
+            Box::new(SpecialConv::with_storage(Storage::Half2, 2)),
             ConvProblem::special(66, 16, 3),
         ),
         // The systolic pipeline's captures, appended after the original

@@ -90,13 +90,14 @@ impl SpecialConfig {
         (k * round_up(k + n - 1, n) + 2 * n + 12) as u32
     }
 
-    /// Validates the configuration against `spec` for filter size `k` and
-    /// `filters` output maps.
+    /// Validates the tiling against `spec` for filter size `k` (the filter
+    /// bank's constant-memory footprint depends on the storage and is
+    /// checked by [`SpecialConv::validate`](crate::SpecialConv::validate)).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self, spec: &GpuSpec, k: usize, filters: usize) -> Result<(), String> {
+    pub fn validate(&self, spec: &GpuSpec, k: usize) -> Result<(), String> {
         if self.vec_width == 0 || self.width == 0 || self.height == 0 {
             return Err("all dimensions must be positive".into());
         }
@@ -120,12 +121,6 @@ impl SpecialConfig {
             return Err(format!(
                 "{} B of shared memory exceeds the per-block limit",
                 self.smem_bytes(k)
-            ));
-        }
-        let cm_bytes = (filters * k * k * 4) as u64;
-        if cm_bytes > spec.cm_bytes {
-            return Err(format!(
-                "{filters} filters of size {k}x{k} ({cm_bytes} B) exceed constant memory"
             ));
         }
         Ok(())
@@ -403,9 +398,9 @@ mod tests {
     fn special_presets_validate() {
         let spec = GpuSpec::kepler_k40m();
         for k in [1, 3, 5, 7] {
-            SpecialConfig::kepler_best().validate(&spec, k, 64).unwrap();
+            SpecialConfig::kepler_best().validate(&spec, k).unwrap();
             SpecialConfig::kepler_unmatched()
-                .validate(&spec, k, 64)
+                .validate(&spec, k)
                 .unwrap();
         }
     }
@@ -428,14 +423,14 @@ mod tests {
         let spec = GpuSpec::kepler_k40m();
         let mut c = SpecialConfig::kepler_best();
         c.width = 255; // not divisible by n=2
-        assert!(c.validate(&spec, 3, 8).is_err());
+        assert!(c.validate(&spec, 3).is_err());
         let mut c = SpecialConfig::kepler_best();
         c.width = 4096; // 2048 threads
-        assert!(c.validate(&spec, 3, 8).is_err());
-        // Too many filters for constant memory.
+        assert!(c.validate(&spec, 3).is_err());
+        // Filter sizes past the per-thread tap buffer.
         let c = SpecialConfig::kepler_best();
-        assert!(c.validate(&spec, 7, 1024).is_err());
-        assert!(c.validate(&spec, 7, 64).is_ok());
+        assert!(c.validate(&spec, crate::MAX_K + 1).is_err());
+        assert!(c.validate(&spec, 7).is_ok());
     }
 
     #[test]
@@ -537,7 +532,7 @@ mod tests {
         for spec in [GpuSpec::maxwell_like(), GpuSpec::fermi_m2090()] {
             let s = SpecialConfig::matched_for(&spec);
             assert_eq!(s.vec_width, 1);
-            s.validate(&spec, 3, 64).unwrap();
+            s.validate(&spec, 3).unwrap();
             for k in [3, 5, 7] {
                 let g = GeneralConfig::matched_for(&spec, k);
                 assert_eq!(g.vec_width, 1);

@@ -8,7 +8,10 @@
 //!   (one input channel, paper section 3 / Algorithm 1): filters in
 //!   constant memory, rows streamed through shared memory with register
 //!   prefetch, `n`-pixel vectorized accesses matching the bank width, and
-//!   each tile pixel read from global memory exactly once.
+//!   each tile pixel read from global memory exactly once. One kernel
+//!   serves every [`Storage`] (f32, and the section-6 fp16, half2 and
+//!   int8 storage types); [`SpecialConv::for_shape`] maps a generated
+//!   [`KernelShape`] to it.
 //! * [`GeneralConv`] — the **communication-reduced general-case kernel**
 //!   (paper section 4 / Algorithm 2): blocked-GEMM thread structure with
 //!   contiguous outputs per thread, shared-memory staging of `C_SH`
@@ -70,7 +73,6 @@ mod reference;
 mod run;
 mod shape;
 mod special;
-mod special_narrow;
 pub mod tune;
 pub mod winograd;
 
@@ -85,8 +87,7 @@ pub use naive::NaiveConv;
 pub use reference::{conv_reference, conv_reference_region, OutRegion};
 pub use run::{run_verified, run_with_fallback, ConvRun, Convolution, FaultRecord};
 pub use shape::KernelShape;
-pub use special::{FusedBatchRun, SpecialConv, MAX_K};
-pub use special_narrow::{
+pub use special::{
     i8_input_scale, i8_output_scale, quantize_filters_f16, quantize_maps, quantize_maps_f16,
-    Encoding, SpecialConvF16, SpecialConvHalf2, SpecialConvI8, F16_TOL, I8_TOL,
+    Encoding, FusedBatchRun, SpecialConv, Storage, F16_TOL, I8_TOL, MAX_K,
 };

@@ -63,30 +63,53 @@ impl ConvRun {
         filters: &FilterSet,
         tol: f32,
     ) -> std::result::Result<(), String> {
-        for region in &self.executed_regions {
-            let want = conv_reference_region(problem, input, filters, *region);
-            for f in 0..region.nf {
-                for y in 0..region.h {
-                    let got: Vec<f32> = (0..region.w)
-                        .map(|x| self.output.get(region.f0 + f, region.y0 + y, region.x0 + x))
-                        .collect();
-                    let row: Vec<f32> = (0..region.w).map(|x| want.get(f, y, x)).collect();
-                    if let Some(m) = worst_mismatch(&got, &row, tol) {
-                        return Err(format!(
-                            "filter {}, output ({}, {}): got {} want {} (error {:.2e})",
-                            region.f0 + f,
-                            region.y0 + y,
-                            region.x0 + m.index,
-                            m.lhs,
-                            m.rhs,
-                            m.error
-                        ));
-                    }
+        verify_regions(
+            &self.output,
+            self.executed_regions.iter(),
+            problem,
+            input,
+            filters,
+            tol,
+        )
+    }
+}
+
+/// Validates `regions` of `output` against the CPU reference on `input`.
+///
+/// # Errors
+///
+/// Returns a description of the first mismatching row's worst element.
+pub(crate) fn verify_regions<'a>(
+    output: &FeatureMaps,
+    regions: impl Iterator<Item = &'a OutRegion>,
+    problem: &ConvProblem,
+    input: &FeatureMaps,
+    filters: &FilterSet,
+    tol: f32,
+) -> std::result::Result<(), String> {
+    for region in regions {
+        let want = conv_reference_region(problem, input, filters, *region);
+        for f in 0..region.nf {
+            for y in 0..region.h {
+                let got: Vec<f32> = (0..region.w)
+                    .map(|x| output.get(region.f0 + f, region.y0 + y, region.x0 + x))
+                    .collect();
+                let row: Vec<f32> = (0..region.w).map(|x| want.get(f, y, x)).collect();
+                if let Some(m) = worst_mismatch(&got, &row, tol) {
+                    return Err(format!(
+                        "filter {}, output ({}, {}): got {} want {} (error {:.2e})",
+                        region.f0 + f,
+                        region.y0 + y,
+                        region.x0 + m.index,
+                        m.lhs,
+                        m.rhs,
+                        m.error
+                    ));
                 }
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// A convolution implementation runnable on the simulator.

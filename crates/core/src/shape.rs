@@ -53,9 +53,11 @@ pub struct KernelShape {
 impl KernelShape {
     /// Vector factors the kernel templates can instantiate for a data type.
     ///
-    /// The special/general f32 kernels dispatch over `n ∈ {1, 2, 4}`; the
-    /// narrow-storage kernels dispatch over lane widths of 1..=8 bytes, which
-    /// bounds `fp16` to `n ∈ {1, 2, 4}` and `int8` to `n ∈ {1, 2, 4, 8}`.
+    /// The general f32 kernel dispatches over `n ∈ {1, 2, 4}`. The special
+    /// kernel, one body for every storage, dispatches over lane widths of
+    /// 1..=16 bytes and accepts exactly these factors
+    /// ([`SpecialConv::validate`](crate::SpecialConv::validate)): `f32` and
+    /// `fp16` at `n ∈ {1, 2, 4}`, `int8` at `n ∈ {1, 2, 4, 8}`.
     pub fn supported_factors(dtype: DataType) -> &'static [usize] {
         match dtype {
             DataType::F32 => &[1, 2, 4],

@@ -288,7 +288,7 @@ pub fn explore_special_recorded(
             });
             continue;
         }
-        if cfg.validate(spec, problem.k, problem.filters).is_err() {
+        if SpecialConv::new(*cfg).validate(spec, problem).is_err() {
             skips.push(TuneSkip {
                 config: *cfg,
                 reason: "fails architectural or divisibility validation".into(),

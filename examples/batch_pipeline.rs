@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example batch_pipeline`
 
-use kconv::core::{run_batch, SpecialConvF16, SpecialConvI8};
+use kconv::core::{run_batch, Storage};
 use kconv::prelude::*;
 use kconv::sim::render_report;
 
@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let engines: Vec<Box<dyn Convolution>> = vec![
         Box::new(SpecialConv::default()),
-        Box::new(SpecialConvF16::kepler_matched()),
-        Box::new(SpecialConvI8::kepler_matched()),
+        Box::new(SpecialConv::with_storage(Storage::F16, 4)),
+        Box::new(SpecialConv::with_storage(Storage::I8, 8)),
     ];
     let mut f32_first_report = None;
     for engine in engines {

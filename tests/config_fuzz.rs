@@ -8,8 +8,7 @@
 //! way `prop_assume!` discarded them.
 
 use kconv::core::{
-    i8_input_scale, i8_output_scale, quantize_maps, Encoding, SpecialConvF16, SpecialConvI8,
-    F16_TOL, I8_TOL,
+    i8_input_scale, i8_output_scale, quantize_maps, Encoding, Storage, F16_TOL, I8_TOL,
 };
 use kconv::prelude::*;
 use kconv::tensor::rng::StdRng;
@@ -32,11 +31,11 @@ fn special_config_fuzz() {
             vec_width,
         };
         let spec = GpuSpec::kepler_k40m();
-        if cfg.validate(&spec, k, f).is_err() {
-            continue;
-        }
         let n = (1 << width_pow) + k + extra; // at least one full tile column
         let problem = ConvProblem::special(n, f, k);
+        if SpecialConv::new(cfg).validate(&spec, &problem).is_err() {
+            continue;
+        }
         let input = random_maps(1, n, n, (width_pow * 31 + extra) as u64);
         let filters = random_filters(f, 1, k, 71);
         let mut gpu = Gpu::new(spec);
@@ -116,7 +115,11 @@ fn narrow_config_fuzz() {
         let filters = random_filters(f, 1, k, 93);
 
         let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
-        let run = SpecialConvF16::new(cfg)
+        let f16 = SpecialConv {
+            config: cfg,
+            storage: Storage::F16,
+        };
+        let run = f16
             .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
             .unwrap();
         let q = quantize_maps(&input, Encoding::F16);
@@ -128,7 +131,11 @@ fn narrow_config_fuzz() {
             ..cfg
         };
         let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
-        let run = SpecialConvI8::new(i8cfg)
+        let i8 = SpecialConv {
+            config: i8cfg,
+            storage: Storage::I8,
+        };
+        let run = i8
             .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
             .unwrap();
         let enc = Encoding::I8 {

@@ -12,29 +12,15 @@
 //! * an FNV-1a-64 digest of the `Debug` rendering of the launch's
 //!   `KernelStats` (every counter).
 
-use kconv::core::{Convolution, SpecialConfig, SpecialConvF16, SpecialConvHalf2, SpecialConvI8};
+use kconv::apps::EnginePlan;
+use kconv::core::{Convolution, DataType, Storage};
 use kconv::prelude::*;
 use kconv::trace::{SharedBuffer, TraceWriter};
-
-/// Storage types of the special-case kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Storage {
-    F32,
-    F16,
-    Half2,
-    I8,
-}
 
 /// The kernel under test for `storage` with `n` elements per access and
 /// the paper's tile.
 fn kernel(storage: Storage, n: usize) -> Box<dyn Convolution> {
-    let config = SpecialConfig::with_vec_width(n);
-    match storage {
-        Storage::F32 => Box::new(SpecialConv::new(config)),
-        Storage::F16 => Box::new(SpecialConvF16::new(config)),
-        Storage::Half2 => Box::new(SpecialConvHalf2::new(config)),
-        Storage::I8 => Box::new(SpecialConvI8::new(config)),
-    }
+    Box::new(SpecialConv::with_storage(storage, n))
 }
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -164,4 +150,49 @@ fn fused_batch_is_pinned() {
         (0xd809d5ed534ab826, 0xce6d4f7f8e78606b, 0x03f8c562384b7a9e),
         "(KTRC bytes, output bits, KernelStats)"
     );
+}
+
+/// Whatever the planner routes to the special kernel runs: the plan and
+/// the kernel share one validator, so they agree on the constant-memory
+/// footprint and every other limit.
+#[test]
+fn planned_special_problems_run() {
+    let mut plans = Vec::new();
+    for spec in [GpuSpec::kepler_k40m(), GpuSpec::maxwell_like()] {
+        for problem in [
+            ConvProblem::special(40, 2, 3),
+            // 17,500 int8 taps: 17.1 KiB at one byte per tap, but the
+            // kernel keeps f32 taps (68.4 KiB) and the part has 64 KiB.
+            ConvProblem::special(16, 700, 5),
+            // 33,800 int8 taps of 13x13: 33 KiB at one byte per tap,
+            // 132 KiB as f32 taps, 66.4 KiB even as packed half2 pairs.
+            ConvProblem::special(16, 200, 13),
+            // Past the kernel's per-thread tap buffer.
+            ConvProblem::special(40, 1, 15),
+        ] {
+            for dtype in [DataType::F32, DataType::F16, DataType::I8] {
+                for engine in [Engine::Auto, Engine::Special] {
+                    if let Ok(plan @ EnginePlan::Special(_)) =
+                        engine.plan_for(&spec, &problem, dtype)
+                    {
+                        if !plans.contains(&(spec.clone(), problem, plan)) {
+                            plans.push((spec.clone(), problem, plan));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (spec, problem, plan) in &plans {
+        let input = random_maps(1, problem.height, problem.width, 5);
+        let filters = random_filters(problem.filters, 1, problem.k, 6);
+        let mut gpu = Gpu::new(spec.clone());
+        if let Err(e) =
+            plan.instantiate()
+                .run(&mut gpu, problem, &input, &filters, SimMode::Sampled(1))
+        {
+            panic!("planned {plan:?} for {problem} on {}: {e}", spec.name);
+        }
+    }
+    assert!(plans.len() >= 8, "too few special plans: {plans:?}");
 }
