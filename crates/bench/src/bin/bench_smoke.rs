@@ -7,8 +7,8 @@
 //! models they replaced; this binary is the tripwire that keeps them honest
 //! on the real workload. Any counter drift fails the run with a field-level
 //! diff. The workload, the canonical JSON rendering and the golden path all
-//! come from [`kconv_bench::fig8`], shared with the `hotpath`/`parallel`
-//! benches and `trace_report`.
+//! come from [`kconv_bench::fig8`], shared with `whatif` and
+//! `trace_report`.
 //!
 //! Usage:
 //!   cargo run --release -p kconv-bench --bin bench_smoke            # verify

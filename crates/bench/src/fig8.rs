@@ -1,9 +1,9 @@
 //! The Fig. 8 reference workload shared by every harness that measures it.
 //!
-//! `bench_smoke` (counter golden), the `hotpath` and `parallel` benches
-//! (wall clock) and `trace_report` (trace-level checks) all run the same
-//! layer: the general-case 3x3 kernel in its Table 1 configuration over a
-//! full `N' = 64, C = 64, F = 64` grid, with fixed input/filter seeds.
+//! `bench_smoke` (counter golden), `whatif` (replay ≡ live) and
+//! `trace_report` (trace-level checks) all run the same layer: the
+//! general-case 3x3 kernel in its Table 1 configuration over a full
+//! `N' = 64, C = 64, F = 64` grid, with fixed input/filter seeds.
 //! This module is the single definition of that workload, its canonical
 //! `KernelStats` JSON rendering, and the golden-file paths — so the
 //! harnesses cannot drift apart on seeds or shapes.

@@ -20,7 +20,6 @@
 pub mod arch;
 pub mod farm;
 pub mod fig8;
-pub mod harness;
 pub mod serve;
 pub mod systolic;
 

@@ -117,7 +117,7 @@ pub enum TargetSpec {
     /// carry no spec and fail with [`ReplayError::MissingCaptureSpec`].
     Capture,
     /// An explicit spec — the what-if case, and the only way to replay a
-    /// v1 trace (`--assume-spec` in the CLIs).
+    /// v1 trace (`trace_report --trace <file> --spec <preset>`).
     Spec(GpuSpec),
 }
 
@@ -141,7 +141,7 @@ impl std::fmt::Display for ReplayError {
             ReplayError::MissingCaptureSpec { kernel } => write!(
                 f,
                 "replay: launch '{kernel}' has no embedded capture spec (v1 trace); \
-                 pass an explicit target spec (--assume-spec)"
+                 replay it under an explicit target spec"
             ),
         }
     }

@@ -6,33 +6,32 @@
 //! of one warp's 32 lane addresses. PR 3 flattened those functions into
 //! branch-light scalar loops ([`super::dedup`], `bank_conflict_cycles`);
 //! this module is the next step the ROADMAP named: the same computations
-//! expressed over whole 32-lane spans, in three interchangeable backends:
+//! expressed over whole 32-lane spans, in two interchangeable backends:
 //!
-//! * **`scalar`** — the reference: the sparse-iterator loops the rest of
-//!   the crate shipped with, kept verbatim as the semantics oracle.
-//! * **`swar`** — portable SIMD-within-a-register: all 32 lanes processed
-//!   branchlessly with per-lane mask words (`0`/`!0`) instead of sparse
-//!   bit iteration, and distinct-unit counting done by OR-ing per-lane
-//!   *range masks* into a `u128`/word bitmap and popcounting — 64 unit
-//!   occupancy bits per register instead of one test-and-set per unit.
+//! * **`scalar`** — the reference and the portable path: the
+//!   sparse-iterator loops the rest of the crate shipped with, kept
+//!   verbatim as the semantics oracle.
 //! * **`simd`** — `std::arch` x86_64 AVX2: four lanes per instruction for
-//!   the word/min/max/predicate passes, with the same bitmap finish as
-//!   `swar`. Selected only when `is_x86_feature_detected!("avx2")` holds;
-//!   everywhere else (including non-x86 targets) it degrades to `swar`.
+//!   the word/min/max/predicate passes, with distinct-unit counting done
+//!   by OR-ing per-lane *range masks* into a `u128`/word bitmap and
+//!   popcounting. Selected only when `is_x86_feature_detected!("avx2")`
+//!   holds; everywhere else (including non-x86 targets) it degrades to
+//!   `scalar`.
 //!
 //! ## Dispatch
 //!
 //! The backend is resolved once and cached in an atomic: `KCONV_LANES`
-//! (`auto` | `scalar` | `swar` | `simd`) overrides, `auto` (and unset)
-//! picks `simd` when AVX2 is available and `swar` otherwise. An unknown
+//! (`auto` | `scalar` | `simd`) overrides, `auto` (and unset) picks
+//! `simd` when AVX2 is available and `scalar` otherwise. An unknown
 //! value warns on stderr and falls back to `auto` rather than silently
 //! changing what a bench measured. [`force`] re-points the cached choice
-//! at runtime — that exists for the A/B benches and the differential
-//! suite, which time or compare every backend inside one process.
+//! at runtime — that exists for the farm bench's per-backend sweep and
+//! the differential suite, which time or compare every backend inside
+//! one process.
 //!
 //! ## The bit-exactness contract
 //!
-//! All three backends must produce **identical results for every input**,
+//! Both backends must produce **identical results for every input**,
 //! including hostile ones — any mask density, widths 1–16, spans crossing
 //! unit boundaries, duplicate-heavy and fully-divergent warps, and
 //! addresses adjacent to `u64::MAX`. To make the last case well-defined,
@@ -42,7 +41,7 @@
 //! release wrap) on inputs no real kernel produces but a replayed hostile
 //! trace could. Saturation keeps the span non-empty and ordered for any
 //! address, and all backends share the definition, so the differential
-//! suite (`tests/lane_engine.rs`) can pin scalar ≡ swar ≡ simd over
+//! suite (`tests/lane_engine.rs`) can pin scalar ≡ simd over
 //! random and adversarial warps with zero drift.
 //!
 //! Because `sim/pricing.rs` and the live memory models both route through
@@ -74,10 +73,9 @@ pub(crate) const MAX_UNITS: usize = WARP_SIZE * 17;
 /// backend is and when it is eligible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The original sparse-iterator scalar loops (the reference).
+    /// The original sparse-iterator scalar loops (the reference and the
+    /// portable path).
     Scalar,
-    /// Portable branchless/u64-packed implementation.
-    Swar,
     /// x86_64 AVX2 intrinsics; requires runtime AVX2 detection.
     Simd,
 }
@@ -88,7 +86,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Swar => "swar",
             Backend::Simd => "simd",
         }
     }
@@ -96,7 +93,7 @@ impl Backend {
     /// The backends that can actually run on this host, in dispatch-
     /// preference order (`simd` is absent when AVX2 is not detected).
     pub fn available() -> Vec<Backend> {
-        let mut v = vec![Backend::Scalar, Backend::Swar];
+        let mut v = vec![Backend::Scalar];
         if simd_available() {
             v.push(Backend::Simd);
         }
@@ -122,24 +119,23 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 fn encode(b: Backend) -> u8 {
     match b {
         Backend::Scalar => 1,
-        Backend::Swar => 2,
-        Backend::Simd => 3,
+        Backend::Simd => 2,
     }
 }
 
 fn decode(v: u8) -> Option<Backend> {
     match v {
         1 => Some(Backend::Scalar),
-        2 => Some(Backend::Swar),
-        3 => Some(Backend::Simd),
+        2 => Some(Backend::Simd),
         _ => None,
     }
 }
 
-/// `simd` only when it can actually run; otherwise the portable fallback.
+/// `simd` only when it can actually run; otherwise the portable scalar
+/// path.
 fn clamp_available(b: Backend) -> Backend {
     if b == Backend::Simd && !simd_available() {
-        Backend::Swar
+        Backend::Scalar
     } else {
         b
     }
@@ -150,15 +146,14 @@ fn auto_backend() -> Backend {
     clamp_available(Backend::Simd)
 }
 
-/// Resolves the `KCONV_LANES` override (see the module docs). Follows the
-/// `KCONV_THREADS` convention of trimming and lower-casing nothing —
-/// values are exact — but unlike a thread count, a typo here would change
-/// what a bench silently measures, so unknown values warn once on stderr
-/// and fall back to `auto`.
-fn resolve() -> Backend {
-    match std::env::var("KCONV_LANES").ok().as_deref().map(str::trim) {
+/// Resolves a `KCONV_LANES` value (see the module docs); the caller reads
+/// the environment, so the parse table is testable without mutating it.
+/// Values are trimmed but otherwise exact. Unlike a thread count, a typo
+/// here would change what a bench silently measures, so unknown values
+/// warn once on stderr and fall back to `auto`.
+fn resolve(value: Option<&str>) -> Backend {
+    match value.map(str::trim) {
         Some("scalar") => Backend::Scalar,
-        Some("swar") => Backend::Swar,
         Some("simd") => clamp_available(Backend::Simd),
         None | Some("auto") | Some("") => auto_backend(),
         Some(other) => {
@@ -176,7 +171,7 @@ pub fn active() -> Backend {
     if let Some(b) = decode(ACTIVE.load(Ordering::Relaxed)) {
         return b;
     }
-    let b = resolve();
+    let b = resolve(std::env::var("KCONV_LANES").ok().as_deref());
     ACTIVE.store(encode(b), Ordering::Relaxed);
     b
 }
@@ -184,8 +179,8 @@ pub fn active() -> Backend {
 /// Re-points the cached dispatch at `backend` (clamped to what the host
 /// supports) and returns the backend actually installed. Every counter is
 /// bit-identical across backends by contract, so this is safe to call at
-/// any time; it exists for the A/B benches and the differential suite,
-/// which exercise all backends inside one process.
+/// any time; it exists for the farm bench and the differential suite,
+/// which exercise every backend inside one process.
 pub fn force(backend: Backend) -> Backend {
     let b = clamp_available(backend);
     ACTIVE.store(encode(b), Ordering::Relaxed);
@@ -226,7 +221,7 @@ pub fn unit_bounds(addrs: &WarpAddrs, width: u64, mask: LaneMask, unit: u64) -> 
     unit_bounds_on(active(), addrs, width, mask, unit)
 }
 
-/// [`unit_bounds`] on an explicit backend (`Simd` degrades to `Swar` when
+/// [`unit_bounds`] on an explicit backend (`Simd` degrades to `Scalar` when
 /// AVX2 is unavailable, like the dispatcher would).
 pub fn unit_bounds_on(
     backend: Backend,
@@ -239,7 +234,6 @@ pub fn unit_bounds_on(
     debug_assert!(width >= 1);
     match clamp_available(backend) {
         Backend::Scalar => scalar::unit_bounds(addrs, width, mask, unit),
-        Backend::Swar => swar::unit_bounds(addrs, width, mask, unit),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_available` returned `Simd`, so AVX2 was detected
         // at runtime on this host.
@@ -271,7 +265,6 @@ pub fn distinct_units_on(
     debug_assert!(width >= 1);
     match clamp_available(backend) {
         Backend::Scalar => scalar::distinct_units(addrs, width, mask, unit),
-        Backend::Swar => swar::distinct_units(addrs, width, mask, unit),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_available` returned `Simd`, so AVX2 was detected
         // at runtime on this host.
@@ -308,7 +301,6 @@ pub fn occupancy_on(
     debug_assert!(width >= 1);
     match clamp_available(backend) {
         Backend::Scalar => scalar::occupancy(addrs, width, mask, unit),
-        Backend::Swar => swar::occupancy(addrs, width, mask, unit),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_available` returned `Simd`, so AVX2 was detected
         // at runtime on this host.
@@ -338,7 +330,6 @@ pub fn word_span_on(
     debug_assert!(width >= 1);
     match clamp_available(backend) {
         Backend::Scalar => scalar::word_span(addrs, width, mask, unit),
-        Backend::Swar => swar::word_span(addrs, width, mask, unit),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_available` returned `Simd`, so AVX2 was detected
         // at runtime on this host.
@@ -361,7 +352,6 @@ pub fn max_end(addrs: &WarpAddrs, width: u64, mask: LaneMask) -> u64 {
 pub fn max_end_on(backend: Backend, addrs: &WarpAddrs, width: u64, mask: LaneMask) -> u64 {
     match clamp_available(backend) {
         Backend::Scalar => scalar::max_end(addrs, width, mask),
-        Backend::Swar => swar::max_end(addrs, width, mask),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_available` returned `Simd`, so AVX2 was detected
         // at runtime on this host.
@@ -372,8 +362,8 @@ pub fn max_end_on(backend: Backend, addrs: &WarpAddrs, width: u64, mask: LaneMas
 }
 
 /// Expands a [`LaneMask`] into one word per lane: `!0` for an active
-/// lane, `0` for an inactive one — the blend masks the branchless
-/// backends use in place of sparse bit iteration.
+/// lane, `0` for an inactive one — the blend masks the AVX2 backend
+/// uses in place of sparse bit iteration.
 #[inline]
 pub fn expand_mask(mask: LaneMask) -> [u64; WARP_SIZE] {
     expand_mask_on(active(), mask)
@@ -383,7 +373,6 @@ pub fn expand_mask(mask: LaneMask) -> [u64; WARP_SIZE] {
 pub fn expand_mask_on(backend: Backend, mask: LaneMask) -> [u64; WARP_SIZE] {
     match clamp_available(backend) {
         Backend::Scalar => scalar::expand_mask(mask),
-        Backend::Swar => swar::expand_mask(mask),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_available` returned `Simd`, so AVX2 was detected
         // at runtime on this host.
@@ -399,9 +388,10 @@ fn lane_span(a: u64, width: u64, shift: u32) -> (u64, u64) {
     (a >> shift, a.saturating_add(width - 1) >> shift)
 }
 
-/// Shared finishing pass for the branchless backends: given every lane's
-/// absolute `[first, last]` unit span (garbage in inactive lanes) and the
-/// active bounds, count the distinct covered units.
+/// Finishing pass for the AVX2 backend: given every lane's absolute
+/// `[first, last]` unit span (garbage in inactive lanes) and the active
+/// bounds, count the distinct covered units.
+#[cfg(target_arch = "x86_64")]
 fn count_distinct(
     firsts: &[u64; WARP_SIZE],
     lasts: &[u64; WARP_SIZE],
@@ -412,8 +402,8 @@ fn count_distinct(
     let span = hi - lo;
     if span < 128 {
         // Two registers of unit-occupancy bits: each lane contributes one
-        // shifted range mask, the popcount is the distinct count. This is
-        // the SWAR core — no per-unit test-and-set at all.
+        // shifted range mask, the popcount is the distinct count — no
+        // per-unit test-and-set at all.
         let mut seen: u128 = 0;
         for lane in mask.iter() {
             let first = firsts[lane] - lo;
@@ -630,251 +620,6 @@ mod scalar {
 
     pub(super) fn expand_mask(mask: LaneMask) -> [u64; WARP_SIZE] {
         std::array::from_fn(|lane| if mask.is_active(lane) { !0 } else { 0 })
-    }
-}
-
-/// Portable u64-packed backend. The differentiator is the *counting*
-/// strategy: instead of one test-and-set (plus a first-visit branch) per
-/// covered unit, each lane contributes one shifted **range mask** to a
-/// packed occupancy word, and the distinct count is a single popcount at
-/// the end — 64 units of bitmap per register operation, no per-unit
-/// branches at all. The classification passes (bounds, word spans, ends)
-/// are branch-free folds over the active lanes; `multi |= last - first`
-/// replaces the boolean `single &=` chain so the whole predicate is one
-/// OR-accumulator compare.
-mod swar {
-    use super::*;
-
-    pub(super) fn unit_bounds(
-        addrs: &WarpAddrs,
-        width: u64,
-        mask: LaneMask,
-        unit: u64,
-    ) -> Option<(u64, u64)> {
-        if mask.is_empty() {
-            return None;
-        }
-        let shift = unit.trailing_zeros();
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        if mask.is_all() {
-            for &a in addrs.iter() {
-                let (first, last) = lane_span(a, width, shift);
-                lo = lo.min(first);
-                hi = hi.max(last);
-            }
-        } else {
-            for lane in mask.iter() {
-                let (first, last) = lane_span(addrs[lane], width, shift);
-                lo = lo.min(first);
-                hi = hi.max(last);
-            }
-        }
-        Some((lo, hi))
-    }
-
-    pub(super) fn distinct_units(addrs: &WarpAddrs, width: u64, mask: LaneMask, unit: u64) -> u64 {
-        if mask.is_empty() {
-            return 0;
-        }
-        let shift = unit.trailing_zeros();
-        // One classification pass: per-lane span, warp bounds. The spans
-        // are stored so the occupancy pass below never recomputes
-        // `lane_span` — the scalar reference's two passes each pay for the
-        // shift/saturating-add math, this backend pays once.
-        let mut firsts = [0u64; WARP_SIZE];
-        let mut lens = [0u64; WARP_SIZE];
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        {
-            let mut classify = |lane: usize| {
-                let (first, last) = lane_span(addrs[lane], width, shift);
-                firsts[lane] = first;
-                lens[lane] = last - first;
-                lo = lo.min(first);
-                hi = hi.max(last);
-            };
-            if mask.is_all() {
-                for lane in 0..WARP_SIZE {
-                    classify(lane);
-                }
-            } else {
-                for lane in mask.iter() {
-                    classify(lane);
-                }
-            }
-        }
-        if hi - lo < 64 {
-            // The common case: the warp's whole unit range fits one
-            // occupancy word (a coalesced access spans a handful of units,
-            // a full warp of float2 bank words spans 64 — just over, but
-            // caught by the u128 tier below). One OR per lane, one
-            // popcount total; four independent accumulators keep the OR
-            // chain out of the loop's critical path.
-            let range_mask = |lane: usize| (!0u64 >> (63 - lens[lane])) << (firsts[lane] - lo);
-            let seen = if mask.is_all() {
-                let mut acc = [0u64; 4];
-                for i in 0..WARP_SIZE / 4 {
-                    for (j, slot) in acc.iter_mut().enumerate() {
-                        *slot |= range_mask(i * 4 + j);
-                    }
-                }
-                (acc[0] | acc[1]) | (acc[2] | acc[3])
-            } else {
-                let mut seen = 0u64;
-                for lane in mask.iter() {
-                    seen |= range_mask(lane);
-                }
-                seen
-            };
-            u64::from(seen.count_ones())
-        } else if hi - lo < 128 {
-            let mut seen: u128 = 0;
-            for lane in mask.iter() {
-                seen |= (u128::MAX >> (127 - lens[lane])) << (firsts[lane] - lo);
-            }
-            u64::from(seen.count_ones())
-        } else {
-            let mut lasts = [0u64; WARP_SIZE];
-            for lane in mask.iter() {
-                lasts[lane] = firsts[lane] + lens[lane];
-            }
-            count_distinct(&firsts, &lasts, mask, lo, hi)
-        }
-    }
-
-    pub(super) fn occupancy(
-        addrs: &WarpAddrs,
-        width: u64,
-        mask: LaneMask,
-        unit: u64,
-    ) -> Option<Occupancy> {
-        if mask.is_empty() {
-            return None;
-        }
-        let shift = unit.trailing_zeros();
-        // One classification pass proves the fast-path shape (single-unit
-        // lanes, narrow span) and caches the per-lane units; the branch-
-        // free `multi |=` accumulator replaces a boolean chain, exactly as
-        // in `word_span`.
-        let mut firsts = [0u64; WARP_SIZE];
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        let mut multi = 0u64;
-        {
-            let mut classify = |lane: usize| {
-                let (first, last) = lane_span(addrs[lane], width, shift);
-                firsts[lane] = first;
-                lo = lo.min(first);
-                hi = hi.max(last);
-                multi |= last - first;
-            };
-            if mask.is_all() {
-                for lane in 0..WARP_SIZE {
-                    classify(lane);
-                }
-            } else {
-                for lane in mask.iter() {
-                    classify(lane);
-                }
-            }
-        }
-        if multi != 0 || hi - lo >= 128 {
-            return None;
-        }
-        if hi - lo < 64 {
-            // Narrow tier: one shifted bit per lane into a single packed
-            // word, four independent OR accumulators for ILP.
-            let bit = |lane: usize| 1u64 << (firsts[lane] - lo);
-            let seen = if mask.is_all() {
-                let mut acc = [0u64; 4];
-                for i in 0..WARP_SIZE / 4 {
-                    for (j, slot) in acc.iter_mut().enumerate() {
-                        *slot |= bit(i * 4 + j);
-                    }
-                }
-                (acc[0] | acc[1]) | (acc[2] | acc[3])
-            } else {
-                let mut seen = 0u64;
-                for lane in mask.iter() {
-                    seen |= bit(lane);
-                }
-                seen
-            };
-            return Some(Occupancy {
-                lo,
-                words: [seen, 0],
-            });
-        }
-        let mut words = [0u64; 2];
-        let mut set_bit = |lane: usize| {
-            let idx = (firsts[lane] - lo) as usize;
-            words[idx / 64] |= 1u64 << (idx % 64);
-        };
-        if mask.is_all() {
-            for lane in 0..WARP_SIZE {
-                set_bit(lane);
-            }
-        } else {
-            for lane in mask.iter() {
-                set_bit(lane);
-            }
-        }
-        Some(Occupancy { lo, words })
-    }
-
-    pub(super) fn word_span(
-        addrs: &WarpAddrs,
-        width: u64,
-        mask: LaneMask,
-        unit: u64,
-    ) -> Option<WordSpan> {
-        if mask.is_empty() {
-            return None;
-        }
-        let shift = unit.trailing_zeros();
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        let mut multi = 0u64;
-        let mut collect = |a: u64| {
-            let (first, last) = lane_span(a, width, shift);
-            lo = lo.min(first);
-            hi = hi.max(last);
-            multi |= last - first;
-        };
-        if mask.is_all() {
-            for &a in addrs.iter() {
-                collect(a);
-            }
-        } else {
-            for lane in mask.iter() {
-                collect(addrs[lane]);
-            }
-        }
-        Some(WordSpan {
-            lo,
-            hi,
-            single: multi == 0,
-        })
-    }
-
-    pub(super) fn max_end(addrs: &WarpAddrs, width: u64, mask: LaneMask) -> u64 {
-        let mut max_end = 0u64;
-        if mask.is_all() {
-            for &a in addrs.iter() {
-                max_end = max_end.max(a.saturating_add(width));
-            }
-        } else {
-            for lane in mask.iter() {
-                max_end = max_end.max(addrs[lane].saturating_add(width));
-            }
-        }
-        max_end
-    }
-
-    pub(super) fn expand_mask(mask: LaneMask) -> [u64; WARP_SIZE] {
-        // `(bit as u64).wrapping_neg()` is 0 or !0 with no branch.
-        std::array::from_fn(|lane| u64::from(mask.0 >> lane & 1).wrapping_neg())
     }
 }
 
@@ -1299,23 +1044,44 @@ mod tests {
 
     #[test]
     fn dispatch_clamps_simd_to_host_support() {
-        let installed = force(Backend::Simd);
-        if simd_available() {
-            assert_eq!(installed, Backend::Simd);
+        let host_best = if simd_available() {
+            Backend::Simd
         } else {
-            assert_eq!(installed, Backend::Swar);
-        }
+            Backend::Scalar
+        };
+        assert_eq!(force(Backend::Simd), host_best);
         assert_eq!(force(Backend::Scalar), Backend::Scalar);
         assert_eq!(active(), Backend::Scalar);
         force(auto_backend());
     }
 
     #[test]
+    fn lanes_env_parse_table() {
+        let host_best = auto_backend();
+        assert_eq!(host_best == Backend::Simd, simd_available());
+        for (value, want) in [
+            (None, host_best),
+            (Some(""), host_best),
+            (Some("auto"), host_best),
+            (Some(" auto "), host_best),
+            (Some("scalar"), Backend::Scalar),
+            (Some("simd"), host_best),
+            // Retired and misspelled values take the warn-then-auto path.
+            (Some("swar"), host_best),
+            (Some("scalr"), host_best),
+        ] {
+            assert_eq!(resolve(value), want, "KCONV_LANES={value:?}");
+        }
+    }
+
+    #[test]
     fn backend_names_round_trip() {
+        for b in Backend::available() {
+            assert_eq!(resolve(Some(b.name())), b);
+        }
         assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Swar.name(), "swar");
         assert_eq!(Backend::Simd.name(), "simd");
-        assert!(Backend::available().contains(&Backend::Swar));
+        assert_eq!(Backend::available()[0], Backend::Scalar);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! stream of tagged records; all integers are LEB128 varints (see
 //! [`crate::varint`]):
 //!
-//! | tag | record | fields (version 3) |
+//! | tag | record | fields (version 4) |
 //! |-----|--------|--------------------|
 //! | 1 | launch begin | kernel-name length + UTF-8 bytes, grid blocks, executed blocks, threads/block, smem bytes, regs/thread, overlap mode (u8), capture [`GpuSpec`] (below) |
 //! | 2 | block | block id, event count, events (below) |
@@ -20,15 +20,17 @@
 //! and rebuild the timing model's launch inputs without the kernel — see
 //! the `kconv-replay` crate and DESIGN.md §11.
 //!
-//! Two legacy versions remain readable:
+//! Three legacy versions remain readable:
 //!
+//! * Version 3 predates [`KernelStats::bar_syncs`] in the launch-end
+//!   record and the [`TraceOp::Bar`] event, which it never contains.
 //! * Version 2 predates [`GpuSpec::ro_cache_bytes`]; its embedded spec
 //!   skips that field, which decodes to the 48 KiB every real part
 //!   carries (`pricing::RO_CACHE_BYTES`).
 //! * Version 1 lacks the last three launch-begin fields and carries only
 //!   `fma_lane_ops` in the launch-end record; its headers decode with
 //!   [`LaunchHeader::spec`] `None`, so replaying a v1 trace requires the
-//!   caller to assert the capture spec explicitly (`--assume-spec`).
+//!   caller to name a target spec explicitly (`trace_report --spec`).
 //!
 //! Each event is: op tag (u8), warp, lane mask, bytes/lane, transactions,
 //! cycles — then the addresses of the **active lanes only**, as one
