@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn systolic_capture_replays_with_barrier_events() {
-        // A depth-2 capture carries v4 Bar events; replay grafts the live
+        // A depth-2 capture carries Bar events; replay grafts the live
         // barrier counters and prices the events at zero memory cost.
         let spec = GpuSpec::kepler_k40m();
         let variant = generate_systolic(&spec, 2);

@@ -146,7 +146,7 @@ pub fn corpus() -> Vec<CorpusEntry> {
         // twelve so every earlier capture stays byte-stable: the
         // double-buffered (depth 2) schedule on the dense anchor, and
         // the same pipeline over the extended workload matrix (strided
-        // and depthwise). Their v4 traces carry Bar events, so the
+        // and depthwise). Their traces carry Bar events, so the
         // sweep also prices barrier-bound launches across the grid.
         entry(
             "systolic-3x3-d2",

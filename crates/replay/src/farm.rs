@@ -13,11 +13,6 @@
 //! deterministically ordered** — ascending `(trace, spec, launch)` — no
 //! matter the thread count or the order cells were requested in. The
 //! farm harness and the serial ≡ threaded tests pin that invariant.
-//!
-//! Cells that fail to replay (a v1 trace swept under
-//! [`TargetSpec::Capture`](crate::TargetSpec::Capture)) surface as [`SweepCell::report`] `Err` rather
-//! than aborting the rest of the sweep: a farm corpus can mix trace
-//! generations.
 
 use std::ops::Range;
 

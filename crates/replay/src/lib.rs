@@ -4,7 +4,7 @@
 //! *addresses* and *architecture*, not of kernel code: the same warp
 //! access pattern that runs conflict-free on Fermi's 4-byte shared-memory
 //! banks wastes half the SM bandwidth on Kepler's 8-byte banks (the
-//! bank-width mismatch factor, eq. 1). A KTRC v2+ trace records exactly
+//! bank-width mismatch factor, eq. 1). A KTRC trace records exactly
 //! the address side of that function — per-lane byte addresses, live
 //! masks and lane widths for every warp memory instruction — so the cost
 //! side can be recomputed offline for an architecture the kernel never
@@ -62,6 +62,13 @@
 //! | `SmLd`/`SmSt` | `(smem_banks, bank_width)` |
 //! | `CmLd` | `cm_line_bytes`, with a launch-scoped line set per key |
 //!
+//! Events reach the pricing core with their trace form: an affine event
+//! (KTRC v5, `first + k·step` over the active lanes) is expanded to lane
+//! addresses only where a price needs them. The warp-uniform constant
+//! load (`CmLd` with step 0, the dominant event of the paper's kernels)
+//! needs none: it touches `first / cm_line_bytes` once per key and
+//! serializes nothing.
+//!
 //! Sampled scaling, the launch-end graft and the timing model then run
 //! per spec. [`replay_launch`] is the one-spec case of the same pricing.
 //!
@@ -104,7 +111,9 @@ use kconv_sim::{
     timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceEvent, TraceOp,
     WarpAddrs,
 };
-use kconv_trace::{read_trace, LaunchEnd, LaunchHeader, TraceVisitor};
+use kconv_trace::{
+    affine_addrs, affine_lanes, read_trace, EventHead, LaunchEnd, LaunchHeader, TraceVisitor,
+};
 
 pub use farm::{sweep, sweep_cells, SweepCell};
 pub use kconv_trace::{DecodedLaunch, Trace, TraceError};
@@ -112,12 +121,10 @@ pub use kconv_trace::{DecodedLaunch, Trace, TraceError};
 /// Which architecture to price the replay under.
 #[derive(Debug, Clone)]
 pub enum TargetSpec {
-    /// The spec embedded in each launch header (KTRC v2). Replaying a v2
-    /// trace this way reproduces the live counters bit-exactly; v1 traces
-    /// carry no spec and fail with [`ReplayError::MissingCaptureSpec`].
+    /// The spec embedded in each launch header. Replaying this way
+    /// reproduces the live counters bit-exactly.
     Capture,
-    /// An explicit spec — the what-if case, and the only way to replay a
-    /// v1 trace (`trace_report --trace <file> --spec <preset>`).
+    /// An explicit spec — the what-if case.
     Spec(GpuSpec),
 }
 
@@ -126,23 +133,12 @@ pub enum TargetSpec {
 pub enum ReplayError {
     /// The trace bytes could not be parsed.
     Trace(TraceError),
-    /// [`TargetSpec::Capture`] was requested but a launch header carries
-    /// no embedded spec (a v1 trace).
-    MissingCaptureSpec {
-        /// Kernel name of the offending launch.
-        kernel: String,
-    },
 }
 
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReplayError::Trace(e) => write!(f, "replay: {e}"),
-            ReplayError::MissingCaptureSpec { kernel } => write!(
-                f,
-                "replay: launch '{kernel}' has no embedded capture spec (v1 trace); \
-                 replay it under an explicit target spec"
-            ),
         }
     }
 }
@@ -151,7 +147,6 @@ impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReplayError::Trace(e) => Some(e),
-            ReplayError::MissingCaptureSpec { .. } => None,
         }
     }
 }
@@ -188,8 +183,8 @@ pub struct ReplayReport {
     pub grid_blocks: u64,
     /// Blocks whose events are in the trace (fewer when sampled).
     pub executed_blocks: u64,
-    /// The spec embedded in the launch header (`None` for v1 traces).
-    pub capture_spec: Option<GpuSpec>,
+    /// The spec embedded in the launch header.
+    pub capture_spec: GpuSpec,
     /// The spec this replay was priced under.
     pub target_spec: GpuSpec,
     /// Re-priced counters for the full grid — scaled with the live
@@ -430,8 +425,16 @@ impl LaunchAccum {
 
     /// Re-prices one event under every key, charging each part exactly
     /// the way the live memory models charge their counters (`GmPlane`,
-    /// `SharedMemory`, `CmPlane` in `kconv-sim`).
-    fn event(&mut self, op: TraceOp, mask: LaneMask, lane_bytes: u32, addrs: &WarpAddrs) {
+    /// `SharedMemory`, `CmPlane` in `kconv-sim`). `affine` is the event's
+    /// [`affine_lanes`] form, which `addrs` expands.
+    fn event(
+        &mut self,
+        op: TraceOp,
+        mask: LaneMask,
+        lane_bytes: u32,
+        affine: Option<(u64, u64)>,
+        addrs: &WarpAddrs,
+    ) {
         let width = u64::from(lane_bytes);
         let t = &mut self.common[op.index()];
         t.events += 1;
@@ -481,43 +484,14 @@ impl LaunchAccum {
                 }
             }
             TraceOp::CmLd => {
-                // The live model dedups at word (not lane-width)
-                // granularity and counts a first-touched line as a miss.
-                // Distinct counting runs on the dispatched lane backend;
-                // line touching is an idempotent set insert, deduped to
-                // distinct lines before probing the set. The dominant
-                // constant-memory pattern is a fully-uniform broadcast,
-                // which one lane-engine bounds pass resolves to one
-                // distinct address and one probe per key — not thirty-two.
-                let distinct = match kconv_sim::mem::lanes::unit_bounds(addrs, 1, mask, 1) {
-                    None => 0,
-                    Some((lo, hi)) if lo == hi => {
-                        for p in &mut self.cm {
-                            p.touch(lo / p.line_bytes);
-                        }
-                        1
-                    }
-                    Some(_) => {
-                        for p in &mut self.cm {
-                            let line_bytes = p.line_bytes;
-                            if line_bytes.is_power_of_two() {
-                                for_each_unit(addrs, 1, mask, line_bytes, |line, first_visit| {
-                                    if first_visit {
-                                        p.touch(line);
-                                    }
-                                });
-                            } else {
-                                for_each_unit(addrs, 1, mask, 1, |a, first_visit| {
-                                    if first_visit {
-                                        p.touch(a / line_bytes);
-                                    }
-                                });
-                            }
-                        }
-                        segment_count(addrs, 1, mask, 1)
-                    }
+                let distinct = match affine {
+                    _ if mask.0 == 0 => 0,
+                    // A warp-uniform broadcast: one distinct address, one
+                    // line per key, no lane scan.
+                    Some((first, 0)) => self.cm_uniform(first),
+                    _ => self.cm_lanes(mask, addrs),
                 };
-                t.cycles += distinct.saturating_sub(1);
+                self.common[op.index()].cycles += distinct.saturating_sub(1);
             }
             TraceOp::Bar => {
                 // Barrier arrivals touch no memory and are
@@ -525,6 +499,41 @@ impl LaunchAccum {
                 // launch-end graft, so repricing charges nothing here.
             }
         }
+    }
+
+    /// Constant-memory pricing of a warp-uniform load of `addr`: its line
+    /// is touched under every key. Returns the distinct-address count, 1.
+    fn cm_uniform(&mut self, addr: u64) -> u64 {
+        for p in &mut self.cm {
+            p.touch(addr / p.line_bytes);
+        }
+        1
+    }
+
+    /// Constant-memory pricing from the lane addresses of a non-empty
+    /// mask. The live model dedups at word (not lane-width) granularity
+    /// and counts a first-touched line as a miss. Distinct counting runs
+    /// on the dispatched lane backend; line touching is an idempotent set
+    /// insert, deduped to distinct lines before probing the set. Returns
+    /// the distinct-address count.
+    fn cm_lanes(&mut self, mask: LaneMask, addrs: &WarpAddrs) -> u64 {
+        for p in &mut self.cm {
+            let line_bytes = p.line_bytes;
+            if line_bytes.is_power_of_two() {
+                for_each_unit(addrs, 1, mask, line_bytes, |line, first_visit| {
+                    if first_visit {
+                        p.touch(line);
+                    }
+                });
+            } else {
+                for_each_unit(addrs, 1, mask, 1, |a, first_visit| {
+                    if first_visit {
+                        p.touch(a / line_bytes);
+                    }
+                });
+            }
+        }
+        segment_count(addrs, 1, mask, 1)
     }
 
     /// One spec's unscaled counters and per-op table: the spec-independent
@@ -609,15 +618,13 @@ fn finish_spec(
         stats = stats.scaled_to_blocks(grid, executed.max(1));
     }
     // Arithmetic and barrier counts are not memory events — graft them
-    // from the (already scaled) launch-end stats. v1 ends carry only the
-    // FMA count.
+    // from the (already scaled) launch-end stats. A stream cut inside the
+    // launch has none.
     if let Some(live) = &end.stats {
         stats.fma_lane_ops = live.fma_lane_ops;
         stats.alu_lane_ops = live.alu_lane_ops;
         stats.barriers = live.barriers;
         stats.bar_syncs = live.bar_syncs;
-    } else {
-        stats.fma_lane_ops = end.fma_lane_ops;
     }
     let (timing, timing_error) = if end.aborted {
         (None, None)
@@ -650,15 +657,10 @@ fn finish_spec(
 }
 
 /// Resolves the pricing spec for one launch header under `target`.
-fn resolve_spec(header: &LaunchHeader, target: &TargetSpec) -> Result<GpuSpec, ReplayError> {
+fn resolve_spec(header: &LaunchHeader, target: &TargetSpec) -> GpuSpec {
     match target {
-        TargetSpec::Spec(s) => Ok(s.clone()),
-        TargetSpec::Capture => header
-            .spec
-            .clone()
-            .ok_or_else(|| ReplayError::MissingCaptureSpec {
-                kernel: header.kernel.clone(),
-            }),
+        TargetSpec::Spec(s) => s.clone(),
+        TargetSpec::Capture => header.spec.clone(),
     }
 }
 
@@ -667,20 +669,12 @@ struct Engine<'t> {
     target: &'t TargetSpec,
     done: Vec<ReplayReport>,
     open: Option<LaunchAccum>,
-    missing_spec: Option<String>,
 }
 
 impl TraceVisitor for Engine<'_> {
     fn launch_begin(&mut self, header: &LaunchHeader) {
-        match resolve_spec(header, self.target) {
-            Ok(spec) => self.open = Some(LaunchAccum::begin(header.clone(), vec![spec])),
-            Err(_) => {
-                if self.missing_spec.is_none() {
-                    self.missing_spec = Some(header.kernel.clone());
-                }
-                self.open = None;
-            }
-        }
+        let spec = resolve_spec(header, self.target);
+        self.open = Some(LaunchAccum::begin(header.clone(), vec![spec]));
     }
 
     fn block_begin(&mut self, _block_id: u64, _event_count: u64) {
@@ -691,7 +685,23 @@ impl TraceVisitor for Engine<'_> {
 
     fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
         if let Some(open) = self.open.as_mut() {
-            open.event(ev.op, ev.mask, ev.lane_bytes, &ev.addrs);
+            // Classified exactly as `Trace::decode` stores it, so both
+            // paths reach the same pricing branch.
+            let affine = affine_lanes(ev.mask, &ev.addrs);
+            open.event(ev.op, ev.mask, ev.lane_bytes, affine, &ev.addrs);
+        }
+    }
+
+    fn affine_event(&mut self, _block_id: u64, head: &EventHead, first: u64, step: u64) {
+        if let Some(open) = self.open.as_mut() {
+            let addrs = affine_addrs(head.mask, first, step);
+            open.event(
+                head.op,
+                head.mask,
+                head.lane_bytes,
+                Some((first, step)),
+                &addrs,
+            );
         }
     }
 
@@ -709,9 +719,7 @@ impl TraceVisitor for Engine<'_> {
 ///
 /// # Errors
 ///
-/// [`ReplayError::Trace`] when the bytes are not a well-formed trace;
-/// [`ReplayError::MissingCaptureSpec`] when `target` is
-/// [`TargetSpec::Capture`] and a launch header has no embedded spec (v1).
+/// [`ReplayError::Trace`] when the bytes are not a well-formed trace.
 pub fn replay(bytes: &[u8], target: &TargetSpec) -> Result<Vec<ReplayReport>, ReplayError> {
     let trace = Trace::decode(bytes)?;
     replay_decoded(&trace, target)
@@ -734,12 +742,8 @@ pub fn replay_streamed(
         target,
         done: Vec::new(),
         open: None,
-        missing_spec: None,
     };
     read_trace(bytes, &mut engine)?;
-    if let Some(kernel) = engine.missing_spec {
-        return Err(ReplayError::MissingCaptureSpec { kernel });
-    }
     Ok(engine.done)
 }
 
@@ -748,8 +752,8 @@ pub fn replay_streamed(
 ///
 /// # Errors
 ///
-/// [`ReplayError::MissingCaptureSpec`] as in [`replay`] (the trace itself
-/// is already parsed, so no [`ReplayError::Trace`]).
+/// None: the trace is already parsed and every launch header embeds its
+/// capture spec. The `Result` matches [`replay`]'s signature.
 pub fn replay_decoded(
     trace: &Trace,
     target: &TargetSpec,
@@ -762,18 +766,17 @@ pub fn replay_decoded(
 }
 
 /// Re-prices one decoded launch under `target`: walks the flat slabs,
-/// borrowing each event's lane addresses zero-copy. This is the one-spec
-/// case of the pricing [`sweep`] runs.
+/// expanding affine events only where a price reads lane addresses. This
+/// is the one-spec case of the pricing [`sweep`] runs.
 ///
 /// # Errors
 ///
-/// [`ReplayError::MissingCaptureSpec`] when `target` is
-/// [`TargetSpec::Capture`] and the launch header has no embedded spec.
+/// None, as for [`replay_decoded`].
 pub fn replay_launch(
     launch: &DecodedLaunch,
     target: &TargetSpec,
 ) -> Result<ReplayReport, ReplayError> {
-    let spec = resolve_spec(&launch.header, target)?;
+    let spec = resolve_spec(&launch.header, target);
     Ok(price_launch(launch, vec![spec])
         .pop()
         .expect("one report per spec"))
@@ -785,9 +788,9 @@ pub(crate) fn price_launch(launch: &DecodedLaunch, specs: Vec<GpuSpec>) -> Vec<R
     let mut accum = LaunchAccum::begin(launch.header.clone(), specs);
     for block in launch.blocks() {
         accum.block_begin();
-        for (head, addrs) in block.events() {
-            accum.event(head.op, head.mask, head.lane_bytes, addrs);
-        }
+        block.for_each(|head, addrs| {
+            accum.event(head.op, head.mask, head.lane_bytes, head.affine(), addrs);
+        });
     }
     accum.finish(&launch.end)
 }
@@ -799,8 +802,7 @@ mod tests {
         lane_addrs, lane_addrs_uniform, Gpu, KernelStats, LaneMask, LaunchConfig, LaunchReport,
         OverlapMode, Parallelism, SimMode, TraceLaunch, TraceSink, WARP_SIZE,
     };
-    use kconv_trace::varint::{write_u64, zigzag};
-    use kconv_trace::{SharedBuffer, TraceWriter, MAGIC, V1};
+    use kconv_trace::{SharedBuffer, TraceWriter};
 
     /// A kernel exercising every traced op: plain/read-only/store global
     /// traffic, matched and mismatched shared-memory patterns, divergent
@@ -865,7 +867,7 @@ mod tests {
             assert!(!r.aborted);
             assert_eq!(r.stats, live.stats, "{parallelism:?}");
             assert_eq!(r.timing, Some(live.timing), "{parallelism:?}");
-            assert_eq!(r.capture_spec.as_ref().unwrap(), &r.target_spec);
+            assert_eq!(r.capture_spec, r.target_spec);
             // The kernel exercised every op kind.
             for op in TraceOp::ALL {
                 assert!(r.op(op).events > 0, "no {op} events replayed");
@@ -896,8 +898,9 @@ mod tests {
     }
 
     /// Decoded-vs-byte differential on seeded random streams: for
-    /// arbitrary (not just kernel-shaped) event soup, under every preset,
-    /// both replay paths must produce identical reports.
+    /// arbitrary (not just kernel-shaped) event soup of affine and
+    /// explicit events, under every preset and a non-power-of-two
+    /// constant line, both replay paths must produce identical reports.
     #[test]
     fn decoded_and_streamed_replay_agree_on_random_streams() {
         for seed in 0..6u64 {
@@ -926,9 +929,21 @@ mod tests {
                                 2 => u32::MAX,
                                 _ => rng.next() as u32,
                             });
-                            let mut addrs = [0u64; WARP_SIZE];
+                            // Affine lanes (step 0, positive, negative,
+                            // wrapping past u64::MAX) or lane-indexed
+                            // strides re-rolled per lane (non-affine).
+                            let first = rng.next() % (1 << 30);
+                            let mut addrs = match rng.next() % 6 {
+                                0 => affine_addrs(mask, first, 0),
+                                1 => affine_addrs(mask, first, 1 + rng.next() % 40),
+                                2 => {
+                                    affine_addrs(mask, first, (1 + rng.next() % 40).wrapping_neg())
+                                }
+                                3 => affine_addrs(mask, u64::MAX - rng.next() % 64, 4),
+                                _ => [0; WARP_SIZE],
+                            };
                             for (lane, slot) in addrs.iter_mut().enumerate() {
-                                if mask.is_active(lane) {
+                                if mask.is_active(lane) && *slot == 0 {
                                     *slot = match rng.next() % 3 {
                                         0 => rng.next() % (1 << 30), // scattered
                                         _ => 4096 + lane as u64 * (rng.next() % 40),
@@ -960,18 +975,69 @@ mod tests {
             assert!(err.is_none());
             let bytes = buf.take();
             let trace = Trace::decode(&bytes).unwrap();
-            for target in [
-                TargetSpec::Capture,
-                TargetSpec::Spec(GpuSpec::kepler_k40m_4b()),
-                TargetSpec::Spec(GpuSpec::fermi_m2090()),
-                TargetSpec::Spec(GpuSpec::maxwell_like()),
-            ] {
+            let odd_lines = GpuSpec {
+                cm_line_bytes: 48,
+                ..GpuSpec::kepler_k40m()
+            };
+            let presets = GpuSpec::presets_all().into_iter().chain([odd_lines]);
+            for target in std::iter::once(TargetSpec::Capture).chain(presets.map(TargetSpec::Spec))
+            {
                 let streamed = replay_streamed(&bytes, &target).unwrap();
                 let decoded = replay_decoded(&trace, &target).unwrap();
                 assert_eq!(streamed, decoded, "seed {seed}");
                 assert_eq!(replay(&bytes, &target).unwrap(), decoded, "seed {seed}");
             }
         }
+    }
+
+    /// The warp-uniform `CmLd` direct path against the lane-engine path
+    /// (forced by withholding the affine form) on the same events, for
+    /// power-of-two and other constant line sizes.
+    #[test]
+    fn uniform_constant_loads_price_the_same_on_both_paths() {
+        let anchor = GpuSpec::kepler_k40m();
+        let specs: Vec<GpuSpec> = [64, 256, 48, 100]
+            .into_iter()
+            .map(|cm_line_bytes| GpuSpec {
+                cm_line_bytes,
+                ..anchor.clone()
+            })
+            .collect();
+        let header = LaunchHeader {
+            kernel: "uniform".into(),
+            grid_blocks: 1,
+            executed_blocks: 1,
+            threads_per_block: 64,
+            smem_bytes: 0,
+            regs_per_thread: 32,
+            overlap: OverlapMode::Prefetch,
+            spec: anchor,
+        };
+        let mut direct = LaunchAccum::begin(header.clone(), specs.clone());
+        let mut lanes = LaunchAccum::begin(header, specs);
+        direct.block_begin();
+        lanes.block_begin();
+        let mut rng = Rng(0xC0A5);
+        for _ in 0..500 {
+            let mask = LaneMask(match rng.next() % 3 {
+                0 => u32::MAX,
+                1 => 1 << (rng.next() % 32),
+                _ => rng.next() as u32 | 0b11,
+            });
+            // Revisit a few lines often, so hits and misses both occur.
+            let addr = 4 * (rng.next() % 512);
+            let addrs = affine_addrs(mask, addr, 0);
+            direct.event(TraceOp::CmLd, mask, 4, Some((addr, 0)), &addrs);
+            lanes.event(TraceOp::CmLd, mask, 4, None, &addrs);
+        }
+        let end = LaunchEnd {
+            aborted: false,
+            fma_lane_ops: 0,
+            stats: Some(KernelStats::default()),
+        };
+        let (direct, lanes) = (direct.finish(&end), lanes.finish(&end));
+        assert!(direct[0].stats.cm_misses > 0);
+        assert_eq!(direct, lanes);
     }
 
     #[test]
@@ -1076,65 +1142,6 @@ mod tests {
         assert_eq!(v_b8.sm_waste(), 1.0);
         assert_eq!(v_b4.sm_waste(), 1.0);
         assert_eq!(v_b4.sm_cycles(), 2 * v_b8.sm_cycles());
-    }
-
-    /// Hand-encodes a v1 (spec-less) trace: one launch, one block, one
-    /// full-mask stride-4 shared-memory load, fma count 64.
-    fn v1_trace() -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(&MAGIC);
-        b.push(V1);
-        b.push(1); // launch begin
-        write_u64(&mut b, 6);
-        b.extend_from_slice(b"legacy");
-        write_u64(&mut b, 1); // grid
-        write_u64(&mut b, 1); // executed
-        write_u64(&mut b, 32); // threads
-        write_u64(&mut b, 2048); // smem
-        b.push(2); // block record
-        write_u64(&mut b, 0); // block id
-        write_u64(&mut b, 1); // event count
-        b.push(TraceOp::SmLd as u8);
-        write_u64(&mut b, 0); // warp
-        write_u64(&mut b, u64::from(LaneMask::ALL.0));
-        write_u64(&mut b, 4); // lane bytes
-        write_u64(&mut b, 0); // transactions
-        write_u64(&mut b, 1); // cycles
-        write_u64(&mut b, 0); // first address
-        for _ in 1..WARP_SIZE {
-            write_u64(&mut b, zigzag(4)); // +4 B per lane
-        }
-        b.push(3); // launch end
-        b.push(0); // not aborted
-        write_u64(&mut b, 64); // fma lane ops
-        b
-    }
-
-    #[test]
-    fn v1_trace_requires_an_explicit_spec() {
-        let bytes = v1_trace();
-        match replay(&bytes, &TargetSpec::Capture) {
-            Err(ReplayError::MissingCaptureSpec { kernel }) => assert_eq!(kernel, "legacy"),
-            other => panic!("expected MissingCaptureSpec, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v1_trace_replays_under_an_assumed_spec() {
-        let bytes = v1_trace();
-        let r = &replay(&bytes, &TargetSpec::Spec(GpuSpec::kepler_k40m())).unwrap()[0];
-        assert_eq!(r.kernel, "legacy");
-        assert!(r.capture_spec.is_none());
-        assert_eq!(r.stats.sm_ld_requests, 1);
-        assert_eq!(r.stats.sm_ld_cycles, 1); // stride 4 on 8 B banks: pairs share a row
-        assert_eq!(r.stats.sm_bytes_useful, 32 * 4);
-        assert_eq!(r.stats.fma_lane_ops, 64); // grafted from the v1 end record
-        assert_eq!(r.stats.blocks_total, 1);
-        assert!(r.timing.is_some(), "v1 headers default to runnable configs");
-        // The same pattern on 4-byte banks is fully matched.
-        let r4 = &replay(&bytes, &TargetSpec::Spec(GpuSpec::fermi_m2090())).unwrap()[0];
-        assert_eq!(r4.sm_waste(), 1.0);
-        assert_eq!(r.sm_waste(), 2.0);
     }
 
     #[test]

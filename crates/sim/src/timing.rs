@@ -67,7 +67,7 @@ impl OverlapMode {
         }
     }
 
-    /// Stable single-byte encoding used by the KTRC v2 trace format.
+    /// Stable single-byte encoding used by the KTRC trace format.
     pub const fn as_u8(self) -> u8 {
         match self {
             OverlapMode::Prefetch => 0,

@@ -173,7 +173,7 @@ impl TraceEvent {
 /// (enough to rebuild a [`LaunchConfig`](crate::LaunchConfig) for the
 /// timing model) plus the capture [`GpuSpec`] the costs were charged
 /// under. Binary trace formats that persist this header are
-/// self-describing — see the KTRC v2 layout in `kconv-trace`.
+/// self-describing — see the KTRC layout in `kconv-trace`.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceLaunch<'a> {
     /// Kernel name from the [`LaunchConfig`](crate::LaunchConfig).

@@ -9,15 +9,19 @@
 //! launch —
 //!
 //! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane, recorded
-//!   transactions/cycles),
-//! * one contiguous `u64` lane-address slab, [`WARP_SIZE`] entries per
-//!   event in canonical form (inactive lanes zeroed), and
+//!   transactions/cycles) that also carry the lane addresses of every
+//!   **affine** event compactly, as `first` and `step`
+//!   ([`EventHead::affine`]) — the form nearly every convolution-kernel
+//!   warp access takes, and every 0- or 1-lane event,
+//! * one `u64` address slab holding [`WARP_SIZE`] canonical addresses
+//!   (inactive lanes zeroed) for each **explicit** event only, and
 //! * block spans (`block_id` + event range)
 //!
-//! — no per-event `Vec`, no pointer chasing. Replay walks the slabs and
-//! borrows each event's addresses as a zero-copy
+//! — no per-event `Vec`, no pointer chasing. Replay walks a block with
+//! [`BlockView::for_each`], which lends each event's addresses as a
 //! [`&WarpAddrs`](kconv_sim::WarpAddrs), exactly the type the shared
-//! pricing functions take.
+//! pricing functions take: borrowed from the slab for explicit events,
+//! expanded on the stack for affine ones.
 //!
 //! The decoded form is *lossless* with respect to the pricing inputs:
 //! every header, end record and event field that [`read_launches`]
@@ -32,8 +36,55 @@ use kconv_sim::{LaneMask, TraceEvent, TraceOp, WarpAddrs, WARP_SIZE};
 use crate::format::{LaunchEnd, LaunchHeader, TraceVisitor};
 use crate::TraceError;
 
-/// The fixed-size part of one traced warp instruction — everything except
-/// the lane addresses, which live in the launch's shared address slab.
+/// The `(first, step)` of an event's active-lane addresses when they form
+/// an arithmetic progression — the `k`-th active lane (lowest first)
+/// reads `first + k·step`, wrapping — or `None`. Every 0- and 1-lane
+/// event qualifies, with step 0 (and `first` 0 when no lane is active).
+pub fn affine_lanes(mask: LaneMask, addrs: &WarpAddrs) -> Option<(u64, u64)> {
+    let mut lanes = mask.0;
+    if lanes == 0 {
+        return Some((0, 0));
+    }
+    let first = addrs[lanes.trailing_zeros() as usize];
+    lanes &= lanes - 1;
+    if lanes == 0 {
+        return Some((first, 0));
+    }
+    let step = addrs[lanes.trailing_zeros() as usize].wrapping_sub(first);
+    let mut prev = first.wrapping_add(step);
+    lanes &= lanes - 1;
+    while lanes != 0 {
+        let addr = addrs[lanes.trailing_zeros() as usize];
+        if addr.wrapping_sub(prev) != step {
+            return None;
+        }
+        prev = addr;
+        lanes &= lanes - 1;
+    }
+    Some((first, step))
+}
+
+/// The canonical lane addresses of an affine event: the `k`-th active
+/// lane (lowest first) reads `first + k·step`, wrapping; inactive lanes
+/// are zero. The inverse of [`affine_lanes`].
+pub fn affine_addrs(mask: LaneMask, first: u64, step: u64) -> WarpAddrs {
+    // A full warp needs no mask walk, and its fill vectorizes.
+    if mask == LaneMask::ALL {
+        return std::array::from_fn(|k| first.wrapping_add(step.wrapping_mul(k as u64)));
+    }
+    let mut addrs = [0u64; WARP_SIZE];
+    let (mut lanes, mut addr) = (mask.0, first);
+    while lanes != 0 {
+        addrs[lanes.trailing_zeros() as usize] = addr;
+        addr = addr.wrapping_add(step);
+        lanes &= lanes - 1;
+    }
+    addrs
+}
+
+/// The fixed-size part of one traced warp instruction, plus where its
+/// lane addresses live: inline for affine events, in the launch's
+/// address slab for the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHead {
     /// Which instruction.
@@ -48,6 +99,23 @@ pub struct EventHead {
     pub transactions: u32,
     /// Cycles charged at capture time.
     pub cycles: u32,
+    /// Whether the lane addresses live in the launch's address slab, at
+    /// event index `first`, instead of in `first` and `step`. (A flag
+    /// rather than an enum keeps the head at 40 bytes, not 48.)
+    pub(crate) explicit: bool,
+    /// Affine: the lowest active lane's address; explicit: the slab index.
+    pub(crate) first: u64,
+    /// Affine: the address step between successive active lanes.
+    pub(crate) step: u64,
+}
+
+impl EventHead {
+    /// `Some((first, step))` when the event's `k`-th active lane (lowest
+    /// first) reads `first + k·step` (see [`affine_lanes`]); `None` when
+    /// its addresses are stored explicitly.
+    pub fn affine(&self) -> Option<(u64, u64)> {
+        (!self.explicit).then_some((self.first, self.step))
+    }
 }
 
 /// One block's event range inside a [`DecodedLaunch`].
@@ -61,14 +129,15 @@ struct BlockSpan {
 /// One launch of a [`Trace`]: header, end record, and the flat event slabs.
 #[derive(Debug, Clone)]
 pub struct DecodedLaunch {
-    /// Launch metadata (including the capture spec for v2+ traces).
+    /// Launch metadata, including the capture spec.
     pub header: LaunchHeader,
     /// How the launch ended (synthesized aborted on truncation, like the
     /// streaming reader).
     pub end: LaunchEnd,
     blocks: Vec<BlockSpan>,
     heads: Vec<EventHead>,
-    /// Lane addresses, `WARP_SIZE` per event, inactive lanes zeroed.
+    /// Lane addresses of the explicit events, `WARP_SIZE` per event,
+    /// inactive lanes zeroed.
     addrs: Vec<u64>,
 }
 
@@ -102,8 +171,15 @@ impl DecodedLaunch {
         self.blocks.iter().map(|span| BlockView {
             block_id: span.id,
             heads: &self.heads[span.start..span.start + span.len],
-            addrs: &self.addrs[span.start * WARP_SIZE..(span.start + span.len) * WARP_SIZE],
+            addrs: &self.addrs,
         })
+    }
+
+    fn push(&mut self, head: EventHead) {
+        self.heads.push(head);
+        if let Some(span) = self.blocks.last_mut() {
+            span.len += 1;
+        }
     }
 }
 
@@ -113,10 +189,11 @@ pub struct BlockView<'a> {
     /// The block id recorded by the writer.
     pub block_id: u64,
     heads: &'a [EventHead],
+    /// The launch's whole explicit-address slab.
     addrs: &'a [u64],
 }
 
-impl<'a> BlockView<'a> {
+impl BlockView<'_> {
     /// Number of events in this block.
     pub fn len(&self) -> usize {
         self.heads.len()
@@ -127,21 +204,27 @@ impl<'a> BlockView<'a> {
         self.heads.is_empty()
     }
 
-    /// The block's events in issue order, each head paired with a
-    /// zero-copy borrow of its 32 lane addresses.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = (&'a EventHead, &'a WarpAddrs)> + 'a {
-        let addrs = self.addrs;
-        self.heads.iter().enumerate().map(move |(i, head)| {
-            let slice = &addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
-            (head, <&WarpAddrs>::try_from(slice).expect("slab stride"))
-        })
+    /// Calls `f` on the block's events in issue order, each head paired
+    /// with its canonical lane addresses: a borrow of the slab for an
+    /// explicit event, expanded on the stack for an affine one.
+    pub fn for_each(&self, mut f: impl FnMut(&EventHead, &WarpAddrs)) {
+        for head in self.heads {
+            if head.explicit {
+                let i = head.first as usize;
+                let slice = &self.addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
+                f(head, <&WarpAddrs>::try_from(slice).expect("slab stride"));
+            } else {
+                f(head, &affine_addrs(head.mask, head.first, head.step));
+            }
+        }
     }
 
     /// Re-materializes the block as owned [`TraceEvent`]s (canonical form),
     /// for comparison against [`read_launches`](crate::read_launches).
     pub fn to_events(&self) -> Vec<TraceEvent> {
-        self.events()
-            .map(|(head, addrs)| TraceEvent {
+        let mut events = Vec::with_capacity(self.len());
+        self.for_each(|head, addrs| {
+            events.push(TraceEvent {
                 op: head.op,
                 warp: head.warp,
                 mask: head.mask,
@@ -149,8 +232,9 @@ impl<'a> BlockView<'a> {
                 transactions: head.transactions,
                 cycles: head.cycles,
                 addrs: *addrs,
-            })
-            .collect()
+            });
+        });
+        events
     }
 }
 
@@ -162,7 +246,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Decodes a binary KTRC stream (any readable version) into slabs.
+    /// Decodes a binary KTRC stream into slabs. Affine events stay
+    /// compact; explicit ones whose lanes happen to form a progression
+    /// (every 0- and 1-lane event) are stored compactly too.
     ///
     /// # Errors
     ///
@@ -190,25 +276,35 @@ impl Trace {
                     // math) before the event bytes fail to decode.
                     let reserve = event_count.min(crate::RESERVE_EVENTS_MAX) as usize;
                     open.heads.reserve(reserve);
-                    open.addrs.reserve(reserve * WARP_SIZE);
                 }
             }
             fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
                 if let Some(open) = self.open.as_mut() {
-                    open.heads.push(EventHead {
+                    let (explicit, first, step) = match affine_lanes(ev.mask, &ev.addrs) {
+                        Some((first, step)) => (false, first, step),
+                        None => {
+                            // The reader leaves inactive lanes zeroed, so
+                            // the slab holds the canonical form.
+                            open.addrs.extend_from_slice(&ev.addrs);
+                            (true, (open.addrs.len() / WARP_SIZE - 1) as u64, 0)
+                        }
+                    };
+                    open.push(EventHead {
                         op: ev.op,
                         warp: ev.warp,
                         mask: ev.mask,
                         lane_bytes: ev.lane_bytes,
                         transactions: ev.transactions,
                         cycles: ev.cycles,
+                        explicit,
+                        first,
+                        step,
                     });
-                    // The decoder leaves inactive lanes zeroed, so the slab
-                    // holds the canonical form by construction.
-                    open.addrs.extend_from_slice(&ev.addrs);
-                    if let Some(span) = open.blocks.last_mut() {
-                        span.len += 1;
-                    }
+                }
+            }
+            fn affine_event(&mut self, _block_id: u64, head: &EventHead, _first: u64, _step: u64) {
+                if let Some(open) = self.open.as_mut() {
+                    open.push(*head);
                 }
             }
             fn launch_end(&mut self, end: &LaunchEnd) {
@@ -285,9 +381,15 @@ mod tests {
                             2 => u32::MAX,
                             _ => rng.next() as u32,
                         });
-                        let mut addrs = [0u64; WARP_SIZE];
+                        let mut addrs = match rng.next() % 5 {
+                            0 => affine_addrs(mask, rng.next(), 0),
+                            1 => affine_addrs(mask, rng.next() % (1 << 40), rng.next() % 64),
+                            2 => affine_addrs(mask, 1 << 20, (rng.next() % 64).wrapping_neg()),
+                            3 => affine_addrs(mask, u64::MAX - rng.next() % 8, 1 << 12),
+                            _ => [0; WARP_SIZE],
+                        };
                         for (lane, slot) in addrs.iter_mut().enumerate() {
-                            if mask.is_active(lane) {
+                            if mask.is_active(lane) && *slot == 0 {
                                 *slot = rng.next() % (1 << 40);
                             }
                         }
@@ -338,6 +440,64 @@ mod tests {
                     assert_eq!(bv.block_id, *wid, "seed {seed}");
                     assert_eq!(bv.len(), wevs.len(), "seed {seed}");
                     assert_eq!(&bv.to_events(), wevs, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    /// Only events whose lanes do not form a progression take slab
+    /// space; the rest round-trip from their heads alone.
+    #[test]
+    fn affine_events_take_no_slab_space() {
+        for seed in 0..8u64 {
+            let bytes = random_stream(seed);
+            for (dl, wl) in Trace::decode(&bytes)
+                .unwrap()
+                .launches()
+                .iter()
+                .zip(read_launches(&bytes).unwrap())
+            {
+                let explicit = wl
+                    .blocks
+                    .iter()
+                    .flat_map(|(_, evs)| evs)
+                    .filter(|e| affine_lanes(e.mask, &e.addrs).is_none())
+                    .count();
+                assert_eq!(dl.addrs.len(), explicit * WARP_SIZE, "seed {seed}");
+                let affine = dl.heads.iter().filter(|h| h.affine().is_some()).count();
+                assert_eq!(affine + explicit, dl.event_count(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn event_heads_stay_forty_bytes() {
+        // The decoded corpus is mostly heads; their size is what the
+        // decode page-faults in.
+        assert_eq!(std::mem::size_of::<EventHead>(), 40);
+    }
+
+    #[test]
+    fn affine_lanes_inverts_affine_addrs() {
+        for mask in [0, 1, 0b1010_0000, 0x00ff_ff00, u32::MAX] {
+            let mask = LaneMask(mask);
+            for (first, step) in [
+                (0, 0),
+                (64, 4),
+                (1 << 20, 8u64.wrapping_neg()),
+                (u64::MAX, 3),
+            ] {
+                let addrs = affine_addrs(mask, first, step);
+                let want = match mask.count() {
+                    0 => (0, 0),
+                    1 => (first, 0),
+                    _ => (first, step),
+                };
+                assert_eq!(affine_lanes(mask, &addrs), Some(want), "{mask:?}");
+                let mut bent = addrs;
+                if mask.count() >= 3 {
+                    bent[31 - mask.0.leading_zeros() as usize] ^= 1;
+                    assert_eq!(affine_lanes(mask, &bent), None, "{mask:?}");
                 }
             }
         }

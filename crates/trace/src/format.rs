@@ -1,43 +1,44 @@
 //! The compact binary trace format: writer (a [`TraceSink`]) and reader.
 //!
-//! # Layout
+//! # Layout (version 5)
 //!
 //! A trace file is a 5-byte header (`"KTRC"` + version) followed by a
 //! stream of tagged records; all integers are LEB128 varints (see
 //! [`crate::varint`]):
 //!
-//! | tag | record | fields (version 4) |
-//! |-----|--------|--------------------|
+//! | tag | record | fields |
+//! |-----|--------|--------|
 //! | 1 | launch begin | kernel-name length + UTF-8 bytes, grid blocks, executed blocks, threads/block, smem bytes, regs/thread, overlap mode (u8), capture [`GpuSpec`] (below) |
 //! | 2 | block | block id, event count, events (below) |
 //! | 3 | launch end | aborted flag (u8), full final [`KernelStats`] in field-declaration order (histogram as 6 varints) |
 //!
 //! The embedded spec is: name length + UTF-8 bytes, then varints for every
 //! [`GpuSpec`] field in declaration order — `f64` rates travel as their
-//! IEEE-754 bit patterns, the bank width as a raw byte (4 or 8). A v2+
-//! trace is therefore **self-describing**: an offline consumer can
-//! re-price the recorded addresses under the capture spec (or any other)
-//! and rebuild the timing model's launch inputs without the kernel — see
-//! the `kconv-replay` crate and DESIGN.md §11.
+//! IEEE-754 bit patterns, the bank width as a raw byte (4 or 8). A trace
+//! is therefore **self-describing**: an offline consumer can re-price the
+//! recorded addresses under the capture spec (or any other) and rebuild
+//! the timing model's launch inputs without the kernel — see the
+//! `kconv-replay` crate and DESIGN.md §11.
 //!
-//! Three legacy versions remain readable:
+//! Each event is: op byte, warp, complemented lane mask (`!mask`, so a
+//! full warp costs one byte), bytes/lane, transactions, cycles — then the
+//! addresses of the **active lanes only**, in one of two forms chosen by
+//! the op byte's high bit ([`AFFINE`]; the low seven bits are the
+//! [`TraceOp`]):
 //!
-//! * Version 3 predates [`KernelStats::bar_syncs`] in the launch-end
-//!   record and the [`TraceOp::Bar`] event, which it never contains.
-//! * Version 2 predates [`GpuSpec::ro_cache_bytes`]; its embedded spec
-//!   skips that field, which decodes to the 48 KiB every real part
-//!   carries (`pricing::RO_CACHE_BYTES`).
-//! * Version 1 lacks the last three launch-begin fields and carries only
-//!   `fma_lane_ops` in the launch-end record; its headers decode with
-//!   [`LaunchHeader::spec`] `None`, so replaying a v1 trace requires the
-//!   caller to name a target spec explicitly (`trace_report --spec`).
+//! * **affine** (bit set): the active lanes, lowest first, read
+//!   `first + k·step` (wrapping) — stored as `first` and zigzag `step`.
+//!   This is the paper's strided warp access (Fig. 1, eq. 1) and the
+//!   shape of almost every convolution-kernel event: a 32-lane event
+//!   costs ≈8 bytes. The writer emits it exactly when at least two lanes
+//!   are active and every successive delta is equal, so each event has
+//!   one encoding and serial ≡ threaded traces stay byte-identical; the
+//!   reader rejects the flag on an event with fewer than two lanes.
+//! * **explicit** (bit clear): one absolute address followed by zigzag
+//!   deltas between successive active lanes.
 //!
-//! Each event is: op tag (u8), warp, lane mask, bytes/lane, transactions,
-//! cycles — then the addresses of the **active lanes only**, as one
-//! absolute address followed by zigzag deltas between successive active
-//! lanes. Convolution kernels issue overwhelmingly unit- or
-//! constant-strided warps, so the deltas are one byte each and a 32-lane
-//! event costs ≈40 bytes instead of 256.
+//! The reader accepts version 5 only; every other version byte is a typed
+//! [`TraceError::Malformed`].
 //!
 //! A `launch begin` arriving while a launch is open, or end-of-file inside
 //! a launch, marks the open launch aborted — exactly the sink contract for
@@ -51,60 +52,102 @@ use kconv_sim::{
     TraceSink, WARP_SIZE,
 };
 
+use crate::decoded::{affine_addrs, affine_lanes, EventHead};
 use crate::varint::{write_u64, zigzag, Cursor};
 use crate::TraceError;
 
 /// File magic: the first four bytes of every trace.
 pub const MAGIC: [u8; 4] = *b"KTRC";
-/// Format version the writer emits. The reader also accepts [`V1`],
-/// [`V2`] and [`V3`].
-pub const VERSION: u8 = 4;
-/// The legacy version whose stats record predates
-/// [`KernelStats::bar_syncs`] and whose event stream predates
-/// [`TraceOp::Bar`](kconv_sim::TraceOp::Bar) (readable, no longer written).
-pub const V3: u8 = 3;
-/// The legacy version whose embedded spec predates
-/// [`GpuSpec::ro_cache_bytes`] (readable, no longer written).
-pub const V2: u8 = 2;
-/// The legacy spec-less format version (readable, no longer written).
-pub const V1: u8 = 1;
+/// The one format version the writer emits and the reader accepts.
+pub const VERSION: u8 = 5;
+/// Event op-byte flag: the active lanes' addresses are stored as an
+/// arithmetic progression (`first`, zigzag `step`).
+pub const AFFINE: u8 = 0x80;
 
 const TAG_LAUNCH_BEGIN: u8 = 1;
 const TAG_BLOCK: u8 = 2;
 const TAG_LAUNCH_END: u8 = 3;
 
+/// Encodes one event: the affine form exactly when at least two lanes
+/// are active and [`affine_lanes`] finds their progression, the explicit
+/// form otherwise.
 fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
-    buf.push(ev.op as u8);
+    let affine = affine_lanes(ev.mask, &ev.addrs).filter(|_| ev.mask.count() >= 2);
+    buf.push(ev.op as u8 | if affine.is_some() { AFFINE } else { 0 });
     write_u64(buf, u64::from(ev.warp));
-    write_u64(buf, u64::from(ev.mask.0));
+    write_u64(buf, u64::from(!ev.mask.0));
     write_u64(buf, u64::from(ev.lane_bytes));
     write_u64(buf, u64::from(ev.transactions));
     write_u64(buf, u64::from(ev.cycles));
+    if let Some((first, step)) = affine {
+        write_u64(buf, first);
+        write_u64(buf, zigzag(step as i64));
+        return;
+    }
     let mut prev: Option<u64> = None;
-    for lane in 0..WARP_SIZE {
-        if !ev.mask.is_active(lane) {
-            continue;
-        }
-        let addr = ev.addrs[lane];
+    let mut lanes = ev.mask.0;
+    while lanes != 0 {
+        let addr = ev.addrs[lanes.trailing_zeros() as usize];
         match prev {
             None => write_u64(buf, addr),
             Some(p) => write_u64(buf, zigzag(addr.wrapping_sub(p) as i64)),
         }
         prev = Some(addr);
+        lanes &= lanes - 1;
     }
 }
 
-fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
-    let op_tag = cur.read_u8("event op")?;
-    let op = TraceOp::from_u8(op_tag).ok_or_else(|| TraceError::Malformed {
+/// Decodes one event and hands it to `visitor`: affine events through
+/// [`TraceVisitor::affine_event`] (no lane expansion), explicit ones
+/// through [`TraceVisitor::event`].
+fn decode_event(
+    cur: &mut Cursor<'_>,
+    block_id: u64,
+    visitor: &mut impl TraceVisitor,
+) -> Result<(), TraceError> {
+    let op_byte = cur.read_u8("event op")?;
+    let op = TraceOp::from_u8(op_byte & !AFFINE).ok_or_else(|| TraceError::Malformed {
         offset: cur.pos(),
-        reason: format!("unknown trace op tag {op_tag}"),
+        reason: format!("unknown trace op tag {op_byte}"),
     })?;
-    let warp = cur.read_u64("event warp")? as u32;
-    let mask = LaneMask(cur.read_u64("event mask")? as u32);
-    let lane_bytes = cur.read_u64("event lane bytes")? as u32;
-    let transactions = cur.read_u64("event transactions")? as u32;
-    let cycles = cur.read_u64("event cycles")? as u32;
+    // The five head fields are one byte each in nearly every event.
+    let [warp, mask, lane_bytes, transactions, cycles] = match cur.read_small::<5>() {
+        Some(small) => small.map(u64::from),
+        None => [
+            cur.read_u64("event warp")?,
+            cur.read_u64("event mask")?,
+            cur.read_u64("event lane bytes")?,
+            cur.read_u64("event transactions")?,
+            cur.read_u64("event cycles")?,
+        ],
+    };
+    let (warp, lane_bytes) = (warp as u32, lane_bytes as u32);
+    let (transactions, cycles) = (transactions as u32, cycles as u32);
+    let mask = LaneMask(!(mask as u32));
+    if op_byte & AFFINE != 0 {
+        let active = mask.count();
+        if active < 2 {
+            return Err(TraceError::Malformed {
+                offset: cur.pos(),
+                reason: format!("affine event with {active} active lane(s) (needs at least 2)"),
+            });
+        }
+        let first = cur.read_u64("event first address")?;
+        let step = cur.read_i64("event address step")? as u64;
+        let head = EventHead {
+            op,
+            warp,
+            mask,
+            lane_bytes,
+            transactions,
+            cycles,
+            explicit: false,
+            first,
+            step,
+        };
+        visitor.affine_event(block_id, &head, first, step);
+        return Ok(());
+    }
     // Walk only the active lanes, lowest first: the first carries an
     // absolute address, each later one a delta from its predecessor.
     let mut addrs = [0u64; WARP_SIZE];
@@ -119,15 +162,19 @@ fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
             lanes &= lanes - 1;
         }
     }
-    Ok(TraceEvent {
-        op,
-        warp,
-        mask,
-        lane_bytes,
-        transactions,
-        cycles,
-        addrs,
-    })
+    visitor.event(
+        block_id,
+        &TraceEvent {
+            op,
+            warp,
+            mask,
+            lane_bytes,
+            transactions,
+            cycles,
+            addrs,
+        },
+    );
+    Ok(())
 }
 
 fn encode_spec(buf: &mut Vec<u8>, spec: &GpuSpec) {
@@ -153,7 +200,7 @@ fn encode_spec(buf: &mut Vec<u8>, spec: &GpuSpec) {
     write_u64(buf, spec.issue_efficiency.to_bits());
 }
 
-fn decode_spec(cur: &mut Cursor<'_>, version: u8) -> Result<GpuSpec, TraceError> {
+fn decode_spec(cur: &mut Cursor<'_>) -> Result<GpuSpec, TraceError> {
     let name_len = cur.read_u64("spec name length")? as usize;
     let name_bytes = cur.read_bytes(name_len, "spec name")?;
     let recorded_name = std::str::from_utf8(name_bytes)
@@ -196,13 +243,7 @@ fn decode_spec(cur: &mut Cursor<'_>, version: u8) -> Result<GpuSpec, TraceError>
         gm_bandwidth_gbs: f64::from_bits(cur.read_u64("spec gm bandwidth bits")?),
         gm_transaction_bytes: cur.read_u64("spec gm transaction bytes")?,
         gm_store_transaction_bytes: cur.read_u64("spec gm store transaction bytes")?,
-        // v2 specs predate the sweepable read-only cache capacity; every
-        // part they could describe carried Kepler's 48 KiB.
-        ro_cache_bytes: if version >= 3 {
-            cur.read_u64("spec ro cache bytes")?
-        } else {
-            kconv_sim::pricing::RO_CACHE_BYTES
-        },
+        ro_cache_bytes: cur.read_u64("spec ro cache bytes")?,
         cm_bytes: cur.read_u64("spec cm bytes")?,
         cm_line_bytes: cur.read_u64("spec cm line bytes")?,
         latency_hiding_warps: cur.read_u64("spec latency hiding warps")? as u32,
@@ -242,14 +283,13 @@ fn encode_stats(buf: &mut Vec<u8>, s: &KernelStats) {
         s.barriers,
         s.blocks_executed,
         s.blocks_total,
-        // v4 appends bar_syncs after the frozen v2/v3 tail.
         s.bar_syncs,
     ] {
         write_u64(buf, v);
     }
 }
 
-fn decode_stats(cur: &mut Cursor<'_>, version: u8) -> Result<KernelStats, TraceError> {
+fn decode_stats(cur: &mut Cursor<'_>) -> Result<KernelStats, TraceError> {
     let mut s = KernelStats {
         fma_lane_ops: cur.read_u64("stats fma lane ops")?,
         alu_lane_ops: cur.read_u64("stats alu lane ops")?,
@@ -279,12 +319,7 @@ fn decode_stats(cur: &mut Cursor<'_>, version: u8) -> Result<KernelStats, TraceE
     s.barriers = cur.read_u64("stats barriers")?;
     s.blocks_executed = cur.read_u64("stats blocks executed")?;
     s.blocks_total = cur.read_u64("stats blocks total")?;
-    s.bar_syncs = if version >= 4 {
-        cur.read_u64("stats bar syncs")?
-    } else {
-        // Pre-v4 captures did not count barrier arrivals.
-        0
-    };
+    s.bar_syncs = cur.read_u64("stats bar syncs")?;
     Ok(s)
 }
 
@@ -471,16 +506,12 @@ pub struct LaunchHeader {
     pub threads_per_block: u64,
     /// Shared memory per block in bytes.
     pub smem_bytes: u64,
-    /// Registers per thread the launch declared (v1 traces default to 32,
-    /// the simulator's `LaunchConfig::new` default).
+    /// Registers per thread the launch declared.
     pub regs_per_thread: u64,
-    /// The launch's compute/communication overlap declaration (v1 traces
-    /// default to [`OverlapMode::Prefetch`]).
+    /// The launch's compute/communication overlap declaration.
     pub overlap: OverlapMode,
-    /// The architecture the trace was captured on. `None` for v1 traces,
-    /// which predate the embedded spec — replaying those requires the
-    /// caller to assert a capture spec explicitly.
-    pub spec: Option<GpuSpec>,
+    /// The architecture the trace was captured on.
+    pub spec: GpuSpec,
 }
 
 /// How a launch ended.
@@ -492,9 +523,9 @@ pub struct LaunchEnd {
     /// `fma_lane_ops` from the launch's final (scaled) stats; 0 for
     /// aborted launches.
     pub fma_lane_ops: u64,
-    /// The launch's full final (scaled) [`KernelStats`]. `None` for v1
-    /// traces (which recorded only `fma_lane_ops`) and for synthesized
-    /// aborted ends.
+    /// The launch's full final (scaled) [`KernelStats`]. `None` for the
+    /// aborted ends the reader synthesizes when a stream stops inside a
+    /// launch.
     pub stats: Option<KernelStats>,
 }
 
@@ -505,8 +536,28 @@ pub trait TraceVisitor {
     fn launch_begin(&mut self, _header: &LaunchHeader) {}
     /// A block record was opened (its events follow).
     fn block_begin(&mut self, _block_id: u64, _event_count: u64) {}
-    /// One event of the current block.
+    /// One event of the current block, with its lane addresses in
+    /// canonical form (inactive lanes zeroed).
     fn event(&mut self, _block_id: u64, _ev: &TraceEvent) {}
+    /// One affine event of the current block: its `k`-th active lane
+    /// (lowest first) reads `first + k·step`, wrapping, and
+    /// `head.affine()` is `Some((first, step))`. The default expands the
+    /// lanes and calls [`TraceVisitor::event`]; consumers that can use
+    /// the compact form override it.
+    fn affine_event(&mut self, block_id: u64, head: &EventHead, first: u64, step: u64) {
+        self.event(
+            block_id,
+            &TraceEvent {
+                op: head.op,
+                warp: head.warp,
+                mask: head.mask,
+                lane_bytes: head.lane_bytes,
+                transactions: head.transactions,
+                cycles: head.cycles,
+                addrs: affine_addrs(head.mask, first, step),
+            },
+        );
+    }
     /// The launch ended. Synthesized with `aborted: true` when the stream
     /// stops inside a launch.
     fn launch_end(&mut self, _end: &LaunchEnd) {}
@@ -529,10 +580,10 @@ pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), T
         });
     }
     let version = cur.read_u8("format version")?;
-    if !(V1..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(TraceError::Malformed {
             offset: cur.pos(),
-            reason: format!("unsupported trace version {version} (expected {V1}..={VERSION})"),
+            reason: format!("unsupported trace version {version} (expected {VERSION})"),
         });
     }
     let mut launch_open = false;
@@ -555,27 +606,27 @@ pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), T
                         reason: "kernel name is not UTF-8".into(),
                     })?
                     .to_owned();
-                let mut header = LaunchHeader {
+                let grid_blocks = cur.read_u64("grid blocks")?;
+                let executed_blocks = cur.read_u64("executed blocks")?;
+                let threads_per_block = cur.read_u64("threads per block")?;
+                let smem_bytes = cur.read_u64("smem bytes")?;
+                let regs_per_thread = cur.read_u64("regs per thread")?;
+                let overlap_tag = cur.read_u8("overlap mode")?;
+                let overlap =
+                    OverlapMode::from_u8(overlap_tag).ok_or_else(|| TraceError::Malformed {
+                        offset: cur.pos(),
+                        reason: format!("unknown overlap mode {overlap_tag}"),
+                    })?;
+                let header = LaunchHeader {
                     kernel,
-                    grid_blocks: cur.read_u64("grid blocks")?,
-                    executed_blocks: cur.read_u64("executed blocks")?,
-                    threads_per_block: cur.read_u64("threads per block")?,
-                    smem_bytes: cur.read_u64("smem bytes")?,
-                    // v1 defaults: the simulator's LaunchConfig::new values.
-                    regs_per_thread: 32,
-                    overlap: OverlapMode::Prefetch,
-                    spec: None,
+                    grid_blocks,
+                    executed_blocks,
+                    threads_per_block,
+                    smem_bytes,
+                    regs_per_thread,
+                    overlap,
+                    spec: decode_spec(&mut cur)?,
                 };
-                if version >= 2 {
-                    header.regs_per_thread = cur.read_u64("regs per thread")?;
-                    let overlap_tag = cur.read_u8("overlap mode")?;
-                    header.overlap =
-                        OverlapMode::from_u8(overlap_tag).ok_or_else(|| TraceError::Malformed {
-                            offset: cur.pos(),
-                            reason: format!("unknown overlap mode {overlap_tag}"),
-                        })?;
-                    header.spec = Some(decode_spec(&mut cur, version)?);
-                }
                 launch_open = true;
                 visitor.launch_begin(&header);
             }
@@ -590,8 +641,7 @@ pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), T
                 let count = cur.read_u64("event count")?;
                 visitor.block_begin(block_id, count);
                 for _ in 0..count {
-                    let ev = decode_event(&mut cur)?;
-                    visitor.event(block_id, &ev);
+                    decode_event(&mut cur, block_id, visitor)?;
                 }
             }
             TAG_LAUNCH_END => {
@@ -602,19 +652,11 @@ pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), T
                     });
                 }
                 let aborted = cur.read_u8("aborted flag")? != 0;
-                let end = if version >= 2 {
-                    let stats = decode_stats(&mut cur, version)?;
-                    LaunchEnd {
-                        aborted,
-                        fma_lane_ops: stats.fma_lane_ops,
-                        stats: Some(stats),
-                    }
-                } else {
-                    LaunchEnd {
-                        aborted,
-                        fma_lane_ops: cur.read_u64("fma lane ops")?,
-                        stats: None,
-                    }
+                let stats = decode_stats(&mut cur)?;
+                let end = LaunchEnd {
+                    aborted,
+                    fma_lane_ops: stats.fma_lane_ops,
+                    stats: Some(stats),
                 };
                 launch_open = false;
                 visitor.launch_end(&end);
@@ -737,13 +779,27 @@ mod tests {
         }
     }
 
+    /// One block holding `events`, framed by a launch: the writer's bytes.
+    fn one_block(events: &[TraceEvent]) -> Vec<u8> {
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        let spec = capture_spec();
+        w.launch_begin(&launch("k", 1, &spec));
+        w.block_events(0, events);
+        w.launch_end(&KernelStats::default());
+        buf.take()
+    }
+
     #[test]
     fn round_trip_preserves_every_field() {
+        let mut scattered = ev(TraceOp::GmLdRo, 4, 0x0f0f_0f0f, 4, 256);
+        scattered.addrs[8] = 7; // breaks the progression: explicit form
         let events = vec![
             ev(TraceOp::GmLd, 0, u32::MAX, 4, 1 << 20),
             ev(TraceOp::SmSt, 1, 0x0000_ffff, 8, 128),
             ev(TraceOp::CmLd, 2, 0x8000_0001, 0, 16),
             ev(TraceOp::GmSt, 3, 0, 4, 0), // fully masked-off warp
+            scattered,
         ];
         let buf = SharedBuffer::new();
         let mut w = TraceWriter::new(buf.clone());
@@ -778,7 +834,7 @@ mod tests {
                 smem_bytes: 1024,
                 regs_per_thread: 48,
                 overlap: OverlapMode::Moderate,
-                spec: Some(spec),
+                spec,
             }
         );
         assert_eq!(
@@ -800,19 +856,136 @@ mod tests {
 
     #[test]
     fn strided_warps_encode_compactly() {
-        let buf = SharedBuffer::new();
-        let mut w = TraceWriter::new(buf.clone());
-        let spec = capture_spec();
-        w.launch_begin(&launch("k", 1, &spec));
         let events: Vec<TraceEvent> = (0..100)
             .map(|i| ev(TraceOp::GmLd, 0, u32::MAX, 4, i * 128))
             .collect();
-        w.block_events(0, &events);
-        w.launch_end(&KernelStats::default());
-        // 32 lanes x 8-byte addresses = 256 B/event raw; delta coding must
-        // stay well under a fifth of that.
-        let bytes_per_event = buf.len() as f64 / events.len() as f64;
-        assert!(bytes_per_event < 50.0, "{bytes_per_event} B/event");
+        let bytes = one_block(&events);
+        // 32 lanes x 8-byte addresses = 256 B/event raw. A full-mask
+        // strided warp is affine: six one-byte head fields plus `first`
+        // and `step`, about 9 B.
+        let bytes_per_event = bytes.len() as f64 / events.len() as f64;
+        assert!(bytes_per_event < 12.0, "{bytes_per_event} B/event");
+    }
+
+    /// The event record right after a one-event block header: where the
+    /// op byte of `one_block(&[e])` sits.
+    fn op_byte_of(e: &TraceEvent) -> u8 {
+        let bytes = one_block(&[*e]);
+        let mut cur = Cursor::new(&bytes);
+        cur.read_bytes(MAGIC.len() + 1, "header").unwrap();
+        assert_eq!(cur.read_u8("tag").unwrap(), TAG_LAUNCH_BEGIN);
+        let name_len = cur.read_u64("name length").unwrap() as usize;
+        cur.read_bytes(name_len, "name").unwrap();
+        for _ in 0..5 {
+            cur.read_u64("geometry").unwrap();
+        }
+        cur.read_u8("overlap").unwrap();
+        decode_spec(&mut cur).unwrap();
+        assert_eq!(cur.read_u8("tag").unwrap(), TAG_BLOCK);
+        cur.read_u64("block id").unwrap();
+        assert_eq!(cur.read_u64("count").unwrap(), 1);
+        cur.read_u8("op").unwrap()
+    }
+
+    #[test]
+    fn the_affine_form_is_chosen_exactly_for_progressions_of_two_or_more_lanes() {
+        let flagged = |e: &TraceEvent| op_byte_of(e) & AFFINE != 0;
+        assert!(flagged(&ev(TraceOp::GmLd, 0, u32::MAX, 4, 64)));
+        assert!(flagged(&ev(TraceOp::CmLd, 0, u32::MAX, 0, 64)), "step 0");
+        assert!(
+            flagged(&ev(TraceOp::SmLd, 0, 0b101, 8, 0)),
+            "two gapped lanes"
+        );
+        let mut down = ev(TraceOp::SmSt, 0, 0xff00_00ff, 0, 0);
+        let mut k = 0u64;
+        for lane in 0..WARP_SIZE {
+            if down.mask.is_active(lane) {
+                // Negative step that wraps below zero.
+                down.addrs[lane] = 8u64.wrapping_sub(4 * k);
+                k += 1;
+            }
+        }
+        assert!(flagged(&down), "negative step wrapping below 0");
+        assert!(!flagged(&ev(TraceOp::CmLd, 0, 1 << 7, 0, 64)), "one lane");
+        assert!(!flagged(&ev(TraceOp::Bar, 0, 0, 0, 0)), "no lanes");
+        let mut bent = ev(TraceOp::GmLd, 0, u32::MAX, 4, 64);
+        bent.addrs[31] += 1;
+        assert!(!flagged(&bent), "last delta differs");
+    }
+
+    /// A hand-built stream: one launch, one block, then `event` verbatim.
+    fn stream_with_event(event: &[u8]) -> Vec<u8> {
+        let mut bytes = one_block(&[]);
+        // Drop the launch-end record, then re-open the block with one event.
+        let end = {
+            let mut b = Vec::new();
+            b.push(TAG_LAUNCH_END);
+            b.push(0);
+            encode_stats(&mut b, &KernelStats::default());
+            b
+        };
+        bytes.truncate(bytes.len() - end.len());
+        let block_at = bytes.len() - 3;
+        assert_eq!(bytes[block_at], TAG_BLOCK);
+        bytes.truncate(block_at);
+        bytes.push(TAG_BLOCK);
+        write_u64(&mut bytes, 0);
+        write_u64(&mut bytes, 1);
+        bytes.extend_from_slice(event);
+        bytes.extend_from_slice(&end);
+        bytes
+    }
+
+    fn malformed_reason(bytes: &[u8]) -> String {
+        match read_launches(bytes) {
+            Err(TraceError::Malformed { reason, .. }) => reason,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_affine_events_are_malformed() {
+        // The flag on an event with fewer than two active lanes.
+        for mask in [0u32, 1 << 9] {
+            let mut e = vec![TraceOp::CmLd as u8 | AFFINE];
+            for v in [0, u64::from(!mask), 4, 0, 0, 64, zigzag(4)] {
+                write_u64(&mut e, v);
+            }
+            let reason = malformed_reason(&stream_with_event(&e));
+            assert!(reason.contains("affine event"), "{reason}");
+            assert!(crate::Trace::decode(&stream_with_event(&e)).is_err());
+        }
+        // An unknown op under the flag.
+        let mut e = vec![(TraceOp::COUNT as u8) | AFFINE];
+        for v in [0, 0, 4, 0, 0, 64, zigzag(4)] {
+            write_u64(&mut e, v);
+        }
+        let reason = malformed_reason(&stream_with_event(&e));
+        assert!(reason.contains("unknown trace op tag"), "{reason}");
+        // A well-formed affine event in the same frame decodes.
+        let mut e = vec![TraceOp::GmLd as u8 | AFFINE];
+        for v in [0, 0, 4, 1, 0, 64, zigzag(-4)] {
+            write_u64(&mut e, v);
+        }
+        let launches = read_launches(&stream_with_event(&e)).unwrap();
+        let got = &launches[0].blocks[0].1[0];
+        assert_eq!(got.addrs[0], 64);
+        assert_eq!(got.addrs[31], 64u64.wrapping_sub(4 * 31));
+    }
+
+    #[test]
+    fn only_version_5_is_accepted() {
+        let good = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 0)]);
+        assert!(read_launches(&good).is_ok());
+        for version in [0u8, 1, 2, 3, 4, 6] {
+            let mut bytes = good.clone();
+            bytes[MAGIC.len()] = version;
+            assert_eq!(
+                malformed_reason(&bytes),
+                format!("unsupported trace version {version} (expected 5)")
+            );
+            assert!(crate::Trace::decode(&bytes).is_err(), "version {version}");
+        }
     }
 
     #[test]
@@ -851,7 +1024,7 @@ mod tests {
     #[test]
     fn corrupt_streams_error_instead_of_panicking() {
         assert!(read_launches(b"").is_err());
-        assert!(read_launches(b"NOPE\x01").is_err());
+        assert!(read_launches(b"NOPE\x05").is_err());
         let mut bad_version = Vec::new();
         bad_version.extend_from_slice(&MAGIC);
         bad_version.push(99);
@@ -863,13 +1036,9 @@ mod tests {
         bad_tag.push(77);
         assert!(read_launches(&bad_tag).is_err());
         // Truncate a valid stream at every byte: must never panic.
-        let buf = SharedBuffer::new();
-        let mut w = TraceWriter::new(buf.clone());
-        let spec = capture_spec();
-        w.launch_begin(&launch("k", 1, &spec));
-        w.block_events(0, &[ev(TraceOp::GmLd, 0, u32::MAX, 4, 1000)]);
-        w.launch_end(&KernelStats::default());
-        let bytes = buf.take();
+        let mut bent = ev(TraceOp::GmLd, 1, 0x00ff_ff00, 4, 1000);
+        bent.addrs[12] = 3;
+        let bytes = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 1000), bent]);
         for cut in 0..bytes.len() {
             let _ = read_launches(&bytes[..cut]);
         }
@@ -909,7 +1078,7 @@ mod tests {
         w.block_events(0, &[]);
         w.launch_end(&KernelStats::default());
         let launches = read_launches(&buf.take()).unwrap();
-        let got = launches[0].header.spec.as_ref().unwrap();
+        let got = &launches[0].header.spec;
         assert_eq!(got.name, "captured");
         assert_eq!(
             GpuSpec {
@@ -919,230 +1088,6 @@ mod tests {
             spec,
             "all numeric fields must round-trip"
         );
-    }
-
-    /// Hand-encodes a v1 (spec-less) stream: the frozen legacy layout the
-    /// reader must keep accepting.
-    fn encode_v1_stream(events: &[TraceEvent], fma_lane_ops: u64) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(V1);
-        bytes.push(TAG_LAUNCH_BEGIN);
-        write_u64(&mut bytes, 2);
-        bytes.extend_from_slice(b"v1");
-        write_u64(&mut bytes, 3); // grid blocks
-        write_u64(&mut bytes, 3); // executed blocks
-        write_u64(&mut bytes, 64); // threads per block
-        write_u64(&mut bytes, 2048); // smem bytes
-        bytes.push(TAG_BLOCK);
-        write_u64(&mut bytes, 0);
-        write_u64(&mut bytes, events.len() as u64);
-        for ev in events {
-            encode_event(&mut bytes, ev);
-        }
-        bytes.push(TAG_LAUNCH_END);
-        bytes.push(0); // not aborted
-        write_u64(&mut bytes, fma_lane_ops);
-        bytes
-    }
-
-    #[test]
-    fn v1_traces_still_decode_with_defaults() {
-        let events = vec![
-            ev(TraceOp::GmLd, 0, u32::MAX, 4, 4096),
-            ev(TraceOp::SmLd, 1, 0x00ff_00ff, 8, 0),
-        ];
-        let bytes = encode_v1_stream(&events, 777);
-        let launches = read_launches(&bytes).unwrap();
-        assert_eq!(launches.len(), 1);
-        let l = &launches[0];
-        assert_eq!(l.header.kernel, "v1");
-        assert_eq!(l.header.grid_blocks, 3);
-        // v1 defaults: LaunchConfig::new's values, and no capture spec.
-        assert_eq!(l.header.regs_per_thread, 32);
-        assert_eq!(l.header.overlap, OverlapMode::Prefetch);
-        assert_eq!(l.header.spec, None);
-        assert_eq!(
-            l.end,
-            LaunchEnd {
-                aborted: false,
-                fma_lane_ops: 777,
-                stats: None,
-            }
-        );
-        let want: Vec<TraceEvent> = events.iter().map(|e| e.canonical()).collect();
-        assert_eq!(l.blocks[0].1, want);
-    }
-
-    /// Hand-encodes the frozen v2/v3 stats record (no `bar_syncs` tail).
-    fn encode_stats_pre_v4(bytes: &mut Vec<u8>, s: &KernelStats) {
-        for v in [
-            s.fma_lane_ops,
-            s.alu_lane_ops,
-            s.gm_ld_requests,
-            s.gm_st_requests,
-            s.gm_ld_transactions,
-            s.gm_st_transactions,
-            s.gm_ld_bytes_bus,
-            s.gm_st_bytes_bus,
-            s.gm_ld_bytes_useful,
-            s.gm_st_bytes_useful,
-            s.gm_ro_hits,
-            s.sm_ld_requests,
-            s.sm_st_requests,
-            s.sm_ld_cycles,
-            s.sm_st_cycles,
-            s.sm_bytes_useful,
-            s.sm_broadcasts,
-        ] {
-            write_u64(bytes, v);
-        }
-        for v in s.sm_conflict_histogram {
-            write_u64(bytes, v);
-        }
-        for v in [
-            s.cm_requests,
-            s.cm_cycles,
-            s.cm_misses,
-            s.barriers,
-            s.blocks_executed,
-            s.blocks_total,
-        ] {
-            write_u64(bytes, v);
-        }
-    }
-
-    /// Hand-encodes a v2 stream: the frozen pre-`ro_cache_bytes` layout the
-    /// reader must keep accepting.
-    fn encode_v2_stream(spec: &GpuSpec, events: &[TraceEvent], stats: &KernelStats) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(V2);
-        bytes.push(TAG_LAUNCH_BEGIN);
-        write_u64(&mut bytes, 2);
-        bytes.extend_from_slice(b"v2");
-        write_u64(&mut bytes, 1); // grid blocks
-        write_u64(&mut bytes, 1); // executed blocks
-        write_u64(&mut bytes, 64); // threads per block
-        write_u64(&mut bytes, 2048); // smem bytes
-        write_u64(&mut bytes, 40); // regs per thread
-        bytes.push(OverlapMode::Moderate.as_u8());
-        // v2 spec: declaration order without ro_cache_bytes.
-        write_u64(&mut bytes, spec.name.len() as u64);
-        bytes.extend_from_slice(spec.name.as_bytes());
-        write_u64(&mut bytes, u64::from(spec.sm_count));
-        write_u64(&mut bytes, u64::from(spec.cores_per_sm));
-        write_u64(&mut bytes, spec.clock_ghz.to_bits());
-        write_u64(&mut bytes, u64::from(spec.smem_banks));
-        bytes.push(spec.bank_width.bytes() as u8);
-        write_u64(&mut bytes, u64::from(spec.smem_bytes_per_sm));
-        write_u64(&mut bytes, u64::from(spec.max_threads_per_sm));
-        write_u64(&mut bytes, u64::from(spec.max_blocks_per_sm));
-        write_u64(&mut bytes, u64::from(spec.regs_per_sm));
-        write_u64(&mut bytes, u64::from(spec.max_smem_per_block));
-        write_u64(&mut bytes, spec.gm_bandwidth_gbs.to_bits());
-        write_u64(&mut bytes, spec.gm_transaction_bytes);
-        write_u64(&mut bytes, spec.gm_store_transaction_bytes);
-        write_u64(&mut bytes, spec.cm_bytes);
-        write_u64(&mut bytes, spec.cm_line_bytes);
-        write_u64(&mut bytes, u64::from(spec.latency_hiding_warps));
-        write_u64(&mut bytes, spec.issue_efficiency.to_bits());
-        bytes.push(TAG_BLOCK);
-        write_u64(&mut bytes, 0);
-        write_u64(&mut bytes, events.len() as u64);
-        for ev in events {
-            encode_event(&mut bytes, ev);
-        }
-        bytes.push(TAG_LAUNCH_END);
-        bytes.push(0); // not aborted
-        encode_stats_pre_v4(&mut bytes, stats);
-        bytes
-    }
-
-    #[test]
-    fn v2_traces_decode_with_default_ro_cache() {
-        let spec = capture_spec();
-        let events = vec![ev(TraceOp::GmLd, 0, u32::MAX, 4, 4096)];
-        let stats = KernelStats {
-            fma_lane_ops: 99,
-            blocks_total: 1,
-            ..Default::default()
-        };
-        let bytes = encode_v2_stream(&spec, &events, &stats);
-        let launches = read_launches(&bytes).unwrap();
-        assert_eq!(launches.len(), 1);
-        let got = launches[0].header.spec.as_ref().unwrap();
-        assert_eq!(got.ro_cache_bytes, 48 * 1024);
-        assert_eq!(got, &spec);
-        assert_eq!(launches[0].end.stats.as_ref(), Some(&stats));
-        // Truncation at every byte must never panic.
-        for cut in 0..bytes.len() {
-            let _ = read_launches(&bytes[..cut]);
-        }
-    }
-
-    /// Hand-encodes a v3 stream: the frozen pre-`bar_syncs` layout (full
-    /// spec including `ro_cache_bytes`, stats without the v4 tail) the
-    /// reader must keep accepting.
-    fn encode_v3_stream(spec: &GpuSpec, events: &[TraceEvent], stats: &KernelStats) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(V3);
-        bytes.push(TAG_LAUNCH_BEGIN);
-        write_u64(&mut bytes, 2);
-        bytes.extend_from_slice(b"v3");
-        write_u64(&mut bytes, 1); // grid blocks
-        write_u64(&mut bytes, 1); // executed blocks
-        write_u64(&mut bytes, 64); // threads per block
-        write_u64(&mut bytes, 2048); // smem bytes
-        write_u64(&mut bytes, 40); // regs per thread
-        bytes.push(OverlapMode::Moderate.as_u8());
-        // The v3 spec layout is the current one (encode_spec is unchanged
-        // since v3 introduced ro_cache_bytes).
-        encode_spec(&mut bytes, spec);
-        bytes.push(TAG_BLOCK);
-        write_u64(&mut bytes, 0);
-        write_u64(&mut bytes, events.len() as u64);
-        for ev in events {
-            encode_event(&mut bytes, ev);
-        }
-        bytes.push(TAG_LAUNCH_END);
-        bytes.push(0); // not aborted
-        encode_stats_pre_v4(&mut bytes, stats);
-        bytes
-    }
-
-    #[test]
-    fn v3_traces_decode_with_zero_bar_syncs() {
-        let spec = capture_spec();
-        let events = vec![
-            ev(TraceOp::GmLd, 0, u32::MAX, 4, 4096),
-            ev(TraceOp::SmSt, 1, 0x00ff_00ff, 8, 0),
-        ];
-        let stats = KernelStats {
-            fma_lane_ops: 321,
-            barriers: 9,
-            blocks_executed: 1,
-            blocks_total: 1,
-            ..Default::default()
-        };
-        let bytes = encode_v3_stream(&spec, &events, &stats);
-        let launches = read_launches(&bytes).unwrap();
-        assert_eq!(launches.len(), 1);
-        let l = &launches[0];
-        assert_eq!(l.header.kernel, "v3");
-        assert_eq!(l.header.spec.as_ref(), Some(&spec));
-        let got = l.end.stats.as_ref().unwrap();
-        assert_eq!(got.barriers, 9);
-        // Pre-v4 captures carry no arrival counts: default to zero.
-        assert_eq!(got.bar_syncs, 0);
-        assert_eq!(got, &stats);
-        let want: Vec<TraceEvent> = events.iter().map(|e| e.canonical()).collect();
-        assert_eq!(l.blocks[0].1, want);
-        // Truncation at every byte must never panic.
-        for cut in 0..bytes.len() {
-            let _ = read_launches(&bytes[..cut]);
-        }
     }
 
     #[test]
@@ -1176,15 +1121,6 @@ mod tests {
         assert_eq!(l.blocks[0].1[1], bar);
     }
 
-    #[test]
-    fn v1_truncation_never_panics() {
-        let bytes = encode_v1_stream(&[ev(TraceOp::CmLd, 0, 0x0f, 0, 99)], 5);
-        for cut in 0..bytes.len() {
-            let _ = read_launches(&bytes[..cut]);
-        }
-        assert!(read_launches(&bytes).is_ok());
-    }
-
     /// splitmix64: a tiny seeded generator so the property test needs no
     /// external crate.
     struct Rng(u64);
@@ -1200,9 +1136,11 @@ mod tests {
     }
 
     /// Seeded-random streams through the writer must come back field-exact
-    /// through the streaming reader, across the varint/zigzag edge cases:
-    /// `u64::MAX` addresses (deltas wrap), single-lane and empty masks,
-    /// zero-transaction events, and multi-launch streams.
+    /// through the streaming reader, across the varint/zigzag edge cases
+    /// and both event forms: full, gapped, single-lane and empty masks;
+    /// affine steps that are zero, positive, negative or wrap past
+    /// `u64::MAX`; non-affine lanes; zero-transaction events; and
+    /// multi-launch streams.
     #[test]
     fn random_streams_round_trip_bit_exactly() {
         for seed in 0..8u64 {
@@ -1211,6 +1149,7 @@ mod tests {
             let buf = SharedBuffer::new();
             let mut w = TraceWriter::new(buf.clone());
             let mut want: Vec<LaunchTrace> = Vec::new();
+            let mut affine_seen = 0;
             for li in 0..1 + (seed % 3) {
                 let name = format!("kernel-{seed}-{li}");
                 let blocks = 1 + (rng.next() % 4);
@@ -1237,16 +1176,22 @@ mod tests {
                                 0 => LaneMask(0),                      // empty
                                 1 => LaneMask(1 << (rng.next() % 32)), // single lane
                                 2 => LaneMask(u32::MAX),               // full warp
-                                _ => LaneMask(rng.next() as u32),      // arbitrary
+                                _ => LaneMask(rng.next() as u32),      // gapped
                             };
-                            let mut addrs = [0u64; WARP_SIZE];
-                            for (lane, slot) in addrs.iter_mut().enumerate() {
-                                if mask.is_active(lane) {
-                                    *slot = match rng.next() % 4 {
-                                        0 => u64::MAX - (rng.next() % 3), // wraparound deltas
-                                        1 => rng.next(),                  // scattered
-                                        _ => 1024 + lane as u64 * 4,      // strided
-                                    };
+                            let (first, step) = match rng.next() % 4 {
+                                0 => (rng.next(), 0),
+                                1 => (rng.next() % (1 << 40), rng.next() % 256),
+                                2 => (rng.next() % (1 << 40), (rng.next() % 256).wrapping_neg()),
+                                _ => (u64::MAX - rng.next() % 64, 1 + rng.next() % (1 << 20)),
+                            };
+                            let mut addrs = crate::affine_addrs(mask, first, step);
+                            if rng.next().is_multiple_of(3) {
+                                // Bend one active lane: non-affine unless
+                                // the mask has fewer than three lanes.
+                                for (lane, slot) in addrs.iter_mut().enumerate() {
+                                    if mask.is_active(lane) && rng.next().is_multiple_of(2) {
+                                        *slot = slot.wrapping_add(1 + rng.next() % 1000);
+                                    }
                                 }
                             }
                             TraceEvent {
@@ -1264,6 +1209,12 @@ mod tests {
                             }
                         })
                         .collect();
+                    affine_seen += events
+                        .iter()
+                        .filter(|e| {
+                            e.mask.count() >= 2 && crate::affine_lanes(e.mask, &e.addrs).is_some()
+                        })
+                        .count();
                     w.block_events(block_id as usize, &events);
                     blocks_want.push((block_id, events.iter().map(|e| e.canonical()).collect()));
                 }
@@ -1285,7 +1236,7 @@ mod tests {
                         smem_bytes: u64::from(smem_bytes),
                         regs_per_thread: u64::from(regs_per_thread),
                         overlap,
-                        spec: Some(spec.clone()),
+                        spec: spec.clone(),
                     },
                     blocks: blocks_want,
                     end: LaunchEnd {
@@ -1295,6 +1246,7 @@ mod tests {
                     },
                 });
             }
+            assert!(affine_seen > 0, "seed {seed}: no affine events");
             let (_, err) = w.into_inner();
             assert!(err.is_none());
             let got = read_launches(&buf.take()).unwrap();

@@ -3,10 +3,11 @@
 //! Companion crate to `kconv-sim`'s per-warp trace hooks
 //! ([`TraceSink`](kconv_sim::TraceSink)). It ships three layers:
 //!
-//! * [`TraceWriter`] / [`read_trace`] — a compact binary format (varint +
-//!   zigzag address deltas, see [`format`]) streaming every warp memory
-//!   instruction of a launch to any `Write` target. [`SharedBuffer`] keeps
-//!   a handle on the bytes while the writer is boxed inside the `Gpu`.
+//! * [`TraceWriter`] / [`read_trace`] — a compact binary format (varints;
+//!   lane addresses as an affine `first`/`step` pair or as zigzag deltas,
+//!   see [`format`]) streaming every warp memory instruction of a launch
+//!   to any `Write` target. [`SharedBuffer`] keeps a handle on the bytes
+//!   while the writer is boxed inside the `Gpu`.
 //!   [`Trace`] materializes the stream into flat slabs (see [`decoded`])
 //!   so replay consumers decode once and re-price many times.
 //! * [`TraceSummary`] — one streaming pass, O(1) state: per-op totals and
@@ -59,10 +60,10 @@ pub mod summary;
 pub mod varint;
 
 pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
-pub use decoded::{BlockView, DecodedLaunch, EventHead, Trace};
+pub use decoded::{affine_addrs, affine_lanes, BlockView, DecodedLaunch, EventHead, Trace};
 pub use format::{
     read_launches, read_trace, LaunchEnd, LaunchHeader, LaunchTrace, SharedBuffer, TraceVisitor,
-    TraceWriter, MAGIC, V1, V2, V3, VERSION,
+    TraceWriter, AFFINE, MAGIC, VERSION,
 };
 pub use summary::{OpTotals, TraceSummary};
 
@@ -70,8 +71,9 @@ pub use summary::{OpTotals, TraceSummary};
 /// header's (untrusted) event-count varint. A corrupt or hostile count
 /// reserves at most this many event slots up front; decoding then fails
 /// on the event bytes themselves, or the buffers grow organically for a
-/// genuinely larger well-formed block. 64Ki events ≈ 17 MB of address
-/// slab — far above any real block, far below an allocation-failure DoS.
+/// genuinely larger well-formed block. 64Ki events ≈ 3 MB of decoded
+/// [`EventHead`]s (≈ 18 MB of materialized events in [`read_launches`]) —
+/// far above any real block, far below an allocation-failure DoS.
 pub const RESERVE_EVENTS_MAX: u64 = 1 << 16;
 
 /// Errors reading a binary trace.

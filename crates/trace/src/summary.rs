@@ -191,8 +191,7 @@ impl TraceSummary {
 
     /// Barrier-arrival events across the launch (one per warp per
     /// `__syncthreads()`) — the trace-side counterpart of
-    /// [`KernelStats::bar_syncs`]. 0 for pre-v4 captures, which did not
-    /// record [`TraceOp::Bar`] events.
+    /// [`KernelStats::bar_syncs`].
     pub fn bar_arrivals(&self) -> u64 {
         self.op(TraceOp::Bar).events
     }

@@ -119,6 +119,21 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Consumes the next `N` bytes when each is a whole one-byte varint
+    /// (high bit clear) and returns them; otherwise consumes nothing and
+    /// returns `None`. A fast path for runs of small fields, which the
+    /// caller falls back from to [`Cursor::read_u64`] per field.
+    #[inline]
+    pub fn read_small<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let end = self.pos.checked_add(N)?;
+        let bytes: [u8; N] = self.buf.get(self.pos..end)?.try_into().ok()?;
+        if bytes.iter().any(|b| b & 0x80 != 0) {
+            return None;
+        }
+        self.pos = end;
+        Some(bytes)
+    }
+
     /// Reads one zigzag-folded signed varint.
     #[inline]
     pub fn read_i64(&mut self, what: &str) -> Result<i64, TraceError> {

@@ -2,12 +2,14 @@
 //!
 //! The binary trace format crosses a trust boundary: `trace_report
 //! --trace` and the replay tools accept arbitrary files. These tests feed
-//! systematically corrupted v1/v2/v3 streams — every truncation prefix,
+//! systematically corrupted KTRC v5 streams — every truncation prefix,
 //! seeded bit flips, seeded byte splices and hostile header varints —
 //! through all three reader entry points ([`Trace::decode`], the
 //! streaming [`read_trace`] visitor, and [`read_launches`]) and assert
 //! the contract: a typed [`TraceError`] or a well-formed result, never a
-//! panic, never an abort-by-allocation, never a hang.
+//! panic, never an abort-by-allocation, never a hang. The corpus comes
+//! from the real writer and mixes affine, explicit, partial-mask and
+//! zero-lane events.
 
 use kconv_sim::{
     GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
@@ -16,19 +18,18 @@ use kconv_sim::{
 use kconv_tensor::rng::StdRng;
 use kconv_trace::varint::write_u64;
 use kconv_trace::{
-    read_launches, read_trace, SharedBuffer, Trace, TraceVisitor, TraceWriter, MAGIC, V1, V2,
+    affine_addrs, affine_lanes, read_launches, read_trace, SharedBuffer, Trace, TraceVisitor,
+    TraceWriter, MAGIC, VERSION,
 };
 
-// The wire format is frozen by contract (`format.rs` keeps reading v1/v2
-// forever), so the record tags are stable test constants.
+// The KTRC v5 record tags.
 const TAG_LAUNCH_BEGIN: u8 = 1;
 const TAG_BLOCK: u8 = 2;
-const TAG_LAUNCH_END: u8 = 3;
 
 fn event(op: TraceOp, warp: u32, stride: u64, base: u64) -> TraceEvent {
     let mut addrs = [0u64; WARP_SIZE];
     for (lane, a) in addrs.iter_mut().enumerate() {
-        *a = base + lane as u64 * stride;
+        *a = base.wrapping_add((lane as u64).wrapping_mul(stride));
     }
     TraceEvent {
         op,
@@ -41,138 +42,92 @@ fn event(op: TraceOp, warp: u32, stride: u64, base: u64) -> TraceEvent {
     }
 }
 
-/// A current-version (v3) stream produced by the real writer: two
-/// launches, mixed ops, a partial mask.
-fn v3_stream() -> Vec<u8> {
+fn masked(mut ev: TraceEvent, mask: u32) -> TraceEvent {
+    ev.mask = LaneMask(mask);
+    ev.canonical()
+}
+
+/// One block of every event shape the v5 writer distinguishes.
+fn mixed_events() -> Vec<TraceEvent> {
+    let mut scattered = event(TraceOp::GmLdRo, 4, 4, 8192);
+    scattered.addrs[5] = 3; // breaks the progression: explicit form
+                            // Lane-indexed addresses under a gapped mask jump at the gap; an
+                            // affine gapped event steps by active-lane rank instead.
+    let mut gapped_affine = event(TraceOp::GmSt, 7, 0, 0);
+    gapped_affine.mask = LaneMask(0x0f0f_f00f);
+    gapped_affine.addrs = affine_addrs(gapped_affine.mask, 1 << 16, 16);
+    vec![
+        event(TraceOp::GmLd, 0, 4, 4096),                     // affine, full
+        gapped_affine,                                        // affine, gapped
+        masked(event(TraceOp::SmLd, 1, 8, 512), 0x00ff_00ff), // explicit, gapped
+        event(TraceOp::CmLd, 2, 0, 64),                       // affine, step 0
+        event(TraceOp::SmSt, 3, 4u64.wrapping_neg(), 256),    // affine, step < 0
+        scattered,                                            // explicit
+        masked(event(TraceOp::CmLd, 5, 0, 96), 1 << 17),      // one lane
+        masked(event(TraceOp::Bar, 6, 0, 0), 0),              // zero lanes
+    ]
+}
+
+fn launch<'a>(kernel: &'a str, spec: &'a GpuSpec) -> TraceLaunch<'a> {
+    TraceLaunch {
+        kernel,
+        grid_blocks: 2,
+        executed_blocks: 2,
+        threads_per_block: 64,
+        smem_bytes: 2048,
+        regs_per_thread: 32,
+        overlap: OverlapMode::Prefetch,
+        spec,
+    }
+}
+
+/// Two complete launches of mixed events.
+fn complete_stream() -> Vec<u8> {
     let spec = GpuSpec::kepler_k40m();
     let buf = SharedBuffer::new();
     let mut w = TraceWriter::new(buf.clone());
     for kernel in ["alpha", "beta"] {
-        w.launch_begin(&TraceLaunch {
-            kernel,
-            grid_blocks: 2,
-            executed_blocks: 2,
-            threads_per_block: 64,
-            smem_bytes: 2048,
-            regs_per_thread: 32,
-            overlap: OverlapMode::Prefetch,
-            spec: &spec,
-        });
-        let mut partial = event(TraceOp::SmLd, 1, 8, 512);
-        partial.mask = LaneMask(0x00ff_00ff);
-        w.block_events(0, &[event(TraceOp::GmLd, 0, 4, 4096), partial]);
-        w.block_events(1, &[event(TraceOp::GmSt, 2, 4, 1 << 20)]);
+        w.launch_begin(&launch(kernel, &spec));
+        let events = mixed_events();
+        w.block_events(0, &events);
+        w.block_events(1, &events[2..5]);
         w.launch_end(&KernelStats::default());
     }
     buf.take()
 }
 
-fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
-    buf.push(ev.op as u8);
-    write_u64(buf, u64::from(ev.warp));
-    write_u64(buf, u64::from(ev.mask.0));
-    write_u64(buf, u64::from(ev.lane_bytes));
-    write_u64(buf, u64::from(ev.transactions));
-    write_u64(buf, u64::from(ev.cycles));
-    let mut prev: Option<u64> = None;
-    for lane in 0..WARP_SIZE {
-        if !ev.mask.is_active(lane) {
-            continue;
-        }
-        let addr = ev.addrs[lane];
-        match prev {
-            None => write_u64(buf, addr),
-            Some(p) => {
-                let delta = addr.wrapping_sub(p) as i64;
-                write_u64(buf, ((delta << 1) ^ (delta >> 63)) as u64);
-            }
-        }
-        prev = Some(addr);
-    }
-}
-
-/// Hand-encodes a v1 (spec-less) stream — the frozen legacy layout.
-fn v1_stream() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.push(V1);
-    bytes.push(TAG_LAUNCH_BEGIN);
-    write_u64(&mut bytes, 2);
-    bytes.extend_from_slice(b"v1");
-    write_u64(&mut bytes, 2); // grid blocks
-    write_u64(&mut bytes, 2); // executed blocks
-    write_u64(&mut bytes, 64); // threads per block
-    write_u64(&mut bytes, 2048); // smem bytes
-    let events = [
-        event(TraceOp::GmLd, 0, 4, 4096),
-        event(TraceOp::SmSt, 1, 8, 0),
-    ];
-    bytes.push(TAG_BLOCK);
-    write_u64(&mut bytes, 0);
-    write_u64(&mut bytes, events.len() as u64);
-    for ev in &events {
-        encode_event(&mut bytes, ev);
-    }
-    bytes.push(TAG_LAUNCH_END);
-    bytes.push(0); // not aborted
-    write_u64(&mut bytes, 777); // fma lane ops
-    bytes
-}
-
-fn encode_v2_spec(bytes: &mut Vec<u8>, spec: &GpuSpec) {
-    write_u64(bytes, spec.name.len() as u64);
-    bytes.extend_from_slice(spec.name.as_bytes());
-    write_u64(bytes, u64::from(spec.sm_count));
-    write_u64(bytes, u64::from(spec.cores_per_sm));
-    write_u64(bytes, spec.clock_ghz.to_bits());
-    write_u64(bytes, u64::from(spec.smem_banks));
-    bytes.push(spec.bank_width.bytes() as u8);
-    write_u64(bytes, u64::from(spec.smem_bytes_per_sm));
-    write_u64(bytes, u64::from(spec.max_threads_per_sm));
-    write_u64(bytes, u64::from(spec.max_blocks_per_sm));
-    write_u64(bytes, u64::from(spec.regs_per_sm));
-    write_u64(bytes, u64::from(spec.max_smem_per_block));
-    write_u64(bytes, spec.gm_bandwidth_gbs.to_bits());
-    write_u64(bytes, spec.gm_transaction_bytes);
-    write_u64(bytes, spec.gm_store_transaction_bytes);
-    write_u64(bytes, spec.cm_bytes);
-    write_u64(bytes, spec.cm_line_bytes);
-    write_u64(bytes, u64::from(spec.latency_hiding_warps));
-    write_u64(bytes, spec.issue_efficiency.to_bits());
-}
-
-/// Hand-encodes a v2 stream — the frozen pre-`ro_cache_bytes` layout.
-/// Ends mid-launch so the synthesized-abort path is part of the corpus.
-fn v2_stream() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.push(V2);
-    bytes.push(TAG_LAUNCH_BEGIN);
-    write_u64(&mut bytes, 2);
-    bytes.extend_from_slice(b"v2");
-    write_u64(&mut bytes, 1); // grid blocks
-    write_u64(&mut bytes, 1); // executed blocks
-    write_u64(&mut bytes, 64); // threads per block
-    write_u64(&mut bytes, 2048); // smem bytes
-    write_u64(&mut bytes, 40); // regs per thread
-    bytes.push(OverlapMode::Moderate.as_u8());
-    encode_v2_spec(&mut bytes, &GpuSpec::kepler_k40m());
-    let events = [event(TraceOp::SmLd, 3, 8, 64)];
-    bytes.push(TAG_BLOCK);
-    write_u64(&mut bytes, 0);
-    write_u64(&mut bytes, events.len() as u64);
-    for ev in &events {
-        encode_event(&mut bytes, ev);
-    }
-    bytes
+/// A faulted launch (begin while open) followed by one that ends
+/// mid-launch, so both synthesized-abort paths are part of the corpus.
+fn aborted_stream() -> Vec<u8> {
+    let spec = GpuSpec::kepler_k40m();
+    let buf = SharedBuffer::new();
+    let mut w = TraceWriter::new(buf.clone());
+    w.launch_begin(&launch("faulted", &spec));
+    w.block_events(0, &mixed_events()[..3]);
+    w.launch_begin(&launch("cut", &spec));
+    w.block_events(0, &mixed_events()[3..]);
+    drop(w);
+    buf.take()
 }
 
 fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     vec![
-        ("v1", v1_stream()),
-        ("v2", v2_stream()),
-        ("v3", v3_stream()),
+        ("complete", complete_stream()),
+        ("aborted", aborted_stream()),
     ]
+}
+
+#[test]
+fn corpus_mixes_every_event_form() {
+    let events = mixed_events();
+    let affine = |e: &TraceEvent| e.mask.count() >= 2 && affine_lanes(e.mask, &e.addrs).is_some();
+    assert!(events.iter().any(|e| affine(e) && e.mask == LaneMask::ALL));
+    assert!(events.iter().any(|e| affine(e) && e.mask != LaneMask::ALL));
+    assert!(events.iter().any(|e| !affine(e) && e.mask.count() >= 2));
+    assert!(events.iter().any(|e| e.mask.count() == 0));
+    for (name, bytes) in corpus() {
+        assert_eq!(bytes[MAGIC.len()], VERSION, "{name}");
+    }
 }
 
 /// A visitor that exercises the streaming path and asserts its delivery
@@ -286,22 +241,21 @@ fn hostile_event_counts_fail_without_huge_allocation() {
     // clamped pre-allocation (`RESERVE_EVENTS_MAX`) must keep them from
     // reserving terabytes first (an unclamped reserve aborts the process,
     // which this test would report as a crash, not a failure).
+    let spec = GpuSpec::kepler_k40m();
+    let buf = SharedBuffer::new();
+    let mut w = TraceWriter::new(buf.clone());
+    w.launch_begin(&launch("k", &spec));
+    drop(w);
+    let begin = buf.take();
     for claim in [
         kconv_trace::RESERVE_EVENTS_MAX + 1,
         1 << 40,
         u64::MAX / WARP_SIZE as u64,
         u64::MAX,
     ] {
-        let mut bytes = v1_stream();
-        // Rebuild the v1 stream's block header with a hostile count and
-        // no events after it.
-        bytes.truncate(MAGIC.len() + 1);
-        bytes.push(TAG_LAUNCH_BEGIN);
-        write_u64(&mut bytes, 1);
-        bytes.extend_from_slice(b"k");
-        for _ in 0..4 {
-            write_u64(&mut bytes, 1); // grid/executed/threads/smem
-        }
+        // The writer's launch-begin record, then a block header with a
+        // hostile count and no events after it.
+        let mut bytes = begin.clone();
         bytes.push(TAG_BLOCK);
         write_u64(&mut bytes, 0); // block id
         write_u64(&mut bytes, claim); // hostile event count
@@ -319,7 +273,7 @@ fn hostile_name_lengths_fail_typed() {
     for claim in [1u64 << 32, u64::MAX] {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(V1);
+        bytes.push(VERSION);
         bytes.push(TAG_LAUNCH_BEGIN);
         write_u64(&mut bytes, claim); // kernel-name length, no name bytes
         assert!(Trace::decode(&bytes).is_err(), "claim {claim}: must reject");
@@ -338,6 +292,10 @@ fn intact_corpus_decodes_identically_across_paths() {
             assert_eq!(d.end, l.end, "{name}: ends agree");
             let streamed: usize = l.blocks.iter().map(|(_, evs)| evs.len()).sum();
             assert_eq!(d.event_count(), streamed, "{name}: event counts agree");
+            for (view, (id, events)) in d.blocks().zip(&l.blocks) {
+                assert_eq!(view.block_id, *id, "{name}");
+                assert_eq!(&view.to_events(), events, "{name}: events agree");
+            }
         }
     }
 }

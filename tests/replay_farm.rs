@@ -278,7 +278,7 @@ fn fused_sweep_equals_per_spec_replay_launch_on_every_spec_set() {
     );
     for op in TraceOp::ALL {
         assert!(
-            launches().any(|l| l.blocks().any(|b| b.events().any(|(h, _)| h.op == op))),
+            launches().any(|l| l.blocks().any(|b| b.to_events().iter().any(|e| e.op == op))),
             "no {op} events in the corpus"
         );
     }
