@@ -16,7 +16,9 @@
 fn main() {
     kconv_bench::reject_unknown_args("serve", &[("--check", false)]);
     let check = std::env::args().any(|a| a == "--check");
-    let c = kconv_bench::serve::run(1);
+    // Best of 5 per side: one 16-request run takes tens of milliseconds,
+    // so a single timing mostly measures the process's first-run warm-up.
+    let c = kconv_bench::serve::run(5);
     if check && c.failures > 0 {
         std::process::exit(1);
     }

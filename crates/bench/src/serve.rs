@@ -27,7 +27,7 @@ use kconv_serve::{
     ChaosConfig, ConvRequest, DType, Outcome, Resolution, ServeConfig, ServeEngine, ServeError,
     ServeEvent, ServeMetrics,
 };
-use kconv_sim::{FaultSchedule, GpuSpec};
+use kconv_sim::{FaultSchedule, GpuSpec, Parallelism};
 use kconv_tensor::{all_close, random_filters, random_maps, ConvProblem, CONV_TOL};
 
 use crate::{fig8, Checker};
@@ -144,17 +144,17 @@ fn accounted(m: &ServeMetrics) -> bool {
     m.completed + m.rejected + m.deadline_exceeded + m.failed == m.submitted
 }
 
-/// Runs one scenario and returns its resolutions, metrics, events and
-/// wall-clock seconds.
+/// A K40m serving engine with `cfg` and the default host workers.
+fn engine(cfg: ServeConfig) -> ServeEngine {
+    ServeEngine::new(GpuSpec::kepler_k40m(), cfg)
+}
+
+/// Serves one scenario on `engine` and returns its resolutions, metrics,
+/// events and wall-clock seconds.
 fn scenario(
-    cfg: ServeConfig,
-    chaos: Option<ChaosConfig>,
+    mut engine: ServeEngine,
     reqs: Vec<ConvRequest>,
 ) -> (Vec<Resolution>, ServeMetrics, Vec<ServeEvent>, f64) {
-    let mut engine = ServeEngine::new(GpuSpec::kepler_k40m(), cfg);
-    if let Some(c) = chaos {
-        engine = engine.with_chaos(c);
-    }
     let t0 = Instant::now();
     let res = engine.run(reqs);
     let wall = t0.elapsed().as_secs_f64();
@@ -163,8 +163,9 @@ fn scenario(
 
 /// Serves the workload chaos-off and chaos-on, runs every invariant
 /// check, and writes `BENCH_serve.json` to the workspace root. `iters`
-/// controls how many times the timed baseline repeats (best-of). Returns
-/// the tally for the caller's `--check` gate.
+/// controls how many times the timed baseline repeats (best-of), on the
+/// engine's default host workers and serially. Returns the tally for the
+/// caller's `--check` gate.
 pub fn run(iters: usize) -> Checker {
     assert!(iters >= 1, "at least one timing iteration");
     let mut c = Checker::default();
@@ -174,10 +175,13 @@ pub fn run(iters: usize) -> Checker {
     // --- Baseline: chaos off ---
     let mut baseline = None;
     let mut base_wall = f64::INFINITY;
+    let mut serial_wall = f64::INFINITY;
     for _ in 0..iters {
-        let (res, m, ev, wall) = scenario(config(), None, workload());
+        let (res, m, ev, wall) = scenario(engine(config()), workload());
         base_wall = base_wall.min(wall);
         baseline = Some((res, m, ev));
+        let serial = engine(config()).with_parallelism(Parallelism::Serial);
+        serial_wall = serial_wall.min(scenario(serial, workload()).3);
     }
     let (base_res, base_m, _) = baseline.expect("at least one iteration");
     println!(
@@ -262,13 +266,12 @@ pub fn run(iters: usize) -> Checker {
         .flat_map(|(i, p)| (0..2).map(move |j| request(p, 70 + 2 * i as u64 + j).at(0.0)))
         .collect()
     };
-    let (_, four_m, _, _) = scenario(config(), None, overlap_work());
+    let (_, four_m, _, _) = scenario(engine(config()), overlap_work());
     let (_, one_m, _, _) = scenario(
-        ServeConfig {
+        engine(ServeConfig {
             streams: 1,
             ..config()
-        },
-        None,
+        }),
         overlap_work(),
     );
     println!(
@@ -287,7 +290,8 @@ pub fn run(iters: usize) -> Checker {
     );
 
     // --- Chaos on ---
-    let (chaos_res, chaos_m, chaos_ev, _) = scenario(config(), Some(chaos()), workload());
+    let (chaos_res, chaos_m, chaos_ev, _) =
+        scenario(engine(config()).with_chaos(chaos()), workload());
     println!(
         "[chaos]    completed {} / rejected {} / deadline {} / failed {} — {} retries, {} re-enqueued, {} trips, {} recoveries",
         chaos_m.completed,
@@ -369,7 +373,7 @@ pub fn run(iters: usize) -> Checker {
     );
 
     // --- Determinism: the chaos scenario twice, bit for bit ---
-    let (res_a, m_a, ev_a, _) = scenario(config(), Some(chaos()), workload());
+    let (res_a, m_a, ev_a, _) = scenario(engine(config()).with_chaos(chaos()), workload());
     let same = res_a.len() == chaos_res.len()
         && res_a.iter().zip(&chaos_res).all(|(x, y)| {
             x.id == y.id
@@ -398,7 +402,7 @@ pub fn run(iters: usize) -> Checker {
     let burst: Vec<ConvRequest> = (0..12)
         .map(|i| request(ConvProblem::special(34, 4, 3), 60 + i))
         .collect();
-    let (burst_res, burst_m, _, _) = scenario(burst_cfg, None, burst);
+    let (burst_res, burst_m, _, _) = scenario(engine(burst_cfg), burst);
     let shed = burst_res
         .iter()
         .filter(|r| matches!(r.outcome, Outcome::Rejected(ServeError::QueueFull { .. })))
@@ -420,6 +424,9 @@ pub fn run(iters: usize) -> Checker {
     let (p50, p99) = (percentile(&base_lat, 50.0), percentile(&base_lat, 99.0));
     let (c50, c99) = (percentile(&chaos_lat, 50.0), percentile(&chaos_lat, 99.0));
     let wall_rps = base_m.completed as f64 / base_wall.max(1e-12);
+    let wall_rps_serial = base_m.completed as f64 / serial_wall.max(1e-12);
+    let host_workers = engine(config()).host_workers();
+    let kconv_threads = std::env::var("KCONV_THREADS").unwrap_or_else(|_| "unset".into());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "\n[latency]  chaos off: p50 {:.3} ms, p99 {:.3} ms",
@@ -431,7 +438,10 @@ pub fn run(iters: usize) -> Checker {
         c50 * 1e3,
         c99 * 1e3
     );
-    println!("[thruput]  wall {wall_rps:.0} req/s (best of {iters})");
+    println!(
+        "[thruput]  wall {wall_rps:.0} req/s on {host_workers} host workers, \
+         {wall_rps_serial:.0} req/s serial (best of {iters})"
+    );
     c.check(
         "latency percentiles well-formed",
         p50 > 0.0 && p99 >= p50 && c99 >= c50 && c50 > 0.0,
@@ -445,7 +455,7 @@ pub fn run(iters: usize) -> Checker {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"requests\": {n},\n  \"streams\": {},\n  \"chaos_off\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"chaos_on\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"retries\": {}, \"re_enqueued\": {}, \"breaker_trips\": {}, \"breaker_recoveries\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"burst\": {{\"one_stream_makespan_ms\": {:.6}, \"four_stream_makespan_ms\": {:.6}}},\n  \"wall_seconds\": {:.6},\n  \"wall_rps\": {:.1},\n  \"host_cores\": {host_cores},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"requests\": {n},\n  \"streams\": {},\n  \"chaos_off\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"chaos_on\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"retries\": {}, \"re_enqueued\": {}, \"breaker_trips\": {}, \"breaker_recoveries\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"burst\": {{\"one_stream_makespan_ms\": {:.6}, \"four_stream_makespan_ms\": {:.6}}},\n  \"wall_seconds\": {:.6},\n  \"wall_rps\": {:.1},\n  \"wall_rps_serial\": {wall_rps_serial:.1},\n  \"host_workers\": {host_workers},\n  \"kconv_threads\": \"{kconv_threads}\",\n  \"host_cores\": {host_cores},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         config().streams,
         base_m.completed,
         base_m.rejected,

@@ -4,10 +4,11 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use kconv_apps::{Engine, PlanCache};
-use kconv_core::{Convolution, DataType, FaultRecord, NaiveConv, RetryClass};
-use kconv_sim::{Gpu, GpuSpec, SimMode};
+use kconv_core::{ConvError, ConvRun, Convolution, FaultRecord, NaiveConv, RetryClass};
+use kconv_sim::{FaultInjection, Gpu, GpuSpec, Parallelism, SimMode};
 use kconv_tensor::rng::StdRng;
 
+use crate::ahead::RunAhead;
 use crate::chaos::ChaosConfig;
 use crate::policy::{Breaker, BreakerConfig, BreakerState, RetryPolicy};
 use crate::request::{Completion, ConvRequest, DType, Outcome, RequestId, Resolution, ServeError};
@@ -133,11 +134,13 @@ pub enum ServeEvent {
     },
 }
 
-/// One queued request (id + payload).
-#[derive(Debug, Clone)]
-struct Pending {
+/// One queued request: its id, its run-ahead slot (its position in
+/// arrival order) and its payload.
+#[derive(Debug, Clone, Copy)]
+struct Pending<'r> {
     id: RequestId,
-    req: ConvRequest,
+    slot: usize,
+    req: &'r ConvRequest,
 }
 
 /// How one member's execution ended, plus whether it poisoned the batch.
@@ -150,14 +153,23 @@ struct MemberEnd {
 /// The queued, batching, fault-isolating serving engine.
 ///
 /// Deterministic by construction: a single logical clock, seeded jitter,
-/// seeded chaos, and kernels that are bit-identical under any
-/// [`Parallelism`](kconv_sim::Parallelism). Two runs with the same
-/// requests, config and chaos plan produce identical resolutions, metrics
-/// and events.
+/// seeded chaos, and kernel launches that are pure functions of their
+/// inputs. Two runs with the same requests, config and chaos plan produce
+/// identical resolutions, metrics and events — under any
+/// [`Parallelism`], which sets only how many host threads compute the
+/// launches. With more than one worker, the requests' primary attempts
+/// run ahead on worker threads while admission, batching, streams,
+/// breakers, retries and chaos stay on one sequential loop; a precomputed
+/// result is used only for a request's first attempt on the plan it was
+/// computed for, with no injected fault, and every other attempt runs
+/// inline. Outputs, engine names, finish times, latencies, fault records,
+/// metrics (plan-cache hits and misses included) and events are
+/// bit-identical to the serial run.
 #[derive(Debug)]
 pub struct ServeEngine {
     spec: GpuSpec,
     cfg: ServeConfig,
+    parallelism: Parallelism,
     cache: PlanCache,
     breakers: BTreeMap<String, Breaker>,
     rng: StdRng,
@@ -168,12 +180,14 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// An engine serving on (simulated) `spec` hardware.
+    /// An engine serving on (simulated) `spec` hardware, computing its
+    /// launches on [`Parallelism::env_or_auto`] host workers.
     pub fn new(spec: GpuSpec, cfg: ServeConfig) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
         ServeEngine {
             spec,
             cfg,
+            parallelism: Parallelism::env_or_auto(),
             cache: PlanCache::new(),
             breakers: BTreeMap::new(),
             rng,
@@ -191,6 +205,19 @@ impl ServeEngine {
         self
     }
 
+    /// Sets how many host threads compute launches. Results are
+    /// bit-identical under every value; each launch itself always runs
+    /// its blocks serially.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = parallelism;
+        self
+    }
+
+    /// Host threads that compute launches (1 = everything inline).
+    pub fn host_workers(&self) -> usize {
+        self.parallelism.worker_threads()
+    }
+
     /// Counters for the run(s) so far.
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
@@ -206,39 +233,57 @@ impl ServeEngine {
     /// drains the queue. Returns exactly one [`Resolution`] per submitted
     /// request, in submission order.
     pub fn run(&mut self, requests: Vec<ConvRequest>) -> Vec<Resolution> {
-        let n = requests.len();
-        self.metrics.submitted += n as u64;
-        let mut resolutions: Vec<Option<Resolution>> = (0..n).map(|_| None).collect();
-        let mut arrivals: Vec<Pending> = requests
+        self.metrics.submitted += requests.len() as u64;
+        let mut arrivals: Vec<(RequestId, ConvRequest)> = requests
             .into_iter()
             .enumerate()
-            .map(|(i, req)| Pending {
-                id: RequestId(i as u64),
-                req,
-            })
+            .map(|(i, req)| (RequestId(i as u64), req))
             .collect();
-        arrivals.sort_by(|a, b| a.req.arrival.total_cmp(&b.req.arrival));
+        arrivals.sort_by(|a, b| a.1.arrival.total_cmp(&b.1.arrival));
+        let workers = self.host_workers();
+        if workers > 1 {
+            let (spec, cfg) = (self.spec.clone(), self.cfg.clone());
+            RunAhead::scope(spec, &cfg, &arrivals, workers, |ahead| {
+                self.serve(&arrivals, Some(ahead))
+            })
+        } else {
+            self.serve(&arrivals, None)
+        }
+    }
 
+    /// The sequential serving loop over `arrivals` (sorted by arrival
+    /// time): admission, dispatch and drain, with `ahead` computing
+    /// primary attempts on other threads.
+    fn serve<'r>(
+        &mut self,
+        arrivals: &'r [(RequestId, ConvRequest)],
+        ahead: Option<&RunAhead<'r>>,
+    ) -> Vec<Resolution> {
+        let mut resolutions: Vec<Option<Resolution>> = arrivals.iter().map(|_| None).collect();
         let mut streams = Streams::new(self.cfg.streams);
-        let mut queue: VecDeque<Pending> = VecDeque::new();
-        for pending in arrivals {
+        let mut queue: VecDeque<Pending<'r>> = VecDeque::new();
+        for (slot, (id, req)) in arrivals.iter().enumerate() {
+            let pending = Pending { id: *id, slot, req };
             // Work the queue up to this arrival: any batch that would have
             // started strictly before now has left the queue (a batch
             // starting exactly now still sees this arrival, so
             // same-instant requests batch together).
-            while !queue.is_empty() && self.earliest_start(&streams, &queue) < pending.req.arrival {
-                self.dispatch(&mut streams, &mut queue, &mut resolutions);
+            while !queue.is_empty() && self.earliest_start(&streams, &queue) < req.arrival {
+                self.dispatch(&mut streams, &mut queue, &mut resolutions, ahead);
             }
-            if let Some(reason) = malformed(&pending.req) {
+            if let Some(reason) = malformed(req) {
                 self.resolve(
                     &mut resolutions,
-                    pending.id,
+                    *id,
                     Outcome::Rejected(ServeError::Malformed(reason)),
                 );
             } else if queue.len() >= self.cfg.queue_capacity {
+                if let Some(ahead) = ahead {
+                    ahead.release(slot);
+                }
                 self.resolve(
                     &mut resolutions,
-                    pending.id,
+                    *id,
                     Outcome::Rejected(ServeError::QueueFull {
                         capacity: self.cfg.queue_capacity,
                     }),
@@ -246,9 +291,12 @@ impl ServeEngine {
             } else {
                 queue.push_back(pending);
             }
+            if let Some(ahead) = ahead {
+                ahead.admitted(slot + 1);
+            }
         }
         while !queue.is_empty() {
-            self.dispatch(&mut streams, &mut queue, &mut resolutions);
+            self.dispatch(&mut streams, &mut queue, &mut resolutions, ahead);
         }
         self.metrics.makespan = streams.makespan();
         let (hits, misses) = self.cache.stats();
@@ -261,8 +309,8 @@ impl ServeEngine {
     }
 
     /// The time the head-of-queue batch would start its H2D copy.
-    fn earliest_start(&self, streams: &Streams, queue: &VecDeque<Pending>) -> f64 {
-        let head = &queue[0];
+    fn earliest_start(&self, streams: &Streams, queue: &VecDeque<Pending<'_>>) -> f64 {
+        let head = queue[0];
         let mut s = streams.clone();
         let lane = s.pick();
         s.h2d(lane, head.req.arrival, 0.0)
@@ -283,11 +331,12 @@ impl ServeEngine {
 
     /// Forms a batch from the queue head, runs it on the best stream, and
     /// resolves (or re-enqueues) its members.
-    fn dispatch(
+    fn dispatch<'r>(
         &mut self,
         streams: &mut Streams,
-        queue: &mut VecDeque<Pending>,
+        queue: &mut VecDeque<Pending<'r>>,
         resolutions: &mut [Option<Resolution>],
+        ahead: Option<&RunAhead<'r>>,
     ) {
         let head = queue.pop_front().expect("dispatch on non-empty queue");
         let mut batch = vec![head];
@@ -317,7 +366,10 @@ impl ServeEngine {
         let mut d2h_bytes = 0u64;
         let mut members = batch.into_iter();
         for pending in members.by_ref() {
-            let end = self.execute(&pending.req, now);
+            let end = self.execute(pending.req, now, ahead.map(|a| (a, pending.slot)));
+            if let Some(ahead) = ahead {
+                ahead.release(pending.slot);
+            }
             now = end.now;
             if let Outcome::Completed(_) = &end.outcome {
                 d2h_bytes += pending.req.d2h_bytes();
@@ -333,7 +385,7 @@ impl ServeEngine {
                 // Fault isolation: the faulty request alone owns its fate;
                 // untouched batchmates go back to the front of the queue
                 // (in order) to be re-batched.
-                let rest: Vec<Pending> = members.collect();
+                let rest: Vec<Pending<'r>> = members.collect();
                 self.events.push(ServeEvent::BatchPoisoned {
                     faulty: pending.id,
                     re_enqueued: rest.len(),
@@ -374,31 +426,39 @@ impl ServeEngine {
     /// Runs one request's resilience loop starting at modeled time `now`:
     /// engine chain with per-engine breakers, bounded retry with seeded
     /// backoff on transient faults, deadline checks before every attempt.
-    fn execute(&mut self, req: &ConvRequest, mut now: f64) -> MemberEnd {
+    /// With `ahead`, the first attempt on the resolved plan takes its
+    /// run-ahead result when chaos injects no fault into it.
+    fn execute(
+        &mut self,
+        req: &ConvRequest,
+        mut now: f64,
+        ahead: Option<(&RunAhead<'_>, usize)>,
+    ) -> MemberEnd {
         let mut faults: Vec<FaultRecord> = Vec::new();
         let mut chain: Vec<Box<dyn Convolution>> = Vec::new();
         // All dtypes resolve through the dtype/bank-width-aware plan
         // cache, so narrow requests get the variant matched to the
         // serving spec (e.g. half2 n=2 on a 4-byte-bank part) instead of
         // a hard-wired Kepler kernel.
-        let dtype = match req.dtype {
-            DType::F32 => DataType::F32,
-            DType::F16 => DataType::F16,
-            DType::I8 => DataType::I8,
-        };
-        match self.cache.plan_with_depth(
+        let plan = match self.cache.plan_with_depth(
             self.cfg.engine,
             &self.spec,
             &req.problem,
-            dtype,
+            req.dtype.data_type(),
             self.cfg.pipeline_depth,
         ) {
-            Ok(plan) => chain.push(plan.instantiate()),
-            Err(e) => faults.push(FaultRecord {
-                engine: format!("{:?} (resolution)", self.cfg.engine),
-                error: e,
-            }),
-        }
+            Ok(plan) => {
+                chain.push(plan.instantiate());
+                Some(plan)
+            }
+            Err(e) => {
+                faults.push(FaultRecord {
+                    engine: format!("{:?} (resolution)", self.cfg.engine),
+                    error: e,
+                });
+                None
+            }
+        };
         for fallback in [
             Engine::ImplicitGemm
                 .plan(&self.spec, &req.problem)
@@ -415,7 +475,7 @@ impl ServeEngine {
         let mut attempts = 0u32;
         let mut skips = 0u32;
         let mut last_error = None;
-        for conv in &chain {
+        for (position, conv) in chain.iter().enumerate() {
             let name = conv.name();
             let breaker = self
                 .breakers
@@ -451,16 +511,18 @@ impl ServeEngine {
                     Some(c) => (c.injection_for(index), c.spike_for(index)),
                     None => (None, 0.0),
                 };
-                let mut gpu = Gpu::new(self.spec.clone());
-                gpu.set_fault_injection(injection);
                 attempts += 1;
-                match conv.run(
-                    &mut gpu,
-                    &req.problem,
-                    &req.input,
-                    &req.filters,
-                    SimMode::Full,
-                ) {
+                let primary = match (ahead, plan) {
+                    (Some((ahead, slot)), Some(plan))
+                        if position == 0 && attempts == 1 && injection.is_none() =>
+                    {
+                        ahead.take(slot, plan)
+                    }
+                    _ => None,
+                };
+                let run =
+                    primary.unwrap_or_else(|| launch(&self.spec, conv.as_ref(), req, injection));
+                match run {
                     Ok(run) => {
                         now += run.report.seconds() + spike;
                         let breaker = self.breakers.get_mut(&name).expect("breaker exists");
@@ -544,8 +606,28 @@ impl ServeEngine {
     }
 }
 
+/// Runs `conv` for `req` on a fresh serial [`Gpu`] with `injection`
+/// armed. The serving engine's worker threads are its only host
+/// concurrency, so launches never thread their blocks.
+pub(crate) fn launch(
+    spec: &GpuSpec,
+    conv: &dyn Convolution,
+    req: &ConvRequest,
+    injection: Option<FaultInjection>,
+) -> Result<ConvRun, ConvError> {
+    let mut gpu = Gpu::new(spec.clone()).with_parallelism(Parallelism::Serial);
+    gpu.set_fault_injection(injection);
+    conv.run(
+        &mut gpu,
+        &req.problem,
+        &req.input,
+        &req.filters,
+        SimMode::Full,
+    )
+}
+
 /// Why a request cannot be admitted, when it cannot.
-fn malformed(req: &ConvRequest) -> Option<String> {
+pub(crate) fn malformed(req: &ConvRequest) -> Option<String> {
     if !req.problem.matches(&req.input, &req.filters) {
         return Some(format!(
             "data does not match {} (input {}x{}x{}, filters {}x{}x{}x{})",

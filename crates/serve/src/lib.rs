@@ -23,6 +23,11 @@
 //!   the engine stays deterministic under chaos, which is what the
 //!   `serve --check` harness exploits to prove clean requests are
 //!   bit-identical with chaos on and off.
+//! - **Host concurrency**: the loop above runs on one thread while the
+//!   requests' primary kernel launches run ahead on
+//!   [`ServeEngine::host_workers`] threads; the loop uses such a result
+//!   only for a first, fault-free attempt on the same plan, so every
+//!   resolution, metric and event is bit-identical to a serial run.
 //!
 //! Every submitted request reaches **exactly one** terminal state
 //! ([`Outcome`]): completed, rejected, deadline-exceeded or failed.
@@ -30,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod ahead;
 mod chaos;
 mod engine;
 mod policy;
@@ -45,7 +51,7 @@ pub use stream::{StreamModel, Streams};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kconv_sim::{FaultSchedule, GpuSpec};
+    use kconv_sim::{FaultSchedule, GpuSpec, Parallelism};
     use kconv_tensor::{random_filters, random_maps, ConvProblem};
 
     fn request(seed: u64) -> ConvRequest {
@@ -199,5 +205,47 @@ mod tests {
             )
         };
         assert_eq!(run(chaos.clone()), run(chaos));
+    }
+
+    #[test]
+    fn run_ahead_serves_bit_identically_to_serial() {
+        // A burst above the high-water mark whose first batch is poisoned
+        // by the chaos window, latency spikes, and narrow, malformed,
+        // expired and multi-channel requests behind it.
+        let chaos = ChaosConfig::new(3, FaultSchedule::new(3, 1_000_000, "").with_window(0, 2))
+            .with_spikes(300_000, 2e-4);
+        let serve = |parallelism: Parallelism| {
+            let cfg = ServeConfig {
+                queue_capacity: 6,
+                ..ServeConfig::default()
+            };
+            let mut engine = ServeEngine::new(GpuSpec::kepler_k40m(), cfg)
+                .with_parallelism(parallelism)
+                .with_chaos(chaos.clone());
+            assert_eq!(engine.host_workers(), parallelism.worker_threads());
+            let mut reqs: Vec<ConvRequest> = (0..8).map(request).collect();
+            reqs.push(request(20).with_dtype(DType::F16).at(1e-4));
+            let mut bad = request(21).at(2e-4);
+            bad.input = random_maps(1, 8, 8, 9);
+            reqs.push(bad);
+            reqs.push(request(22).at(3e-4).with_deadline(3e-4 + 1e-9));
+            let p = ConvProblem::general(12, 2, 4, 3);
+            reqs.push(
+                ConvRequest::new(p, random_maps(2, 12, 12, 23), random_filters(4, 2, 3, 24))
+                    .at(4e-4),
+            );
+            let res = engine.run(reqs);
+            // Debug prints every float in its shortest round-trip form,
+            // so equal text means equal bits.
+            format!("{res:?}\n{:?}\n{:?}", engine.metrics(), engine.events())
+        };
+        let serial = serve(Parallelism::Serial);
+        assert!(serial.contains("QueueFull") && serial.contains("BatchPoisoned"));
+        for n in [2, 4] {
+            assert!(
+                serve(Parallelism::Threads(n)) == serial,
+                "Threads({n}) served differently from Serial"
+            );
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Requests, terminal states and the typed serving errors.
 
-use kconv_core::{ConvError, FaultRecord};
+use kconv_core::{ConvError, DataType, FaultRecord};
 use kconv_tensor::{ConvProblem, FeatureMaps, FilterSet};
 
 /// Identifies a request within one [`ServeEngine::run`] call, assigned in
@@ -40,6 +40,15 @@ impl DType {
             DType::F32 => 4,
             DType::F16 => 2,
             DType::I8 => 1,
+        }
+    }
+
+    /// The kernel data type this precision plans for.
+    pub(crate) fn data_type(self) -> DataType {
+        match self {
+            DType::F32 => DataType::F32,
+            DType::F16 => DataType::F16,
+            DType::I8 => DataType::I8,
         }
     }
 }

@@ -10,11 +10,15 @@
 //! 3. The retryable-vs-terminal partition of `ConvError` is exhaustive
 //!    and matches the documented policy (transient device faults retry,
 //!    shape/config rejections fall through, host errors abort).
+//! 4. Run-ahead differential: serving on 2 or 4 host workers gives the
+//!    serial run's resolutions, metrics and events bit for bit, on mixed,
+//!    chaotic, shedding and malformed/expiring streams.
 
 use kconv::core::{ConvError, RetryClass};
 use kconv::prelude::Engine;
 use kconv::serve::{
-    ChaosConfig, ConvRequest, DType, Outcome, ServeConfig, ServeEngine, ServeError, ServeEvent,
+    BreakerConfig, ChaosConfig, ConvRequest, DType, Outcome, Resolution, ServeConfig, ServeEngine,
+    ServeError, ServeEvent, ServeMetrics,
 };
 use kconv::sim::SimError;
 use kconv::sim::{
@@ -235,4 +239,194 @@ fn retry_classification_partitions_every_error() {
     // Both sides of the partition are inhabited.
     assert!(cases.iter().any(|(_, c)| c.recoverable()));
     assert!(cases.iter().any(|(_, c)| !c.recoverable()));
+}
+
+/// What one `ServeEngine::run` returned and recorded.
+struct Served {
+    res: Vec<Resolution>,
+    metrics: ServeMetrics,
+    events: Vec<ServeEvent>,
+}
+
+fn serve_on(
+    parallelism: Parallelism,
+    cfg: &ServeConfig,
+    chaos: Option<&ChaosConfig>,
+    reqs: Vec<ConvRequest>,
+) -> Served {
+    let mut engine =
+        ServeEngine::new(GpuSpec::kepler_k40m(), cfg.clone()).with_parallelism(parallelism);
+    if let Some(c) = chaos {
+        engine = engine.with_chaos(c.clone());
+    }
+    let res = engine.run(reqs);
+    Served {
+        res,
+        metrics: *engine.metrics(),
+        events: engine.events().to_vec(),
+    }
+}
+
+/// Serves `workload` serially and on 2 and 4 host workers, asserts the
+/// three runs are bit-identical, and returns the serial one.
+fn assert_run_ahead_matches_serial(
+    stream: &str,
+    cfg: ServeConfig,
+    chaos: Option<ChaosConfig>,
+    workload: impl Fn() -> Vec<ConvRequest>,
+) -> Served {
+    let serial = serve_on(Parallelism::Serial, &cfg, chaos.as_ref(), workload());
+    for n in [2, 4] {
+        let ahead = serve_on(Parallelism::Threads(n), &cfg, chaos.as_ref(), workload());
+        let at = format!("{stream}, Threads({n})");
+        assert_eq!(ahead.res.len(), serial.res.len(), "{at}");
+        for (a, s) in ahead.res.iter().zip(&serial.res) {
+            assert_eq!(a.id, s.id, "{at}");
+            match (&a.outcome, &s.outcome) {
+                (Outcome::Completed(a), Outcome::Completed(s)) => {
+                    let bits = |c: &kconv::serve::Completion| {
+                        c.output
+                            .as_slice()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    assert!(bits(a) == bits(s), "{at}: output bits differ");
+                    assert_eq!(a.engine, s.engine, "{at}");
+                    assert_eq!(a.finish.to_bits(), s.finish.to_bits(), "{at}");
+                    assert_eq!(a.latency.to_bits(), s.latency.to_bits(), "{at}");
+                    assert_eq!(a.retries, s.retries, "{at}");
+                    assert_eq!(a.breaker_skips, s.breaker_skips, "{at}");
+                    assert_eq!(format!("{:?}", a.faults), format!("{:?}", s.faults), "{at}");
+                }
+                // Every float in a typed error prints in its shortest
+                // round-trip form, so equal text means equal bits.
+                (a, s) => assert_eq!(format!("{a:?}"), format!("{s:?}"), "{at}"),
+            }
+        }
+        assert_eq!(
+            format!("{:?}", ahead.metrics),
+            format!("{:?}", serial.metrics),
+            "{at}"
+        );
+        assert_eq!(ahead.events, serial.events, "{at}");
+    }
+    serial
+}
+
+fn depthwise(c: usize, hw: usize, salt: u64) -> ConvRequest {
+    let p = ConvProblem::new(c, hw, hw, c, 3).depthwise();
+    ConvRequest::new(
+        p,
+        random_maps(c, hw, hw, 500 + salt),
+        random_filters(c, 1, 3, 600 + salt),
+    )
+}
+
+#[test]
+fn run_ahead_matches_serial_on_a_mixed_stream() {
+    let special = ConvProblem::special(24, 4, 3);
+    let general = ConvProblem::general(20, 2, 8, 3);
+    let served = assert_run_ahead_matches_serial("mixed", ServeConfig::default(), None, || {
+        vec![
+            request(special, 1).at(0.0),
+            request(general, 2).at(0.0),
+            request(general, 3).at(0.0),
+            request(special, 4).with_dtype(DType::F16).at(1e-5),
+            request(special, 5).with_dtype(DType::I8).at(1e-5),
+            request(ConvProblem::general(21, 2, 8, 3).with_stride(2), 6).at(2e-5),
+            request(ConvProblem::general(22, 3, 4, 3).with_dilation(2), 7).at(3e-5),
+            depthwise(4, 16, 8).at(4e-5),
+            request(general, 9).at(4e-5),
+            request(special, 10).at(2e-3),
+        ]
+    });
+    assert_eq!(served.metrics.completed, 10);
+    assert!(served.metrics.plan_hits > 0, "{:?}", served.metrics);
+}
+
+#[test]
+fn run_ahead_matches_serial_under_chaos() {
+    // The first three launches fault: the same-instant trio is poisoned,
+    // the special kernel's breaker trips, and the probe at 8 ms closes it.
+    let special = ConvProblem::special(24, 4, 3);
+    let cfg = ServeConfig {
+        breaker: BreakerConfig {
+            trip_after: 3,
+            cooldown_s: 1e-3,
+        },
+        ..ServeConfig::default()
+    };
+    let chaos = ChaosConfig::new(77, FaultSchedule::new(77, 1_000_000, "").with_window(0, 3))
+        .with_spikes(200_000, 3e-4);
+    let served = assert_run_ahead_matches_serial("chaos", cfg, Some(chaos), || {
+        let mut reqs: Vec<ConvRequest> = (0..3).map(|s| request(special, 20 + s)).collect();
+        for (i, p) in [
+            ConvProblem::general(20, 2, 8, 3),
+            ConvProblem::general(18, 2, 4, 5),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            reqs.push(request(p, 30 + i as u64).at(1e-4 * (i + 1) as f64));
+        }
+        reqs.push(request(special, 40).at(8e-3));
+        reqs
+    });
+    let m = served.metrics;
+    assert!(m.breaker_trips >= 1 && m.breaker_recoveries >= 1, "{m:?}");
+    assert!(m.retries >= 2 && m.re_enqueued >= 2, "{m:?}");
+    assert!(served
+        .events
+        .iter()
+        .any(|e| matches!(e, ServeEvent::BatchPoisoned { .. })));
+}
+
+#[test]
+fn run_ahead_matches_serial_on_a_shed_burst() {
+    let cfg = ServeConfig {
+        queue_capacity: 3,
+        ..ServeConfig::default()
+    };
+    let served = assert_run_ahead_matches_serial("burst", cfg, None, || {
+        [
+            ConvProblem::special(20, 2, 3),
+            ConvProblem::general(16, 2, 4, 3),
+        ]
+        .into_iter()
+        .cycle()
+        .take(9)
+        .enumerate()
+        .map(|(i, p)| request(p, 50 + i as u64))
+        .collect()
+    });
+    assert_eq!(served.metrics.rejected, 6, "{:?}", served.metrics);
+    assert_eq!(served.metrics.completed, 3);
+}
+
+#[test]
+fn run_ahead_matches_serial_on_malformed_and_expired_requests() {
+    let special = ConvProblem::special(24, 4, 3);
+    let general = ConvProblem::general(20, 2, 8, 3);
+    let served = assert_run_ahead_matches_serial("malformed", ServeConfig::default(), None, || {
+        let mut bad = request(special, 60);
+        bad.input = random_maps(2, 24, 24, 61);
+        vec![
+            request(general, 62),
+            request(ConvProblem::general(18, 2, 4, 5), 63),
+            bad,
+            request(general, 64).with_dtype(DType::F16),
+            // Lands in time but waits behind the first two kernels.
+            request(ConvProblem::general(16, 2, 4, 3), 65).with_deadline(2e-6),
+            // Cannot even finish its upload.
+            request(special, 66).at(1e-4).with_deadline(1e-4 + 1e-9),
+        ]
+    });
+    let malformed = served
+        .res
+        .iter()
+        .filter(|r| matches!(r.outcome, Outcome::Rejected(ServeError::Malformed(_))))
+        .count();
+    assert_eq!(malformed, 2);
+    assert_eq!(served.metrics.deadline_exceeded, 2, "{:?}", served.metrics);
 }
