@@ -23,7 +23,7 @@
 fn main() {
     kconv_bench::reject_unknown_args("farm", &[("--check", false)]);
     let check = std::env::args().any(|a| a == "--check");
-    let c = kconv_bench::farm::run(1);
+    let c = kconv_bench::farm::run();
     if check && c.failures > 0 {
         std::process::exit(1);
     }

@@ -47,7 +47,7 @@
 //! unknown presets, unreadable paths and malformed traces exit nonzero
 //! with a one-line `error:` diagnostic rather than a panic.
 
-use kconv_bench::fig8;
+use kconv_bench::{fig8, sm_pattern_trace, Checker};
 use kconv_core::model::{
     gemm_gm_load_bytes, general_gm_load_bytes, general_sm_reduction, general_vs_gemm_gm_ratio,
     special_gm_load_bytes, special_gm_store_bytes, special_halo_factor,
@@ -57,8 +57,7 @@ use kconv_core::{
 };
 use kconv_replay::{replay, TargetSpec};
 use kconv_sim::{
-    Gpu, GpuSpec, KernelStats, LaneMask, OverlapMode, Parallelism, SanitizerMode, SimMode,
-    TraceEvent, TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
+    Gpu, GpuSpec, KernelStats, Parallelism, SanitizerMode, SimMode, TraceOp, WARP_SIZE,
 };
 use kconv_systolic::{barrier_halving, PipelineConfig, SystolicConv};
 use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
@@ -74,33 +73,6 @@ struct NamedTrace {
 
 fn round_up(v: usize, to: usize) -> usize {
     v.div_ceil(to) * to
-}
-
-/// Running PASS/FAIL tally; every check prints one line.
-#[derive(Default)]
-struct Checker {
-    checks: usize,
-    failures: usize,
-}
-
-impl Checker {
-    fn check(&mut self, name: &str, ok: bool, detail: &str) {
-        self.checks += 1;
-        if ok {
-            println!("  PASS {name}: {detail}");
-        } else {
-            self.failures += 1;
-            println!("  FAIL {name}: {detail}");
-        }
-    }
-
-    fn eq_u64(&mut self, name: &str, measured: u64, expected: u64) {
-        self.check(
-            name,
-            measured == expected,
-            &format!("measured {measured}, expected {expected}"),
-        );
-    }
 }
 
 /// Runs `conv` with a trace writer attached; returns the final stats and
@@ -558,45 +530,6 @@ fn check_replay(c: &mut Checker, traces: &[NamedTrace]) {
     }
 }
 
-/// Builds a synthetic one-block trace of full-mask shared-memory loads
-/// with the given per-lane width and byte stride — the paper's Fig. 1
-/// access patterns distilled to their addresses.
-fn sm_pattern_trace(name: &str, lane_bytes: u32, stride: u64, events: usize) -> Vec<u8> {
-    let spec = GpuSpec::kepler_k40m();
-    let buf = SharedBuffer::new();
-    let mut w = TraceWriter::new(buf.clone());
-    w.launch_begin(&TraceLaunch {
-        kernel: name,
-        grid_blocks: 1,
-        executed_blocks: 1,
-        threads_per_block: 256,
-        smem_bytes: 4096,
-        regs_per_thread: 32,
-        overlap: OverlapMode::Prefetch,
-        spec: &spec,
-    });
-    let evs: Vec<TraceEvent> = (0..events)
-        .map(|_| {
-            let mut addrs = [0u64; WARP_SIZE];
-            for (lane, a) in addrs.iter_mut().enumerate() {
-                *a = lane as u64 * stride;
-            }
-            TraceEvent {
-                op: TraceOp::SmLd,
-                warp: 0,
-                mask: LaneMask::ALL,
-                lane_bytes,
-                transactions: 0,
-                cycles: 1,
-                addrs,
-            }
-        })
-        .collect();
-    w.block_events(0, &evs);
-    w.launch_end(&KernelStats::default());
-    buf.take()
-}
-
 /// Eq. 1 on synthetic Fig. 1 patterns: unvectorized `float` loads waste
 /// exactly the mismatch factor on 8-byte banks and nothing on 4-byte
 /// banks; the `float2` pattern is matched on both, at 2x the cycles on
@@ -741,16 +674,7 @@ fn main() {
         print_replayed(spec, &traces);
     }
 
-    println!(
-        "\n{}/{} checks passed{}",
-        c.checks - c.failures,
-        c.checks,
-        if c.failures > 0 {
-            " — FAILURES ABOVE"
-        } else {
-            ""
-        }
-    );
+    c.summary();
     if check && c.failures > 0 {
         std::process::exit(1);
     }

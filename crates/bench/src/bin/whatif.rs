@@ -36,13 +36,10 @@
 //!
 //! Writes `BENCH_whatif.json` to the workspace root either way.
 
-use kconv_bench::{fig8, Checker};
+use kconv_bench::{fig8, sm_pattern_trace, Checker};
 use kconv_core::{Convolution, DataType, KernelShape};
 use kconv_replay::{replay_decoded, sweep, ReplayReport, TargetSpec};
-use kconv_sim::{
-    Gpu, GpuSpec, KernelStats, LaneMask, LaunchReport, OverlapMode, Parallelism, SanitizerMode,
-    SimMode, TraceEvent, TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
-};
+use kconv_sim::{Gpu, GpuSpec, LaunchReport, Parallelism, SanitizerMode, SimMode};
 use kconv_trace::{SharedBuffer, Trace, TraceWriter};
 
 /// Expected replayed SM cycles (ld + st) of the Fig. 8 trace per sweep
@@ -79,45 +76,6 @@ fn captured_fig8(parallelism: Parallelism) -> (LaunchReport, Vec<u8>) {
         .expect("fig8 workload runs");
     gpu.set_trace_sink(None);
     (run.report, buf.take())
-}
-
-/// Builds a synthetic one-block trace of full-mask shared-memory loads
-/// with the given per-lane width and byte stride — the paper's Fig. 1
-/// access patterns distilled to their addresses.
-fn sm_pattern_trace(name: &str, lane_bytes: u32, stride: u64, events: usize) -> Vec<u8> {
-    let spec = GpuSpec::kepler_k40m();
-    let buf = SharedBuffer::new();
-    let mut w = TraceWriter::new(buf.clone());
-    w.launch_begin(&TraceLaunch {
-        kernel: name,
-        grid_blocks: 1,
-        executed_blocks: 1,
-        threads_per_block: 256,
-        smem_bytes: 4096,
-        regs_per_thread: 32,
-        overlap: OverlapMode::Prefetch,
-        spec: &spec,
-    });
-    let evs: Vec<TraceEvent> = (0..events)
-        .map(|_| {
-            let mut addrs = [0u64; WARP_SIZE];
-            for (lane, a) in addrs.iter_mut().enumerate() {
-                *a = lane as u64 * stride;
-            }
-            TraceEvent {
-                op: TraceOp::SmLd,
-                warp: 0,
-                mask: LaneMask::ALL,
-                lane_bytes,
-                transactions: 0,
-                cycles: 1,
-                addrs,
-            }
-        })
-        .collect();
-    w.block_events(0, &evs);
-    w.launch_end(&KernelStats::default());
-    buf.take()
 }
 
 /// One sweep row rendered for the report and the JSON file.

@@ -10,9 +10,8 @@
 //! what-if analysis at corpus scale: `BENCH_farm.json` is a small Pareto
 //! surface of architectures over the paper's kernels.
 //!
-//! [`run`] is the single code path behind both the `farm` binary
-//! (`--check` gating, one timing iteration) and the `farm` bench target
-//! (more iterations for stabler wall-clock numbers). It self-checks:
+//! [`run`] is the code path behind the `farm` binary (`--check`
+//! gating, each timed phase best of three). It self-checks:
 //!
 //! * replaying each capture under its own spec reproduces the live
 //!   launch's `KernelStats` and timing bit for bit;
@@ -295,13 +294,14 @@ fn sweeps_identical(a: &[SweepCell], b: &[SweepCell]) -> bool {
         })
 }
 
+/// How many times [`run`] repeats each timed phase (best-of).
+const ITERS: usize = 3;
+
 /// Captures the corpus, sweeps it over [`spec_grid`], runs every
-/// self-check, and writes `BENCH_farm.json` to the workspace root.
-/// `iters` controls how many times the timed phases repeat (best-of);
-/// the binary passes 1, the bench target more. Returns the tally for the
-/// caller's `--check` gate.
-pub fn run(iters: usize) -> Checker {
-    assert!(iters >= 1, "at least one timing iteration");
+/// self-check, and writes `BENCH_farm.json` to the workspace root, each
+/// timed phase best of `ITERS`. Returns the tally for the caller's
+/// `--check` gate.
+pub fn run() -> Checker {
     let mut c = Checker::default();
 
     // --- Capture: one live run per corpus entry, trace attached ---
@@ -353,13 +353,13 @@ pub fn run(iters: usize) -> Checker {
     let mut serial_s = f64::INFINITY;
     let mut threaded_s = f64::INFINITY;
     let mut cells = Vec::new();
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let t0 = Instant::now();
         cells = sweep(&traces, &specs, Parallelism::Serial);
         serial_s = serial_s.min(t0.elapsed().as_secs_f64());
     }
     let mut threaded = Vec::new();
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let t0 = Instant::now();
         threaded = sweep(&traces, &specs, Parallelism::Threads(threads));
         threaded_s = threaded_s.min(t0.elapsed().as_secs_f64());
@@ -368,7 +368,7 @@ pub fn run(iters: usize) -> Checker {
     // the sweep's (trace, spec, launch) order.
     let mut per_spec_s = f64::INFINITY;
     let mut per_spec = Vec::new();
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let t0 = Instant::now();
         per_spec = traces
             .iter()
@@ -436,7 +436,7 @@ pub fn run(iters: usize) -> Checker {
     let mut decoded_s = f64::INFINITY;
     let mut byte_reports = Vec::new();
     let mut decoded_reports = Vec::new();
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let t0 = Instant::now();
         byte_reports = captures
             .iter()
@@ -466,7 +466,7 @@ pub fn run(iters: usize) -> Checker {
     }
     let speedup = byte_s / decoded_s;
     println!(
-        "\n[decode-once] {} replays across the grid, best of {iters}",
+        "\n[decode-once] {} replays across the grid, best of {ITERS}",
         byte_reports.len()
     );
     println!(
@@ -499,7 +499,7 @@ pub fn run(iters: usize) -> Checker {
     for backend in lanes::Backend::available() {
         lanes::force(backend);
         let mut lane_s = f64::INFINITY;
-        for _ in 0..iters {
+        for _ in 0..ITERS {
             let t0 = Instant::now();
             let lane_cells = sweep(&traces, &specs, Parallelism::Serial);
             lane_s = lane_s.min(t0.elapsed().as_secs_f64());
@@ -539,7 +539,7 @@ pub fn run(iters: usize) -> Checker {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"per_spec_serial_seconds\": {per_spec_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"per_spec_serial_seconds\": {per_spec_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {ITERS},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         specs.len(),
         sweeps_identical(&cells, &threaded),
         lane_auto.name(),

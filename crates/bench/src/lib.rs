@@ -1,19 +1,35 @@
 //! # kconv-bench — experiment harnesses for the DAC'17 reproduction
 //!
-//! One binary per paper artifact (see `DESIGN.md` for the index):
+//! One binary per harness (see `DESIGN.md` for the index):
 //!
-//! | Binary | Artifact |
-//! |--------|----------|
+//! | Binary | Harness |
+//! |--------|---------|
+//! | `fig1_patterns` | Fig. 1 — the shared-memory access-pattern model, numerically |
 //! | `fig2_gemm` | Fig. 2 — SGEMM: cuBLAS-like vs MAGMA vs MAGMA-mod |
 //! | `fig7_special` | Fig. 7 — special-case convolution vs cuDNN-like |
+//! | `special_tune` | §5.1 — special-case tile search ("W = 256, H = 8 is best") |
 //! | `table1_tune` | Table 1 — general-case design-space exploration |
 //! | `fig8_general` | Fig. 8 — general-case convolution vs cuDNN-like |
-//! | `ablation_dtype` | Section 6 — short-data-type bank mismatch |
+//! | `bench_smoke` | CI drift check of the Fig. 8 3×3 layer against `GOLDEN_fig8.json` |
+//! | `ablation_unmatched` | Fig. 7b inset — the cost of ignoring the bank-width model |
+//! | `ablation_contiguous` | §4.2 — contiguous outputs vs the blocked-GEMM layout |
+//! | `ablation_dtype` | §6 — short-data-type bank mismatch |
 //! | `ablation_overlap` | prefetch/overlap contribution |
+//! | `ablation_arch` | Kepler vs Fermi vs Maxwell-like mismatch penalty |
+//! | `winograd_compare` | related work — direct vs Winograd for 3×3 |
+//! | `trace_report` | traced traffic vs the analytical model, plus the replay gate |
+//! | `whatif` | one capture re-priced under every preset (eq. 1 both ways) |
+//! | `farm` | the replay farm: corpus × spec-grid sweep, `BENCH_farm.json` |
+//! | `arch` | the architecture-adaptive generator's gates, `BENCH_arch.json` |
+//! | `systolic` | the double-buffered pipeline's gates, `BENCH_systolic.json` |
+//! | `serve` | the serving chaos harness, `BENCH_serve.json` |
+//! | `debug_timing` | developer utility: per-engine timing breakdown |
 //!
 //! This library holds the small shared pieces: table rendering,
 //! geometric-mean helpers, the PASS/FAIL [`Checker`] driving the
-//! `--check` harnesses, and the replay-farm corpus ([`farm`]).
+//! `--check` harnesses, the synthetic Fig. 1 pattern traces
+//! ([`sm_pattern_trace`]), and the harness bodies ([`farm`], [`arch`],
+//! [`systolic`], [`serve`], [`fig8`]).
 
 #![warn(missing_docs)]
 
@@ -22,6 +38,11 @@ pub mod farm;
 pub mod fig8;
 pub mod serve;
 pub mod systolic;
+
+use kconv_sim::{
+    GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
+};
+use kconv_trace::{SharedBuffer, TraceWriter};
 
 /// Prints one `error:` line to stderr and exits with status 2 — the
 /// harness binaries' uniform answer to bad invocations and unusable
@@ -63,9 +84,9 @@ pub fn reject_unknown_args(bin: &str, allowed: &[(&str, bool)]) {
     }
 }
 
-/// Running PASS/FAIL tally for the self-checking harnesses (`whatif`,
-/// `farm`): every check prints one line, and `--check` runs exit non-zero
-/// when any failed.
+/// Running PASS/FAIL tally for the self-checking harnesses
+/// (`trace_report`, `whatif`, `farm`, ...): every check prints one line,
+/// and `--check` runs exit non-zero when any failed.
 #[derive(Debug, Default)]
 pub struct Checker {
     /// Checks recorded so far.
@@ -117,6 +138,37 @@ impl Checker {
             }
         );
     }
+}
+
+/// Builds a synthetic one-block KTRC trace of `events` full-mask
+/// shared-memory loads with the given per-lane width and byte stride —
+/// the paper's Fig. 1 access patterns distilled to their addresses.
+pub fn sm_pattern_trace(name: &str, lane_bytes: u32, stride: u64, events: usize) -> Vec<u8> {
+    let spec = GpuSpec::kepler_k40m();
+    let buf = SharedBuffer::new();
+    let mut w = TraceWriter::new(buf.clone());
+    w.launch_begin(&TraceLaunch {
+        kernel: name,
+        grid_blocks: 1,
+        executed_blocks: 1,
+        threads_per_block: 256,
+        smem_bytes: 4096,
+        regs_per_thread: 32,
+        overlap: OverlapMode::Prefetch,
+        spec: &spec,
+    });
+    let event = TraceEvent {
+        op: TraceOp::SmLd,
+        warp: 0,
+        mask: LaneMask::ALL,
+        lane_bytes,
+        transactions: 0,
+        cycles: 1,
+        addrs: std::array::from_fn(|lane| lane as u64 * stride),
+    };
+    w.block_events(0, &vec![event; events]);
+    w.launch_end(&KernelStats::default());
+    buf.take()
 }
 
 /// Renders a row of fixed-width columns.

@@ -41,11 +41,10 @@
 //!   live launcher uses.
 //!
 //! The crate is a **batch facility**, fast in both loops. Inner loop:
-//! [`Trace::decode`] parses the byte stream once into flat slabs, and
-//! [`replay_decoded`] / [`replay_launch`] re-price the in-memory form —
-//! an N-spec sweep pays the varint decoder exactly once ([`replay`] is
-//! the decode-once wrapper; [`replay_streamed`] keeps the single-pass
-//! byte path for one-shot replay of huge traces). Outer loop: the
+//! [`Trace::decode`], the one KTRC reader, parses the byte stream once
+//! into flat slabs, and [`replay_decoded`] / [`replay_launch`] re-price
+//! the in-memory form — an N-spec sweep pays the varint decoder exactly
+//! once ([`replay`] is the decode-then-price wrapper). Outer loop: the
 //! [`farm`] module fans the pure trace×spec cells of a sweep over a
 //! scoped thread pool with deterministic, thread-count-invariant output.
 //!
@@ -62,7 +61,7 @@
 //! | `SmLd`/`SmSt` | `(smem_banks, bank_width)` |
 //! | `CmLd` | `cm_line_bytes`, with a launch-scoped line set per key |
 //!
-//! Events reach the pricing core with their trace form: an affine event
+//! Events reach the pricing core in their decoded form: an affine event
 //! (KTRC v5, `first + k·step` over the active lanes) is expanded to lane
 //! addresses only where a price needs them. The warp-uniform constant
 //! load (`CmLd` with step 0, the dominant event of the paper's kernels)
@@ -108,12 +107,9 @@ use kconv_sim::pricing::{
     bank_conflict_cycles, for_each_unit, ro_capacity_lines, segment_count, RoCache,
 };
 use kconv_sim::{
-    timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceEvent, TraceOp,
-    WarpAddrs,
+    timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceOp, WarpAddrs,
 };
-use kconv_trace::{
-    affine_addrs, affine_lanes, read_trace, EventHead, LaunchEnd, LaunchHeader, TraceVisitor,
-};
+use kconv_trace::{LaunchEnd, LaunchHeader};
 
 pub use farm::{sweep, sweep_cells, SweepCell};
 pub use kconv_trace::{DecodedLaunch, Trace, TraceError};
@@ -308,12 +304,11 @@ fn key_of<P>(parts: &mut Vec<P>, is_key: impl Fn(&P) -> bool, make: impl FnOnce(
     })
 }
 
-/// The shared pricing core: one launch being re-priced under a set of
-/// target specs, fed either by the streaming byte visitor
-/// ([`replay_streamed`]) or by the decoded slab walker ([`replay_launch`],
-/// [`sweep`]). Every path goes through the same three methods, which is
-/// what makes the decoded ≡ streamed ≡ swept differentials hold by
-/// construction.
+/// The one pricing core: one launch being re-priced under a set of
+/// target specs, fed by the decoded slab walker ([`price_launch`]) that
+/// both [`replay_launch`] and [`sweep`] run. Every path goes through the
+/// same three methods, which is what makes the one-spec ≡ swept
+/// differential hold by construction.
 ///
 /// Each event is priced once per distinct *pricing key* (the crate docs'
 /// table), not once per spec. Request counts, lane counts, useful bytes
@@ -426,7 +421,8 @@ impl LaunchAccum {
     /// Re-prices one event under every key, charging each part exactly
     /// the way the live memory models charge their counters (`GmPlane`,
     /// `SharedMemory`, `CmPlane` in `kconv-sim`). `affine` is the event's
-    /// [`affine_lanes`] form, which `addrs` expands.
+    /// [`EventHead::affine`](kconv_trace::EventHead::affine) form, which
+    /// `addrs` expands.
     fn event(
         &mut self,
         op: TraceOp,
@@ -664,54 +660,6 @@ fn resolve_spec(header: &LaunchHeader, target: &TargetSpec) -> GpuSpec {
     }
 }
 
-/// The streaming replay engine: a [`TraceVisitor`] feeding [`LaunchAccum`].
-struct Engine<'t> {
-    target: &'t TargetSpec,
-    done: Vec<ReplayReport>,
-    open: Option<LaunchAccum>,
-}
-
-impl TraceVisitor for Engine<'_> {
-    fn launch_begin(&mut self, header: &LaunchHeader) {
-        let spec = resolve_spec(header, self.target);
-        self.open = Some(LaunchAccum::begin(header.clone(), vec![spec]));
-    }
-
-    fn block_begin(&mut self, _block_id: u64, _event_count: u64) {
-        if let Some(open) = self.open.as_mut() {
-            open.block_begin();
-        }
-    }
-
-    fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-        if let Some(open) = self.open.as_mut() {
-            // Classified exactly as `Trace::decode` stores it, so both
-            // paths reach the same pricing branch.
-            let affine = affine_lanes(ev.mask, &ev.addrs);
-            open.event(ev.op, ev.mask, ev.lane_bytes, affine, &ev.addrs);
-        }
-    }
-
-    fn affine_event(&mut self, _block_id: u64, head: &EventHead, first: u64, step: u64) {
-        if let Some(open) = self.open.as_mut() {
-            let addrs = affine_addrs(head.mask, first, step);
-            open.event(
-                head.op,
-                head.mask,
-                head.lane_bytes,
-                Some((first, step)),
-                &addrs,
-            );
-        }
-    }
-
-    fn launch_end(&mut self, end: &LaunchEnd) {
-        if let Some(open) = self.open.take() {
-            self.done.extend(open.finish(end));
-        }
-    }
-}
-
 /// Re-prices every launch in a binary KTRC trace under `target`, decoding
 /// the byte stream **once** into a [`Trace`] and replaying the in-memory
 /// form. Re-pricing the same capture under many specs should decode once
@@ -723,28 +671,6 @@ impl TraceVisitor for Engine<'_> {
 pub fn replay(bytes: &[u8], target: &TargetSpec) -> Result<Vec<ReplayReport>, ReplayError> {
     let trace = Trace::decode(bytes)?;
     replay_decoded(&trace, target)
-}
-
-/// Re-prices every launch without materializing the trace: a single
-/// streaming pass over the byte stream. Same results as [`replay`], bit
-/// for bit (both drive the same [`LaunchAccum`] core — the differential
-/// tests pin it); use this for one-shot replay of very large traces where
-/// the decoded slabs are not worth holding.
-///
-/// # Errors
-///
-/// As [`replay`].
-pub fn replay_streamed(
-    bytes: &[u8],
-    target: &TargetSpec,
-) -> Result<Vec<ReplayReport>, ReplayError> {
-    let mut engine = Engine {
-        target,
-        done: Vec::new(),
-        open: None,
-    };
-    read_trace(bytes, &mut engine)?;
-    Ok(engine.done)
 }
 
 /// Re-prices every launch of an already-decoded [`Trace`] under `target`.
@@ -800,9 +726,9 @@ mod tests {
     use super::*;
     use kconv_sim::{
         lane_addrs, lane_addrs_uniform, Gpu, KernelStats, LaneMask, LaunchConfig, LaunchReport,
-        OverlapMode, Parallelism, SimMode, TraceLaunch, TraceSink, WARP_SIZE,
+        OverlapMode, Parallelism, SimMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
     };
-    use kconv_trace::{SharedBuffer, TraceWriter};
+    use kconv_trace::{affine_addrs, affine_lanes, SharedBuffer, TraceWriter};
 
     /// A kernel exercising every traced op: plain/read-only/store global
     /// traffic, matched and mismatched shared-memory patterns, divergent
@@ -872,15 +798,14 @@ mod tests {
             for op in TraceOp::ALL {
                 assert!(r.op(op).events > 0, "no {op} events replayed");
             }
-            // Three-way differential: the streamed byte path and the
-            // decoded slab path drive the same accumulator and must agree
-            // with each other — and, under the capture spec, with the
-            // live counters — bit for bit.
-            let streamed = replay_streamed(&bytes, &TargetSpec::Capture).unwrap();
-            assert_eq!(streamed, reports, "{parallelism:?}");
-            let decoded =
-                replay_decoded(&Trace::decode(&bytes).unwrap(), &TargetSpec::Capture).unwrap();
+            // Three-way differential: a trace decoded once and priced
+            // launch by launch agrees with the byte-stream `replay` and,
+            // under the capture spec, with the live counters, bit for bit.
+            let trace = Trace::decode(&bytes).unwrap();
+            let decoded = replay_decoded(&trace, &TargetSpec::Capture).unwrap();
             assert_eq!(decoded, reports, "{parallelism:?}");
+            let launch = replay_launch(&trace.launches()[0], &TargetSpec::Capture).unwrap();
+            assert_eq!(launch, reports[0], "{parallelism:?}");
         }
     }
 
@@ -897,29 +822,43 @@ mod tests {
         }
     }
 
-    /// Decoded-vs-byte differential on seeded random streams: for
+    /// Writer-vs-decoder differential on seeded random streams: for
     /// arbitrary (not just kernel-shaped) event soup of affine and
-    /// explicit events, under every preset and a non-power-of-two
-    /// constant line, both replay paths must produce identical reports.
+    /// explicit events, under the capture spec, every preset and a
+    /// non-power-of-two constant line, replaying the decoded bytes must
+    /// equal pricing the events the writer was given, and `replay` must
+    /// equal `replay_decoded`.
     #[test]
-    fn decoded_and_streamed_replay_agree_on_random_streams() {
+    fn decoded_replay_equals_pricing_the_written_events() {
         for seed in 0..6u64 {
             let mut rng = Rng(0xFA21_0000 + seed);
             let spec = GpuSpec::kepler_k40m();
             let buf = SharedBuffer::new();
             let mut w = TraceWriter::new(buf.clone());
+            let mut written = Vec::new();
             for li in 0..1 + (seed % 3) {
                 let blocks = 1 + rng.next() % 5;
+                let header = LaunchHeader {
+                    kernel: format!("rand-{seed}-{li}"),
+                    grid_blocks: blocks,
+                    executed_blocks: blocks,
+                    threads_per_block: 32 * (1 + rng.next() % 8),
+                    smem_bytes: rng.next() % 40_000,
+                    regs_per_thread: 16 + rng.next() % 48,
+                    overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+                    spec: spec.clone(),
+                };
                 w.launch_begin(&TraceLaunch {
-                    kernel: &format!("rand-{seed}-{li}"),
+                    kernel: &header.kernel,
                     grid_blocks: blocks as usize,
                     executed_blocks: blocks as usize,
-                    threads_per_block: 32 * (1 + (rng.next() % 8) as usize),
-                    smem_bytes: (rng.next() % 40_000) as u32,
-                    regs_per_thread: 16 + (rng.next() % 48) as u32,
-                    overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+                    threads_per_block: header.threads_per_block as usize,
+                    smem_bytes: header.smem_bytes as u32,
+                    regs_per_thread: header.regs_per_thread as u32,
+                    overlap: header.overlap,
                     spec: &spec,
                 });
+                let mut launch_events = Vec::new();
                 for block_id in 0..blocks {
                     let events: Vec<TraceEvent> = (0..rng.next() % 24)
                         .map(|_| {
@@ -962,14 +901,22 @@ mod tests {
                         })
                         .collect();
                     w.block_events(block_id as usize, &events);
+                    launch_events.push(events);
                 }
-                w.launch_end(&KernelStats {
+                let stats = KernelStats {
                     fma_lane_ops: rng.next() % (1 << 40),
                     alu_lane_ops: rng.next() % (1 << 40),
                     barriers: rng.next() % 100,
                     blocks_total: blocks,
                     ..Default::default()
-                });
+                };
+                w.launch_end(&stats);
+                let end = LaunchEnd {
+                    aborted: false,
+                    fma_lane_ops: stats.fma_lane_ops,
+                    stats: Some(stats),
+                };
+                written.push((header, launch_events, end));
             }
             let (_, err) = w.into_inner();
             assert!(err.is_none());
@@ -982,9 +929,24 @@ mod tests {
             let presets = GpuSpec::presets_all().into_iter().chain([odd_lines]);
             for target in std::iter::once(TargetSpec::Capture).chain(presets.map(TargetSpec::Spec))
             {
-                let streamed = replay_streamed(&bytes, &target).unwrap();
+                let want: Vec<ReplayReport> = written
+                    .iter()
+                    .flat_map(|(header, blocks, end)| {
+                        let spec = resolve_spec(header, &target);
+                        let mut accum = LaunchAccum::begin(header.clone(), vec![spec]);
+                        for events in blocks {
+                            accum.block_begin();
+                            for ev in events {
+                                let addrs = ev.canonical().addrs;
+                                let affine = affine_lanes(ev.mask, &addrs);
+                                accum.event(ev.op, ev.mask, ev.lane_bytes, affine, &addrs);
+                            }
+                        }
+                        accum.finish(end)
+                    })
+                    .collect();
                 let decoded = replay_decoded(&trace, &target).unwrap();
-                assert_eq!(streamed, decoded, "seed {seed}");
+                assert_eq!(decoded, want, "seed {seed}");
                 assert_eq!(replay(&bytes, &target).unwrap(), decoded, "seed {seed}");
             }
         }

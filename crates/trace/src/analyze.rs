@@ -8,11 +8,11 @@
 //! between image pixels and filter fragments (the (W_T+K−1)/(W_T·K)
 //! layout claim).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use kconv_sim::{TraceEvent, TraceOp};
+use kconv_sim::TraceOp;
 
-use crate::format::{read_trace, LaunchEnd, LaunchHeader, TraceVisitor};
+use crate::decoded::{DecodedLaunch, Trace};
 use crate::summary::TraceSummary;
 use crate::TraceError;
 
@@ -61,95 +61,65 @@ impl EfficiencyReport {
     ///
     /// # Errors
     ///
-    /// Propagates [`read_trace`](crate::read_trace)'s errors.
+    /// Propagates [`Trace::decode`]'s errors.
     pub fn analyze(bytes: &[u8], meta: &KernelMeta) -> Result<Vec<EfficiencyReport>, TraceError> {
-        struct Pass {
-            meta: KernelMeta,
-            done: Vec<EfficiencyReport>,
-            open: Option<Acc>,
-        }
-        struct Acc {
-            summary: TraceSummary,
-            word_reads: HashMap<u64, u64>,
-            sm_image: u64,
-            sm_filter: u64,
-        }
-        impl TraceVisitor for Pass {
-            fn launch_begin(&mut self, header: &LaunchHeader) {
-                self.open = Some(Acc {
-                    summary: TraceSummary::new(header.kernel.clone()),
-                    word_reads: HashMap::new(),
-                    sm_image: 0,
-                    sm_filter: 0,
-                });
-            }
-            fn block_begin(&mut self, _block_id: u64, _event_count: u64) {
-                if let Some(acc) = self.open.as_mut() {
-                    acc.summary.begin_block();
+        Ok(Trace::decode(bytes)?
+            .launches()
+            .iter()
+            .map(|launch| EfficiencyReport::of(launch, meta))
+            .collect())
+    }
+
+    fn of(launch: &DecodedLaunch, meta: &KernelMeta) -> Self {
+        let mut word_reads: HashMap<u64, u64> = HashMap::new();
+        let (mut sm_image, mut sm_filter) = (0, 0);
+        for block in launch.blocks() {
+            block.for_each(|head, addrs| match head.op {
+                TraceOp::GmLd | TraceOp::GmLdRo => {
+                    for lane in head.mask.iter() {
+                        let a = addrs[lane];
+                        let first = a / WORD_BYTES;
+                        // Saturating: a lane at the top of the address
+                        // space must not wrap into an empty word range.
+                        let last =
+                            a.saturating_add(u64::from(head.lane_bytes).max(1) - 1) / WORD_BYTES;
+                        for w in first..=last {
+                            *word_reads.entry(w).or_insert(0) += 1;
+                        }
+                    }
                 }
-            }
-            fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-                let Some(acc) = self.open.as_mut() else {
-                    return;
-                };
-                acc.summary.absorb(ev);
-                match ev.op {
-                    TraceOp::GmLd | TraceOp::GmLdRo => {
-                        for lane in ev.mask.iter() {
-                            let a = ev.addrs[lane];
-                            let first = a / WORD_BYTES;
-                            let last = (a + u64::from(ev.lane_bytes).max(1) - 1) / WORD_BYTES;
-                            for w in first..=last {
-                                *acc.word_reads.entry(w).or_insert(0) += 1;
+                TraceOp::SmLd => {
+                    if let Some(split) = meta.sm_image_split {
+                        for lane in head.mask.iter() {
+                            if addrs[lane] < split {
+                                sm_image += 1;
+                            } else {
+                                sm_filter += 1;
                             }
                         }
                     }
-                    TraceOp::SmLd => {
-                        if let Some(split) = self.meta.sm_image_split {
-                            for lane in ev.mask.iter() {
-                                if ev.addrs[lane] < split {
-                                    acc.sm_image += 1;
-                                } else {
-                                    acc.sm_filter += 1;
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
                 }
-            }
-            fn launch_end(&mut self, end: &LaunchEnd) {
-                let Some(mut acc) = self.open.take() else {
-                    return;
-                };
-                acc.summary.finalize(end);
-                let mut multiplicity = [0u64; 4];
-                let mut max_reads = 0u64;
-                let mut lines = std::collections::HashSet::new();
-                for (&word, &reads) in &acc.word_reads {
-                    multiplicity[(reads.min(4) - 1) as usize] += 1;
-                    max_reads = max_reads.max(reads);
-                    lines.insert(word * WORD_BYTES / LINE_BYTES);
-                }
-                self.done.push(EfficiencyReport {
-                    summary: acc.summary,
-                    out_pixels: self.meta.out_pixels,
-                    gm_ld_distinct_words: acc.word_reads.len() as u64,
-                    gm_ld_distinct_lines: lines.len() as u64,
-                    gm_read_multiplicity: multiplicity,
-                    gm_ld_word_reads_max: max_reads,
-                    sm_image_lane_reads: acc.sm_image,
-                    sm_filter_lane_reads: acc.sm_filter,
-                });
-            }
+                _ => {}
+            });
         }
-        let mut pass = Pass {
-            meta: *meta,
-            done: Vec::new(),
-            open: None,
-        };
-        read_trace(bytes, &mut pass)?;
-        Ok(pass.done)
+        let mut multiplicity = [0u64; 4];
+        let mut max_reads = 0u64;
+        let mut lines = HashSet::new();
+        for (&word, &reads) in &word_reads {
+            multiplicity[(reads.min(4) - 1) as usize] += 1;
+            max_reads = max_reads.max(reads);
+            lines.insert(word * WORD_BYTES / LINE_BYTES);
+        }
+        EfficiencyReport {
+            summary: TraceSummary::of(launch),
+            out_pixels: meta.out_pixels,
+            gm_ld_distinct_words: word_reads.len() as u64,
+            gm_ld_distinct_lines: lines.len() as u64,
+            gm_read_multiplicity: multiplicity,
+            gm_ld_word_reads_max: max_reads,
+            sm_image_lane_reads: sm_image,
+            sm_filter_lane_reads: sm_filter,
+        }
     }
 
     /// Useful global-memory load bytes per output pixel.
@@ -211,7 +181,7 @@ mod tests {
     use crate::format::TraceWriter;
     use crate::SharedBuffer;
     use kconv_sim::{
-        GpuSpec, KernelStats, LaneMask, OverlapMode, TraceLaunch, TraceSink, WARP_SIZE,
+        GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
     };
 
     fn gm_ld(base: u64, stride: u64, lanes: usize) -> TraceEvent {
@@ -313,5 +283,25 @@ mod tests {
         let reports = EfficiencyReport::analyze(&buf.take(), &KernelMeta::default()).unwrap();
         assert_eq!(reports[0].gm_ld_distinct_words, 8);
         assert_eq!(reports[0].duplicate_word_reads(), 0);
+
+        // A lane at the top of the address space: its word counts once
+        // instead of overflowing.
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        w.launch_begin(&TraceLaunch {
+            kernel: "top",
+            grid_blocks: 1,
+            executed_blocks: 1,
+            threads_per_block: 32,
+            smem_bytes: 0,
+            regs_per_thread: 32,
+            overlap: OverlapMode::Prefetch,
+            spec: &spec,
+        });
+        w.block_events(0, &[gm_ld(u64::MAX - 1, 0, 1)]);
+        w.launch_end(&KernelStats::default());
+        let reports = EfficiencyReport::analyze(&buf.take(), &KernelMeta::default()).unwrap();
+        assert_eq!(reports[0].gm_ld_distinct_words, 1);
+        assert_eq!(reports[0].gm_read_multiplicity, [1, 0, 0, 0]);
     }
 }

@@ -1,12 +1,12 @@
-//! Decoded in-memory traces: parse the KTRC byte stream **once**, re-price
-//! it many times.
+//! The one KTRC reader: parse the byte stream **once**, re-price it many
+//! times.
 //!
-//! [`read_trace`] is a streaming parser — cheap in memory, but every
-//! consumer pays the full varint/zigzag decode again. That is the wrong
-//! trade for the replay farm, which prices one capture under dozens of
-//! hypothetical [`GpuSpec`](kconv_sim::GpuSpec)s: decoding dominates
-//! pricing. A [`Trace`] materializes the stream into three flat slabs per
-//! launch —
+//! [`Trace::decode`] holds the only parse loop over the format of
+//! [`crate::format`]. The replay farm prices one capture under dozens of
+//! hypothetical [`GpuSpec`](kconv_sim::GpuSpec)s, and the roll-ups
+//! ([`TraceSummary`](crate::TraceSummary),
+//! [`EfficiencyReport`](crate::EfficiencyReport)) walk it once more, so a
+//! [`Trace`] materializes the stream into three flat slabs per launch —
 //!
 //! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane, recorded
 //!   transactions/cycles) that also carry the lane addresses of every
@@ -17,24 +17,26 @@
 //!   (inactive lanes zeroed) for each **explicit** event only, and
 //! * block spans (`block_id` + event range)
 //!
-//! — no per-event `Vec`, no pointer chasing. Replay walks a block with
+//! — no per-event `Vec`, no pointer chasing. Consumers walk a block with
 //! [`BlockView::for_each`], which lends each event's addresses as a
 //! [`&WarpAddrs`](kconv_sim::WarpAddrs), exactly the type the shared
 //! pricing functions take: borrowed from the slab for explicit events,
-//! expanded on the stack for affine ones.
+//! expanded on the stack for affine ones. Consumers that need no
+//! addresses read [`BlockView::heads`].
 //!
-//! The decoded form is *lossless* with respect to the pricing inputs:
-//! every header, end record and event field that [`read_launches`]
-//! materializes is recoverable (see [`BlockView::to_events`]), which the
-//! round-trip property test pins.
-//!
-//! [`read_trace`]: crate::read_trace
-//! [`read_launches`]: crate::read_launches
+//! The decoded form is *lossless*: every header, end record and event
+//! field the writer was given is recoverable (see
+//! [`BlockView::to_events`]), which the round-trip property tests pin
+//! against the writer's input.
 
 use kconv_sim::{LaneMask, TraceEvent, TraceOp, WarpAddrs, WARP_SIZE};
 
-use crate::format::{LaunchEnd, LaunchHeader, TraceVisitor};
-use crate::TraceError;
+use crate::format::{
+    decode_end, decode_event, decode_header, LaunchEnd, LaunchHeader, MAGIC, TAG_BLOCK,
+    TAG_LAUNCH_BEGIN, TAG_LAUNCH_END, VERSION,
+};
+use crate::varint::Cursor;
+use crate::{TraceError, RESERVE_EVENTS_MAX};
 
 /// The `(first, step)` of an event's active-lane addresses when they form
 /// an arithmetic progression — the `k`-th active lane (lowest first)
@@ -131,8 +133,8 @@ struct BlockSpan {
 pub struct DecodedLaunch {
     /// Launch metadata, including the capture spec.
     pub header: LaunchHeader,
-    /// How the launch ended (synthesized aborted on truncation, like the
-    /// streaming reader).
+    /// How the launch ended (synthesized aborted when the stream stops
+    /// inside the launch or a new launch begins before its end record).
     pub end: LaunchEnd,
     blocks: Vec<BlockSpan>,
     heads: Vec<EventHead>,
@@ -175,11 +177,23 @@ impl DecodedLaunch {
         })
     }
 
-    fn push(&mut self, head: EventHead) {
-        self.heads.push(head);
-        if let Some(span) = self.blocks.last_mut() {
-            span.len += 1;
+    /// Appends one event to the block being decoded. `lanes` carries an
+    /// explicit event's canonical addresses: stored compactly when they
+    /// form a progression after all (every 0- and 1-lane event does), as
+    /// a slab row otherwise.
+    #[inline]
+    pub(crate) fn push_event(&mut self, mut head: EventHead, lanes: Option<&WarpAddrs>) {
+        if let Some(addrs) = lanes {
+            match affine_lanes(head.mask, addrs) {
+                Some((first, step)) => (head.first, head.step) = (first, step),
+                None => {
+                    head.explicit = true;
+                    head.first = (self.addrs.len() / WARP_SIZE) as u64;
+                    self.addrs.extend_from_slice(addrs);
+                }
+            }
         }
+        self.heads.push(head);
     }
 }
 
@@ -204,6 +218,12 @@ impl BlockView<'_> {
         self.heads.is_empty()
     }
 
+    /// The block's event heads in issue order, for consumers that read no
+    /// lane addresses.
+    pub fn heads(&self) -> &[EventHead] {
+        self.heads
+    }
+
     /// Calls `f` on the block's events in issue order, each head paired
     /// with its canonical lane addresses: a borrow of the slab for an
     /// explicit event, expanded on the stack for an affine one.
@@ -220,7 +240,7 @@ impl BlockView<'_> {
     }
 
     /// Re-materializes the block as owned [`TraceEvent`]s (canonical form),
-    /// for comparison against [`read_launches`](crate::read_launches).
+    /// for comparison against the events a writer was given.
     pub fn to_events(&self) -> Vec<TraceEvent> {
         let mut events = Vec::with_capacity(self.len());
         self.for_each(|head, addrs| {
@@ -250,78 +270,74 @@ impl Trace {
     /// compact; explicit ones whose lanes happen to form a progression
     /// (every 0- and 1-lane event) are stored compactly too.
     ///
+    /// A launch cut off by a new launch-begin record or by the end of the
+    /// stream keeps the blocks delivered before the cut and a synthesized
+    /// aborted end (no stats).
+    ///
     /// # Errors
     ///
-    /// Propagates [`read_trace`](crate::read_trace)'s
-    /// [`TraceError::Malformed`] on corrupt or truncated input.
+    /// [`TraceError::Malformed`] on bad magic, an unsupported version, or
+    /// a corrupt or truncated record.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
-        struct Builder {
-            done: Vec<DecodedLaunch>,
-            open: Option<DecodedLaunch>,
+        let mut cur = Cursor::new(bytes);
+        if cur.read_bytes(MAGIC.len(), "file magic")? != MAGIC {
+            return Err(TraceError::Malformed {
+                offset: 0,
+                reason: "bad magic: not a kconv trace".into(),
+            });
         }
-        impl TraceVisitor for Builder {
-            fn launch_begin(&mut self, header: &LaunchHeader) {
-                self.open = Some(DecodedLaunch::new(header.clone()));
-            }
-            fn block_begin(&mut self, block_id: u64, event_count: u64) {
-                if let Some(open) = self.open.as_mut() {
-                    open.blocks.push(BlockSpan {
-                        id: block_id,
-                        start: open.heads.len(),
-                        len: 0,
-                    });
+        let version = cur.read_u8("format version")?;
+        if version != VERSION {
+            return Err(TraceError::Malformed {
+                offset: cur.pos(),
+                reason: format!("unsupported trace version {version} (expected {VERSION})"),
+            });
+        }
+        let mut launches = Vec::new();
+        let mut open: Option<DecodedLaunch> = None;
+        let outside = |cur: &Cursor<'_>, record: &str| TraceError::Malformed {
+            offset: cur.pos(),
+            reason: format!("{record} record outside a launch"),
+        };
+        while !cur.is_empty() {
+            match cur.read_u8("record tag")? {
+                TAG_LAUNCH_BEGIN => {
+                    let header = decode_header(&mut cur)?;
+                    // An open launch never ended: it faulted, and keeps
+                    // its synthesized aborted end.
+                    launches.extend(open.replace(DecodedLaunch::new(header)));
+                }
+                TAG_BLOCK => {
+                    let launch = open.as_mut().ok_or_else(|| outside(&cur, "block"))?;
+                    let id = cur.read_u64("block id")?;
+                    let count = cur.read_u64("event count")?;
                     // The count is an untrusted varint: clamp the
                     // speculative pre-allocation so a corrupt header
                     // cannot demand gigabytes (or overflow the capacity
                     // math) before the event bytes fail to decode.
-                    let reserve = event_count.min(crate::RESERVE_EVENTS_MAX) as usize;
-                    open.heads.reserve(reserve);
+                    launch.heads.reserve(count.min(RESERVE_EVENTS_MAX) as usize);
+                    let start = launch.heads.len();
+                    for _ in 0..count {
+                        decode_event(&mut cur, launch)?;
+                    }
+                    let len = launch.heads.len() - start;
+                    launch.blocks.push(BlockSpan { id, start, len });
                 }
-            }
-            fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-                if let Some(open) = self.open.as_mut() {
-                    let (explicit, first, step) = match affine_lanes(ev.mask, &ev.addrs) {
-                        Some((first, step)) => (false, first, step),
-                        None => {
-                            // The reader leaves inactive lanes zeroed, so
-                            // the slab holds the canonical form.
-                            open.addrs.extend_from_slice(&ev.addrs);
-                            (true, (open.addrs.len() / WARP_SIZE - 1) as u64, 0)
-                        }
-                    };
-                    open.push(EventHead {
-                        op: ev.op,
-                        warp: ev.warp,
-                        mask: ev.mask,
-                        lane_bytes: ev.lane_bytes,
-                        transactions: ev.transactions,
-                        cycles: ev.cycles,
-                        explicit,
-                        first,
-                        step,
+                TAG_LAUNCH_END => {
+                    let mut launch = open.take().ok_or_else(|| outside(&cur, "launch-end"))?;
+                    launch.end = decode_end(&mut cur)?;
+                    launches.push(launch);
+                }
+                other => {
+                    return Err(TraceError::Malformed {
+                        offset: cur.pos(),
+                        reason: format!("unknown record tag {other}"),
                     });
                 }
             }
-            fn affine_event(&mut self, _block_id: u64, head: &EventHead, _first: u64, _step: u64) {
-                if let Some(open) = self.open.as_mut() {
-                    open.push(*head);
-                }
-            }
-            fn launch_end(&mut self, end: &LaunchEnd) {
-                if let Some(mut open) = self.open.take() {
-                    open.end = *end;
-                    self.done.push(open);
-                }
-            }
         }
-        let mut builder = Builder {
-            done: Vec::new(),
-            open: None,
-        };
-        crate::format::read_trace(bytes, &mut builder)?;
-        Ok(Trace {
-            launches: builder.done,
-        })
+        launches.extend(open);
+        Ok(Trace { launches })
     }
 
     /// The decoded launches in stream order.
@@ -338,7 +354,8 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{read_launches, SharedBuffer, TraceWriter};
+    use crate::format::tests::{decode, Written};
+    use crate::format::{SharedBuffer, TraceWriter};
     use kconv_sim::{GpuSpec, KernelStats, OverlapMode, TraceLaunch, TraceSink};
 
     /// splitmix64, as in the format round-trip property test.
@@ -354,24 +371,36 @@ mod tests {
         }
     }
 
-    fn random_stream(seed: u64) -> Vec<u8> {
+    /// A seeded random stream and the launches its writer was given.
+    fn random_stream(seed: u64) -> (Vec<u8>, Vec<Written>) {
         let mut rng = Rng(0xFA43_0000 + seed);
         let spec = GpuSpec::kepler_k40m();
         let buf = SharedBuffer::new();
         let mut w = TraceWriter::new(buf.clone());
+        let mut written = Vec::new();
         for li in 0..1 + (seed % 3) {
-            let name = format!("kernel-{seed}-{li}");
             let blocks = 1 + (rng.next() % 4);
+            let header = LaunchHeader {
+                kernel: format!("kernel-{seed}-{li}"),
+                grid_blocks: blocks,
+                executed_blocks: blocks,
+                threads_per_block: 64,
+                smem_bytes: rng.next() % 48_000,
+                regs_per_thread: 16 + rng.next() % 200,
+                overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+                spec: spec.clone(),
+            };
             w.launch_begin(&TraceLaunch {
-                kernel: &name,
+                kernel: &header.kernel,
                 grid_blocks: blocks as usize,
                 executed_blocks: blocks as usize,
                 threads_per_block: 64,
-                smem_bytes: (rng.next() % 48_000) as u32,
-                regs_per_thread: 16 + (rng.next() % 200) as u32,
-                overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+                smem_bytes: header.smem_bytes as u32,
+                regs_per_thread: header.regs_per_thread as u32,
+                overlap: header.overlap,
                 spec: &spec,
             });
+            let mut block_events = Vec::new();
             for block_id in 0..blocks {
                 let events: Vec<TraceEvent> = (0..rng.next() % 20)
                     .map(|_| {
@@ -405,29 +434,39 @@ mod tests {
                     })
                     .collect();
                 w.block_events(block_id as usize, &events);
+                block_events.push((block_id, events));
             }
-            w.launch_end(&KernelStats {
+            let stats = KernelStats {
                 fma_lane_ops: rng.next(),
                 blocks_total: blocks,
                 ..Default::default()
+            };
+            w.launch_end(&stats);
+            written.push(Written {
+                header,
+                blocks: block_events,
+                end: LaunchEnd {
+                    aborted: false,
+                    fma_lane_ops: stats.fma_lane_ops,
+                    stats: Some(stats),
+                },
             });
         }
         let (_, err) = w.into_inner();
         assert!(err.is_none());
-        buf.take()
+        (buf.take(), written)
     }
 
     /// Corpus round-trip property: on seeded random streams the decoded
-    /// slab view reproduces exactly what the materializing reader sees —
-    /// headers, ends, block ids, and every event field-exact.
+    /// slab view reproduces exactly what the writer was given — headers,
+    /// ends, block ids, and every event field-exact (canonical form).
     #[test]
     fn decoded_view_equals_materialized_launches() {
         for seed in 0..8u64 {
-            let bytes = random_stream(seed);
-            let want = read_launches(&bytes).unwrap();
+            let (bytes, written) = random_stream(seed);
             let trace = Trace::decode(&bytes).unwrap();
-            assert_eq!(trace.launches().len(), want.len(), "seed {seed}");
-            for (dl, wl) in trace.launches().iter().zip(&want) {
+            assert_eq!(trace.launches().len(), written.len(), "seed {seed}");
+            for (dl, wl) in trace.launches().iter().zip(&written) {
                 assert_eq!(dl.header, wl.header, "seed {seed}");
                 assert_eq!(dl.end, wl.end, "seed {seed}");
                 assert_eq!(dl.block_count(), wl.blocks.len(), "seed {seed}");
@@ -439,7 +478,13 @@ mod tests {
                 for (bv, (wid, wevs)) in dl.blocks().zip(&wl.blocks) {
                     assert_eq!(bv.block_id, *wid, "seed {seed}");
                     assert_eq!(bv.len(), wevs.len(), "seed {seed}");
-                    assert_eq!(&bv.to_events(), wevs, "seed {seed}");
+                    let canonical: Vec<TraceEvent> = wevs.iter().map(|e| e.canonical()).collect();
+                    assert_eq!(bv.to_events(), canonical, "seed {seed}");
+                    assert!(bv
+                        .heads()
+                        .iter()
+                        .map(|h| h.op)
+                        .eq(wevs.iter().map(|e| e.op)));
                 }
             }
         }
@@ -450,18 +495,18 @@ mod tests {
     #[test]
     fn affine_events_take_no_slab_space() {
         for seed in 0..8u64 {
-            let bytes = random_stream(seed);
+            let (bytes, written) = random_stream(seed);
             for (dl, wl) in Trace::decode(&bytes)
                 .unwrap()
                 .launches()
                 .iter()
-                .zip(read_launches(&bytes).unwrap())
+                .zip(written)
             {
                 let explicit = wl
                     .blocks
                     .iter()
                     .flat_map(|(_, evs)| evs)
-                    .filter(|e| affine_lanes(e.mask, &e.addrs).is_none())
+                    .filter(|e| affine_lanes(e.mask, &e.canonical().addrs).is_none())
                     .count();
                 assert_eq!(dl.addrs.len(), explicit * WARP_SIZE, "seed {seed}");
                 let affine = dl.heads.iter().filter(|h| h.affine().is_some()).count();
@@ -503,22 +548,35 @@ mod tests {
         }
     }
 
+    /// Every prefix of a stream is an error or decodes to a prefix of what
+    /// was written: complete launches intact, and a launch cut at a record
+    /// boundary keeping its delivered blocks with a synthesized aborted
+    /// end.
     #[test]
-    fn truncated_streams_decode_as_aborted_like_the_streaming_reader() {
-        let bytes = random_stream(3);
-        // Cut inside the stream: both readers must agree on the prefix.
-        for cut in [bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
-            match (read_launches(&bytes[..cut]), Trace::decode(&bytes[..cut])) {
-                (Ok(want), Ok(trace)) => {
-                    assert_eq!(trace.launches().len(), want.len(), "cut {cut}");
-                    for (dl, wl) in trace.launches().iter().zip(&want) {
-                        assert_eq!(dl.end, wl.end, "cut {cut}");
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("readers disagree at cut {cut}: {a:?} vs {b:?}"),
+    fn truncated_streams_decode_as_aborted() {
+        let (bytes, written) = random_stream(5);
+        let mut cut_launches = 0;
+        for cut in 0..bytes.len() {
+            let Ok(got) = decode(&bytes[..cut]) else {
+                continue;
+            };
+            let Some((last, done)) = got.split_last() else {
+                continue;
+            };
+            assert_eq!(done, &written[..done.len()], "cut {cut}");
+            let want = &written[done.len()];
+            assert_eq!(last.header, want.header, "cut {cut}");
+            if last.end.aborted {
+                assert_eq!(last.end.stats, None, "cut {cut}");
+                assert_eq!(last.blocks, want.blocks[..last.blocks.len()], "cut {cut}");
+                cut_launches += 1;
+            } else {
+                assert_eq!(last, want, "cut {cut}");
             }
         }
+        // One cut after each launch-begin and each block record.
+        let records: usize = written.iter().map(|l| 1 + l.blocks.len()).sum();
+        assert_eq!(cut_launches, records);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The compact binary trace format: writer (a [`TraceSink`]) and reader.
+//! The compact binary trace format: the writer (a [`TraceSink`]) and the
+//! record decoders [`Trace::decode`](crate::Trace::decode) drives.
 //!
 //! # Layout (version 5)
 //!
@@ -37,8 +38,8 @@
 //! * **explicit** (bit clear): one absolute address followed by zigzag
 //!   deltas between successive active lanes.
 //!
-//! The reader accepts version 5 only; every other version byte is a typed
-//! [`TraceError::Malformed`].
+//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 5
+//! only; every other version byte is a typed [`TraceError::Malformed`].
 //!
 //! A `launch begin` arriving while a launch is open, or end-of-file inside
 //! a launch, marks the open launch aborted — exactly the sink contract for
@@ -52,7 +53,7 @@ use kconv_sim::{
     TraceSink, WARP_SIZE,
 };
 
-use crate::decoded::{affine_addrs, affine_lanes, EventHead};
+use crate::decoded::{affine_lanes, DecodedLaunch, EventHead};
 use crate::varint::{write_u64, zigzag, Cursor};
 use crate::TraceError;
 
@@ -64,9 +65,9 @@ pub const VERSION: u8 = 5;
 /// arithmetic progression (`first`, zigzag `step`).
 pub const AFFINE: u8 = 0x80;
 
-const TAG_LAUNCH_BEGIN: u8 = 1;
-const TAG_BLOCK: u8 = 2;
-const TAG_LAUNCH_END: u8 = 3;
+pub(crate) const TAG_LAUNCH_BEGIN: u8 = 1;
+pub(crate) const TAG_BLOCK: u8 = 2;
+pub(crate) const TAG_LAUNCH_END: u8 = 3;
 
 /// Encodes one event: the affine form exactly when at least two lanes
 /// are active and [`affine_lanes`] finds their progression, the explicit
@@ -97,13 +98,13 @@ fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
     }
 }
 
-/// Decodes one event and hands it to `visitor`: affine events through
-/// [`TraceVisitor::affine_event`] (no lane expansion), explicit ones
-/// through [`TraceVisitor::event`].
-fn decode_event(
+/// Decodes one event into the block `launch` is decoding: an affine event
+/// as its head alone, an explicit one with its canonical lane addresses
+/// (inactive lanes zeroed).
+#[inline]
+pub(crate) fn decode_event(
     cur: &mut Cursor<'_>,
-    block_id: u64,
-    visitor: &mut impl TraceVisitor,
+    launch: &mut DecodedLaunch,
 ) -> Result<(), TraceError> {
     let op_byte = cur.read_u8("event op")?;
     let op = TraceOp::from_u8(op_byte & !AFFINE).ok_or_else(|| TraceError::Malformed {
@@ -121,37 +122,34 @@ fn decode_event(
             cur.read_u64("event cycles")?,
         ],
     };
-    let (warp, lane_bytes) = (warp as u32, lane_bytes as u32);
-    let (transactions, cycles) = (transactions as u32, cycles as u32);
-    let mask = LaneMask(!(mask as u32));
+    let mut head = EventHead {
+        op,
+        warp: warp as u32,
+        mask: LaneMask(!(mask as u32)),
+        lane_bytes: lane_bytes as u32,
+        transactions: transactions as u32,
+        cycles: cycles as u32,
+        explicit: false,
+        first: 0,
+        step: 0,
+    };
     if op_byte & AFFINE != 0 {
-        let active = mask.count();
+        let active = head.mask.count();
         if active < 2 {
             return Err(TraceError::Malformed {
                 offset: cur.pos(),
                 reason: format!("affine event with {active} active lane(s) (needs at least 2)"),
             });
         }
-        let first = cur.read_u64("event first address")?;
-        let step = cur.read_i64("event address step")? as u64;
-        let head = EventHead {
-            op,
-            warp,
-            mask,
-            lane_bytes,
-            transactions,
-            cycles,
-            explicit: false,
-            first,
-            step,
-        };
-        visitor.affine_event(block_id, &head, first, step);
+        head.first = cur.read_u64("event first address")?;
+        head.step = cur.read_i64("event address step")? as u64;
+        launch.push_event(head, None);
         return Ok(());
     }
     // Walk only the active lanes, lowest first: the first carries an
     // absolute address, each later one a delta from its predecessor.
     let mut addrs = [0u64; WARP_SIZE];
-    let mut lanes = mask.0;
+    let mut lanes = head.mask.0;
     if lanes != 0 {
         let mut addr = cur.read_u64("event first address")?;
         addrs[lanes.trailing_zeros() as usize] = addr;
@@ -162,18 +160,7 @@ fn decode_event(
             lanes &= lanes - 1;
         }
     }
-    visitor.event(
-        block_id,
-        &TraceEvent {
-            op,
-            warp,
-            mask,
-            lane_bytes,
-            transactions,
-            cycles,
-            addrs,
-        },
-    );
+    launch.push_event(head, Some(&addrs));
     Ok(())
 }
 
@@ -321,6 +308,49 @@ fn decode_stats(cur: &mut Cursor<'_>) -> Result<KernelStats, TraceError> {
     s.blocks_total = cur.read_u64("stats blocks total")?;
     s.bar_syncs = cur.read_u64("stats bar syncs")?;
     Ok(s)
+}
+
+/// Decodes a launch-begin record's fields (after its tag).
+pub(crate) fn decode_header(cur: &mut Cursor<'_>) -> Result<LaunchHeader, TraceError> {
+    let name_len = cur.read_u64("kernel-name length")? as usize;
+    let name = cur.read_bytes(name_len, "kernel name")?;
+    let kernel = std::str::from_utf8(name)
+        .map_err(|_| TraceError::Malformed {
+            offset: cur.pos(),
+            reason: "kernel name is not UTF-8".into(),
+        })?
+        .to_owned();
+    let grid_blocks = cur.read_u64("grid blocks")?;
+    let executed_blocks = cur.read_u64("executed blocks")?;
+    let threads_per_block = cur.read_u64("threads per block")?;
+    let smem_bytes = cur.read_u64("smem bytes")?;
+    let regs_per_thread = cur.read_u64("regs per thread")?;
+    let overlap_tag = cur.read_u8("overlap mode")?;
+    let overlap = OverlapMode::from_u8(overlap_tag).ok_or_else(|| TraceError::Malformed {
+        offset: cur.pos(),
+        reason: format!("unknown overlap mode {overlap_tag}"),
+    })?;
+    Ok(LaunchHeader {
+        kernel,
+        grid_blocks,
+        executed_blocks,
+        threads_per_block,
+        smem_bytes,
+        regs_per_thread,
+        overlap,
+        spec: decode_spec(cur)?,
+    })
+}
+
+/// Decodes a launch-end record's fields (after its tag).
+pub(crate) fn decode_end(cur: &mut Cursor<'_>) -> Result<LaunchEnd, TraceError> {
+    let aborted = cur.read_u8("aborted flag")? != 0;
+    let stats = decode_stats(cur)?;
+    Ok(LaunchEnd {
+        aborted,
+        fma_lane_ops: stats.fma_lane_ops,
+        stats: Some(stats),
+    })
 }
 
 /// Streams [`TraceSink`] callbacks into a [`Write`] target as the binary
@@ -524,224 +554,13 @@ pub struct LaunchEnd {
     /// aborted launches.
     pub fma_lane_ops: u64,
     /// The launch's full final (scaled) [`KernelStats`]. `None` for the
-    /// aborted ends the reader synthesizes when a stream stops inside a
+    /// aborted ends the decoder synthesizes when a stream stops inside a
     /// launch.
     pub stats: Option<KernelStats>,
 }
 
-/// Streaming consumer for [`read_trace`]. All methods default to no-ops;
-/// implement only what the analysis needs.
-pub trait TraceVisitor {
-    /// A launch's header record was read.
-    fn launch_begin(&mut self, _header: &LaunchHeader) {}
-    /// A block record was opened (its events follow).
-    fn block_begin(&mut self, _block_id: u64, _event_count: u64) {}
-    /// One event of the current block, with its lane addresses in
-    /// canonical form (inactive lanes zeroed).
-    fn event(&mut self, _block_id: u64, _ev: &TraceEvent) {}
-    /// One affine event of the current block: its `k`-th active lane
-    /// (lowest first) reads `first + k·step`, wrapping, and
-    /// `head.affine()` is `Some((first, step))`. The default expands the
-    /// lanes and calls [`TraceVisitor::event`]; consumers that can use
-    /// the compact form override it.
-    fn affine_event(&mut self, block_id: u64, head: &EventHead, first: u64, step: u64) {
-        self.event(
-            block_id,
-            &TraceEvent {
-                op: head.op,
-                warp: head.warp,
-                mask: head.mask,
-                lane_bytes: head.lane_bytes,
-                transactions: head.transactions,
-                cycles: head.cycles,
-                addrs: affine_addrs(head.mask, first, step),
-            },
-        );
-    }
-    /// The launch ended. Synthesized with `aborted: true` when the stream
-    /// stops inside a launch.
-    fn launch_end(&mut self, _end: &LaunchEnd) {}
-}
-
-/// Parses a binary trace, streaming records into `visitor` without
-/// materializing event buffers.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Malformed`] on bad magic, an unsupported version,
-/// or a corrupt/truncated record.
-pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), TraceError> {
-    let mut cur = Cursor::new(bytes);
-    let magic = cur.read_bytes(MAGIC.len(), "file magic")?;
-    if magic != MAGIC {
-        return Err(TraceError::Malformed {
-            offset: 0,
-            reason: "bad magic: not a kconv trace".into(),
-        });
-    }
-    let version = cur.read_u8("format version")?;
-    if version != VERSION {
-        return Err(TraceError::Malformed {
-            offset: cur.pos(),
-            reason: format!("unsupported trace version {version} (expected {VERSION})"),
-        });
-    }
-    let mut launch_open = false;
-    while !cur.is_empty() {
-        let tag = cur.read_u8("record tag")?;
-        match tag {
-            TAG_LAUNCH_BEGIN => {
-                if launch_open {
-                    visitor.launch_end(&LaunchEnd {
-                        aborted: true,
-                        fma_lane_ops: 0,
-                        stats: None,
-                    });
-                }
-                let name_len = cur.read_u64("kernel-name length")? as usize;
-                let name = cur.read_bytes(name_len, "kernel name")?;
-                let kernel = std::str::from_utf8(name)
-                    .map_err(|_| TraceError::Malformed {
-                        offset: cur.pos(),
-                        reason: "kernel name is not UTF-8".into(),
-                    })?
-                    .to_owned();
-                let grid_blocks = cur.read_u64("grid blocks")?;
-                let executed_blocks = cur.read_u64("executed blocks")?;
-                let threads_per_block = cur.read_u64("threads per block")?;
-                let smem_bytes = cur.read_u64("smem bytes")?;
-                let regs_per_thread = cur.read_u64("regs per thread")?;
-                let overlap_tag = cur.read_u8("overlap mode")?;
-                let overlap =
-                    OverlapMode::from_u8(overlap_tag).ok_or_else(|| TraceError::Malformed {
-                        offset: cur.pos(),
-                        reason: format!("unknown overlap mode {overlap_tag}"),
-                    })?;
-                let header = LaunchHeader {
-                    kernel,
-                    grid_blocks,
-                    executed_blocks,
-                    threads_per_block,
-                    smem_bytes,
-                    regs_per_thread,
-                    overlap,
-                    spec: decode_spec(&mut cur)?,
-                };
-                launch_open = true;
-                visitor.launch_begin(&header);
-            }
-            TAG_BLOCK => {
-                if !launch_open {
-                    return Err(TraceError::Malformed {
-                        offset: cur.pos(),
-                        reason: "block record outside a launch".into(),
-                    });
-                }
-                let block_id = cur.read_u64("block id")?;
-                let count = cur.read_u64("event count")?;
-                visitor.block_begin(block_id, count);
-                for _ in 0..count {
-                    decode_event(&mut cur, block_id, visitor)?;
-                }
-            }
-            TAG_LAUNCH_END => {
-                if !launch_open {
-                    return Err(TraceError::Malformed {
-                        offset: cur.pos(),
-                        reason: "launch-end record outside a launch".into(),
-                    });
-                }
-                let aborted = cur.read_u8("aborted flag")? != 0;
-                let stats = decode_stats(&mut cur)?;
-                let end = LaunchEnd {
-                    aborted,
-                    fma_lane_ops: stats.fma_lane_ops,
-                    stats: Some(stats),
-                };
-                launch_open = false;
-                visitor.launch_end(&end);
-            }
-            other => {
-                return Err(TraceError::Malformed {
-                    offset: cur.pos(),
-                    reason: format!("unknown record tag {other}"),
-                });
-            }
-        }
-    }
-    if launch_open {
-        visitor.launch_end(&LaunchEnd {
-            aborted: true,
-            fma_lane_ops: 0,
-            stats: None,
-        });
-    }
-    Ok(())
-}
-
-/// One fully materialized launch from [`read_launches`].
-#[derive(Debug, Clone)]
-pub struct LaunchTrace {
-    /// Launch metadata.
-    pub header: LaunchHeader,
-    /// `(block_id, events)` in delivery (= block-id) order.
-    pub blocks: Vec<(u64, Vec<TraceEvent>)>,
-    /// How the launch ended.
-    pub end: LaunchEnd,
-}
-
-/// Parses a binary trace into fully materialized launches (convenient for
-/// tests and small traces; large traces should stream via [`read_trace`]).
-///
-/// # Errors
-///
-/// Propagates [`read_trace`]'s errors.
-pub fn read_launches(bytes: &[u8]) -> Result<Vec<LaunchTrace>, TraceError> {
-    #[derive(Default)]
-    struct Collect {
-        done: Vec<LaunchTrace>,
-        open: Option<LaunchTrace>,
-    }
-    impl TraceVisitor for Collect {
-        fn launch_begin(&mut self, header: &LaunchHeader) {
-            self.open = Some(LaunchTrace {
-                header: header.clone(),
-                blocks: Vec::new(),
-                end: LaunchEnd {
-                    aborted: true,
-                    fma_lane_ops: 0,
-                    stats: None,
-                },
-            });
-        }
-        fn block_begin(&mut self, block_id: u64, event_count: u64) {
-            if let Some(open) = self.open.as_mut() {
-                // Untrusted varint: clamp the pre-allocation (see
-                // `RESERVE_EVENTS_MAX`) — the vector grows organically if
-                // a well-formed block really is bigger.
-                let reserve = event_count.min(crate::RESERVE_EVENTS_MAX) as usize;
-                open.blocks.push((block_id, Vec::with_capacity(reserve)));
-            }
-        }
-        fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-            if let Some((_, events)) = self.open.as_mut().and_then(|o| o.blocks.last_mut()) {
-                events.push(*ev);
-            }
-        }
-        fn launch_end(&mut self, end: &LaunchEnd) {
-            if let Some(mut open) = self.open.take() {
-                open.end = *end;
-                self.done.push(open);
-            }
-        }
-    }
-    let mut collect = Collect::default();
-    read_trace(bytes, &mut collect)?;
-    Ok(collect.done)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ev(op: TraceOp, warp: u32, mask: u32, stride: u64, base: u64) -> TraceEvent {
@@ -760,6 +579,29 @@ mod tests {
             cycles: u32::from(op.space() != Some(kconv_sim::MemSpace::Global)),
             addrs,
         }
+    }
+
+    /// One launch as the writer was given it: header, `(block_id,
+    /// events)` in canonical form, and end record.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct Written {
+        pub(crate) header: LaunchHeader,
+        pub(crate) blocks: Vec<(u64, Vec<TraceEvent>)>,
+        pub(crate) end: LaunchEnd,
+    }
+
+    /// Decodes `bytes` with [`crate::Trace::decode`] and re-materializes
+    /// every launch in the writer's terms.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<Written>, TraceError> {
+        Ok(crate::Trace::decode(bytes)?
+            .launches()
+            .iter()
+            .map(|l| Written {
+                header: l.header.clone(),
+                blocks: l.blocks().map(|b| (b.block_id, b.to_events())).collect(),
+                end: l.end,
+            })
+            .collect())
     }
 
     fn capture_spec() -> GpuSpec {
@@ -821,7 +663,7 @@ mod tests {
         let (_, err) = w.into_inner();
         assert!(err.is_none());
 
-        let launches = read_launches(&buf.take()).unwrap();
+        let launches = decode(&buf.take()).unwrap();
         assert_eq!(launches.len(), 1);
         let l = &launches[0];
         assert_eq!(
@@ -937,7 +779,7 @@ mod tests {
     }
 
     fn malformed_reason(bytes: &[u8]) -> String {
-        match read_launches(bytes) {
+        match decode(bytes) {
             Err(TraceError::Malformed { reason, .. }) => reason,
             other => panic!("expected Malformed, got {other:?}"),
         }
@@ -953,7 +795,6 @@ mod tests {
             }
             let reason = malformed_reason(&stream_with_event(&e));
             assert!(reason.contains("affine event"), "{reason}");
-            assert!(crate::Trace::decode(&stream_with_event(&e)).is_err());
         }
         // An unknown op under the flag.
         let mut e = vec![(TraceOp::COUNT as u8) | AFFINE];
@@ -967,7 +808,7 @@ mod tests {
         for v in [0, 0, 4, 1, 0, 64, zigzag(-4)] {
             write_u64(&mut e, v);
         }
-        let launches = read_launches(&stream_with_event(&e)).unwrap();
+        let launches = decode(&stream_with_event(&e)).unwrap();
         let got = &launches[0].blocks[0].1[0];
         assert_eq!(got.addrs[0], 64);
         assert_eq!(got.addrs[31], 64u64.wrapping_sub(4 * 31));
@@ -976,7 +817,7 @@ mod tests {
     #[test]
     fn only_version_5_is_accepted() {
         let good = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 0)]);
-        assert!(read_launches(&good).is_ok());
+        assert!(decode(&good).is_ok());
         for version in [0u8, 1, 2, 3, 4, 6] {
             let mut bytes = good.clone();
             bytes[MAGIC.len()] = version;
@@ -984,7 +825,6 @@ mod tests {
                 malformed_reason(&bytes),
                 format!("unsupported trace version {version} (expected 5)")
             );
-            assert!(crate::Trace::decode(&bytes).is_err(), "version {version}");
         }
     }
 
@@ -999,7 +839,7 @@ mod tests {
         w.launch_begin(&launch("clean", 1, &spec));
         w.block_events(0, &[]);
         w.launch_end(&KernelStats::default());
-        let launches = read_launches(&buf.take()).unwrap();
+        let launches = decode(&buf.take()).unwrap();
         assert_eq!(launches.len(), 2);
         assert!(launches[0].end.aborted);
         assert_eq!(launches[0].header.kernel, "faulty");
@@ -1015,7 +855,7 @@ mod tests {
         w.launch_begin(&launch("cut", 4, &spec));
         w.block_events(0, &[ev(TraceOp::SmLd, 0, 0xff, 8, 64)]);
         drop(w);
-        let launches = read_launches(&buf.take()).unwrap();
+        let launches = decode(&buf.take()).unwrap();
         assert_eq!(launches.len(), 1);
         assert!(launches[0].end.aborted);
         assert_eq!(launches[0].blocks.len(), 1);
@@ -1023,26 +863,26 @@ mod tests {
 
     #[test]
     fn corrupt_streams_error_instead_of_panicking() {
-        assert!(read_launches(b"").is_err());
-        assert!(read_launches(b"NOPE\x05").is_err());
+        assert!(decode(b"").is_err());
+        assert!(decode(b"NOPE\x05").is_err());
         let mut bad_version = Vec::new();
         bad_version.extend_from_slice(&MAGIC);
         bad_version.push(99);
-        assert!(read_launches(&bad_version).is_err());
+        assert!(decode(&bad_version).is_err());
         // Valid header, garbage record tag.
         let mut bad_tag = Vec::new();
         bad_tag.extend_from_slice(&MAGIC);
         bad_tag.push(VERSION);
         bad_tag.push(77);
-        assert!(read_launches(&bad_tag).is_err());
+        assert!(decode(&bad_tag).is_err());
         // Truncate a valid stream at every byte: must never panic.
         let mut bent = ev(TraceOp::GmLd, 1, 0x00ff_ff00, 4, 1000);
         bent.addrs[12] = 3;
         let bytes = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 1000), bent]);
         for cut in 0..bytes.len() {
-            let _ = read_launches(&bytes[..cut]);
+            let _ = decode(&bytes[..cut]);
         }
-        assert!(read_launches(&bytes).is_ok());
+        assert!(decode(&bytes).is_ok());
     }
 
     #[test]
@@ -1053,10 +893,7 @@ mod tests {
         bytes.push(TAG_BLOCK);
         bytes.push(0); // block id
         bytes.push(0); // event count
-        assert!(matches!(
-            read_launches(&bytes),
-            Err(TraceError::Malformed { .. })
-        ));
+        assert!(matches!(decode(&bytes), Err(TraceError::Malformed { .. })));
     }
 
     #[test]
@@ -1077,7 +914,7 @@ mod tests {
         w.launch_begin(&launch("k", 1, &spec));
         w.block_events(0, &[]);
         w.launch_end(&KernelStats::default());
-        let launches = read_launches(&buf.take()).unwrap();
+        let launches = decode(&buf.take()).unwrap();
         let got = &launches[0].header.spec;
         assert_eq!(got.name, "captured");
         assert_eq!(
@@ -1115,7 +952,7 @@ mod tests {
             ..Default::default()
         };
         w.launch_end(&stats);
-        let launches = read_launches(&buf.take()).unwrap();
+        let launches = decode(&buf.take()).unwrap();
         let l = &launches[0];
         assert_eq!(l.end.stats.as_ref().unwrap().bar_syncs, 8);
         assert_eq!(l.blocks[0].1[1], bar);
@@ -1136,7 +973,7 @@ mod tests {
     }
 
     /// Seeded-random streams through the writer must come back field-exact
-    /// through the streaming reader, across the varint/zigzag edge cases
+    /// through the decoder, across the varint/zigzag edge cases
     /// and both event forms: full, gapped, single-lane and empty masks;
     /// affine steps that are zero, positive, negative or wrap past
     /// `u64::MAX`; non-affine lanes; zero-transaction events; and
@@ -1148,7 +985,7 @@ mod tests {
             let spec = capture_spec();
             let buf = SharedBuffer::new();
             let mut w = TraceWriter::new(buf.clone());
-            let mut want: Vec<LaunchTrace> = Vec::new();
+            let mut want: Vec<Written> = Vec::new();
             let mut affine_seen = 0;
             for li in 0..1 + (seed % 3) {
                 let name = format!("kernel-{seed}-{li}");
@@ -1227,7 +1064,7 @@ mod tests {
                     ..Default::default()
                 };
                 w.launch_end(&stats);
-                want.push(LaunchTrace {
+                want.push(Written {
                     header: LaunchHeader {
                         kernel: name,
                         grid_blocks: blocks,
@@ -1249,7 +1086,7 @@ mod tests {
             assert!(affine_seen > 0, "seed {seed}: no affine events");
             let (_, err) = w.into_inner();
             assert!(err.is_none());
-            let got = read_launches(&buf.take()).unwrap();
+            let got = decode(&buf.take()).unwrap();
             assert_eq!(got.len(), want.len(), "seed {seed}");
             for (g, w_) in got.iter().zip(&want) {
                 assert_eq!(g.header, w_.header, "seed {seed}");

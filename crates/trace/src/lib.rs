@@ -3,15 +3,16 @@
 //! Companion crate to `kconv-sim`'s per-warp trace hooks
 //! ([`TraceSink`](kconv_sim::TraceSink)). It ships three layers:
 //!
-//! * [`TraceWriter`] / [`read_trace`] — a compact binary format (varints;
-//!   lane addresses as an affine `first`/`step` pair or as zigzag deltas,
-//!   see [`format`]) streaming every warp memory instruction of a launch
-//!   to any `Write` target. [`SharedBuffer`] keeps a handle on the bytes
-//!   while the writer is boxed inside the `Gpu`.
-//!   [`Trace`] materializes the stream into flat slabs (see [`decoded`])
-//!   so replay consumers decode once and re-price many times.
-//! * [`TraceSummary`] — one streaming pass, O(1) state: per-op totals and
-//!   the bank-conflict histogram.
+//! * [`TraceWriter`] / [`Trace::decode`] — a compact binary format
+//!   (varints; lane addresses as an affine `first`/`step` pair or as
+//!   zigzag deltas, see [`format`](mod@format)) streaming every warp memory
+//!   instruction of a launch to any `Write` target, and its one reader,
+//!   which materializes the stream into flat slabs (see [`decoded`]) so
+//!   consumers decode once and walk or re-price many times.
+//!   [`SharedBuffer`] keeps a handle on the bytes while the writer is
+//!   boxed inside the `Gpu`.
+//! * [`TraceSummary`] — per-launch roll-up of the event heads: per-op
+//!   totals and the bank-conflict histogram.
 //! * [`EfficiencyReport`] — address-granular analysis: distinct
 //!   words/lines loaded from global memory, read-multiplicity histograms
 //!   (the paper's communication-optimality claim is "every interior pixel
@@ -61,19 +62,15 @@ pub mod varint;
 
 pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
 pub use decoded::{affine_addrs, affine_lanes, BlockView, DecodedLaunch, EventHead, Trace};
-pub use format::{
-    read_launches, read_trace, LaunchEnd, LaunchHeader, LaunchTrace, SharedBuffer, TraceVisitor,
-    TraceWriter, AFFINE, MAGIC, VERSION,
-};
+pub use format::{LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, VERSION};
 pub use summary::{OpTotals, TraceSummary};
 
 /// Upper bound on speculative event pre-allocation from one block
 /// header's (untrusted) event-count varint. A corrupt or hostile count
-/// reserves at most this many event slots up front; decoding then fails
-/// on the event bytes themselves, or the buffers grow organically for a
-/// genuinely larger well-formed block. 64Ki events ≈ 3 MB of decoded
-/// [`EventHead`]s (≈ 18 MB of materialized events in [`read_launches`]) —
-/// far above any real block, far below an allocation-failure DoS.
+/// reserves at most this many [`EventHead`]s up front; decoding then
+/// fails on the event bytes themselves, or the heads grow organically
+/// for a genuinely larger well-formed block. 64Ki heads ≈ 2.6 MB — far
+/// above any real block, far below an allocation-failure DoS.
 pub const RESERVE_EVENTS_MAX: u64 = 1 << 16;
 
 /// Errors reading a binary trace.

@@ -1,14 +1,14 @@
-//! Constant-memory per-launch roll-ups of a binary trace.
+//! Per-launch roll-ups of a binary trace.
 //!
-//! A [`TraceSummary`] is what you can compute in one streaming pass with
-//! O(1) state per launch: per-op totals (events, lane accesses, useful
-//! bytes, transactions, cycles) and the shared-memory conflict histogram.
+//! A [`TraceSummary`] is what the event heads alone give, with O(1) state
+//! per launch: per-op totals (events, lane accesses, useful bytes,
+//! transactions, cycles) and the shared-memory conflict histogram.
 //! Anything that needs per-address state (distinct lines, read
 //! multiplicity) lives in [`crate::analyze`].
 
-use kconv_sim::{KernelStats, TraceEvent, TraceOp};
+use kconv_sim::{KernelStats, TraceOp};
 
-use crate::format::{read_trace, LaunchEnd, LaunchHeader, TraceVisitor};
+use crate::decoded::{DecodedLaunch, EventHead, Trace};
 use crate::TraceError;
 
 /// Totals for one [`TraceOp`] kind within a launch.
@@ -53,108 +53,62 @@ pub struct TraceSummary {
     pub block_bar_min: u64,
     /// Most barrier-arrival events recorded by any single block.
     pub block_bar_max: u64,
-    /// Arrivals in the block currently being absorbed; folded into
-    /// min/max at the next block boundary or at launch end.
-    open_block_bars: u64,
-    /// Whether a block is open (so empty traces fold nothing).
-    in_block: bool,
 }
 
 impl TraceSummary {
-    pub(crate) fn new(kernel: String) -> Self {
-        TraceSummary {
-            kernel,
-            blocks: 0,
+    /// Rolls up one decoded launch from its event heads.
+    pub(crate) fn of(launch: &DecodedLaunch) -> Self {
+        let mut s = TraceSummary {
+            kernel: launch.header.kernel.clone(),
+            blocks: launch.block_count() as u64,
             events: 0,
             per_op: [OpTotals::default(); TraceOp::COUNT],
             sm_conflict_histogram: [0; 6],
-            fma_lane_ops: 0,
-            aborted: true,
-            block_bar_min: u64::MAX,
+            fma_lane_ops: launch.end.fma_lane_ops,
+            aborted: launch.end.aborted,
+            block_bar_min: 0,
             block_bar_max: 0,
-            open_block_bars: 0,
-            in_block: false,
+        };
+        for (i, block) in launch.blocks().enumerate() {
+            let mut bars = 0;
+            for head in block.heads() {
+                s.absorb(head);
+                bars += u64::from(head.op == TraceOp::Bar);
+            }
+            s.block_bar_min = if i == 0 {
+                bars
+            } else {
+                s.block_bar_min.min(bars)
+            };
+            s.block_bar_max = s.block_bar_max.max(bars);
         }
+        s
     }
 
-    pub(crate) fn absorb(&mut self, ev: &TraceEvent) {
+    fn absorb(&mut self, head: &EventHead) {
         self.events += 1;
-        let t = &mut self.per_op[ev.op.index()];
+        let t = &mut self.per_op[head.op.index()];
         t.events += 1;
-        t.lane_accesses += u64::from(ev.mask.count());
-        t.useful_bytes += ev.useful_bytes();
-        t.transactions += u64::from(ev.transactions);
-        t.cycles += u64::from(ev.cycles);
-        if matches!(ev.op, TraceOp::SmLd | TraceOp::SmSt) && ev.cycles > 0 {
-            self.sm_conflict_histogram[KernelStats::conflict_bucket(u64::from(ev.cycles))] += 1;
+        t.lane_accesses += u64::from(head.mask.count());
+        t.useful_bytes += u64::from(head.mask.count()) * u64::from(head.lane_bytes);
+        t.transactions += u64::from(head.transactions);
+        t.cycles += u64::from(head.cycles);
+        if matches!(head.op, TraceOp::SmLd | TraceOp::SmSt) && head.cycles > 0 {
+            self.sm_conflict_histogram[KernelStats::conflict_bucket(u64::from(head.cycles))] += 1;
         }
-        if ev.op == TraceOp::Bar {
-            self.open_block_bars += 1;
-        }
-    }
-
-    /// Marks a block boundary: folds the previous block's barrier count
-    /// and counts the new block.
-    pub(crate) fn begin_block(&mut self) {
-        self.fold_open_block();
-        self.blocks += 1;
-        self.in_block = true;
-    }
-
-    fn fold_open_block(&mut self) {
-        if self.in_block {
-            self.block_bar_min = self.block_bar_min.min(self.open_block_bars);
-            self.block_bar_max = self.block_bar_max.max(self.open_block_bars);
-            self.open_block_bars = 0;
-            self.in_block = false;
-        }
-    }
-
-    /// Applies the launch-end record and closes the last block.
-    pub(crate) fn finalize(&mut self, end: &LaunchEnd) {
-        self.fold_open_block();
-        if self.block_bar_min == u64::MAX {
-            self.block_bar_min = 0;
-        }
-        self.aborted = end.aborted;
-        self.fma_lane_ops = end.fma_lane_ops;
     }
 
     /// Summarizes every launch in a binary trace, in file order.
     ///
     /// # Errors
     ///
-    /// Propagates [`read_trace`](crate::read_trace)'s errors.
+    /// Propagates [`Trace::decode`]'s errors.
     pub fn from_bytes(bytes: &[u8]) -> Result<Vec<TraceSummary>, TraceError> {
-        #[derive(Default)]
-        struct Roll {
-            done: Vec<TraceSummary>,
-            open: Option<TraceSummary>,
-        }
-        impl TraceVisitor for Roll {
-            fn launch_begin(&mut self, header: &LaunchHeader) {
-                self.open = Some(TraceSummary::new(header.kernel.clone()));
-            }
-            fn block_begin(&mut self, _block_id: u64, _event_count: u64) {
-                if let Some(open) = self.open.as_mut() {
-                    open.begin_block();
-                }
-            }
-            fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-                if let Some(open) = self.open.as_mut() {
-                    open.absorb(ev);
-                }
-            }
-            fn launch_end(&mut self, end: &LaunchEnd) {
-                if let Some(mut open) = self.open.take() {
-                    open.finalize(end);
-                    self.done.push(open);
-                }
-            }
-        }
-        let mut roll = Roll::default();
-        read_trace(bytes, &mut roll)?;
-        Ok(roll.done)
+        Ok(Trace::decode(bytes)?
+            .launches()
+            .iter()
+            .map(TraceSummary::of)
+            .collect())
     }
 
     /// Totals for one op kind.
@@ -209,7 +163,10 @@ mod tests {
     use super::*;
     use crate::format::TraceWriter;
     use crate::SharedBuffer;
-    use kconv_sim::{GpuSpec, LaneMask, OverlapMode, TraceLaunch, TraceSink, WARP_SIZE};
+    use crate::{EfficiencyReport, KernelMeta};
+    use kconv_sim::{
+        GpuSpec, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
+    };
 
     fn ev(op: TraceOp, lanes: usize, cycles: u32, tx: u32) -> TraceEvent {
         TraceEvent {
@@ -316,5 +273,57 @@ mod tests {
         // Bar events move no bytes and charge no costs.
         assert_eq!(s.op(TraceOp::Bar).useful_bytes, 0);
         assert_eq!(s.op(TraceOp::Bar).cycles, 0);
+    }
+
+    /// A trace that ends inside its last launch: both roll-ups report
+    /// that launch aborted, with only the blocks delivered before the cut.
+    #[test]
+    fn launch_cut_off_mid_stream_is_aborted_with_delivered_blocks() {
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        let spec = GpuSpec::kepler_k40m();
+        let launch = |kernel| TraceLaunch {
+            kernel,
+            grid_blocks: 4,
+            executed_blocks: 4,
+            threads_per_block: 32,
+            smem_bytes: 0,
+            regs_per_thread: 32,
+            overlap: OverlapMode::Prefetch,
+            spec: &spec,
+        };
+        w.launch_begin(&launch("whole"));
+        for block in 0..4 {
+            w.block_events(block, &[ev(TraceOp::GmLd, 32, 0, 1)]);
+        }
+        w.launch_end(&KernelStats {
+            fma_lane_ops: 64,
+            ..Default::default()
+        });
+        w.launch_begin(&launch("cut"));
+        w.block_events(0, &[ev(TraceOp::GmLd, 32, 0, 1), bar()]);
+        w.block_events(1, &[ev(TraceOp::SmLd, 16, 2, 0)]);
+        drop(w); // the stream stops before blocks 2 and 3
+        let bytes = buf.take();
+
+        let summaries = TraceSummary::from_bytes(&bytes).unwrap();
+        let reports = EfficiencyReport::analyze(&bytes, &KernelMeta::default()).unwrap();
+        assert_eq!(reports.len(), 2);
+        assert_eq!(summaries.len(), 2);
+        for (s, r) in summaries.iter().zip(&reports) {
+            assert_eq!(&r.summary, s, "{}", s.kernel);
+        }
+        let (whole, cut) = (&summaries[0], &summaries[1]);
+        assert!(!whole.aborted);
+        assert_eq!((whole.blocks, whole.events, whole.fma_lane_ops), (4, 4, 64));
+        assert!(cut.aborted);
+        assert_eq!(cut.kernel, "cut");
+        assert_eq!((cut.blocks, cut.events, cut.fma_lane_ops), (2, 3, 0));
+        assert_eq!((cut.block_bar_min, cut.block_bar_max), (0, 1));
+        assert_eq!(cut.sm_conflict_histogram, [0, 1, 0, 0, 0, 0]);
+        // Every GmLd lane reads word 0: 4 blocks' worth of reads in the
+        // whole launch, only the delivered block's in the cut one.
+        assert_eq!(reports[0].gm_ld_word_reads_max, 4 * 32);
+        assert_eq!(reports[1].gm_ld_word_reads_max, 32);
     }
 }

@@ -1,15 +1,14 @@
-//! Fuzz-style robustness properties of the KTRC readers.
+//! Fuzz-style robustness properties of the KTRC reader.
 //!
 //! The binary trace format crosses a trust boundary: `trace_report
 //! --trace` and the replay tools accept arbitrary files. These tests feed
 //! systematically corrupted KTRC v5 streams — every truncation prefix,
 //! seeded bit flips, seeded byte splices and hostile header varints —
-//! through all three reader entry points ([`Trace::decode`], the
-//! streaming [`read_trace`] visitor, and [`read_launches`]) and assert
-//! the contract: a typed [`TraceError`] or a well-formed result, never a
-//! panic, never an abort-by-allocation, never a hang. The corpus comes
-//! from the real writer and mixes affine, explicit, partial-mask and
-//! zero-lane events.
+//! through [`Trace::decode`], the one reader, and assert the contract: a
+//! typed [`TraceError`](kconv_trace::TraceError) or a well-formed result
+//! whose views and roll-ups can be walked, never a panic, never an
+//! abort-by-allocation, never a hang. The corpus comes from the real
+//! writer and mixes affine, explicit, partial-mask and zero-lane events.
 
 use kconv_sim::{
     GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
@@ -18,7 +17,7 @@ use kconv_sim::{
 use kconv_tensor::rng::StdRng;
 use kconv_trace::varint::write_u64;
 use kconv_trace::{
-    affine_addrs, affine_lanes, read_launches, read_trace, SharedBuffer, Trace, TraceVisitor,
+    affine_addrs, affine_lanes, LaunchEnd, LaunchHeader, SharedBuffer, Trace, TraceSummary,
     TraceWriter, MAGIC, VERSION,
 };
 
@@ -81,6 +80,34 @@ fn launch<'a>(kernel: &'a str, spec: &'a GpuSpec) -> TraceLaunch<'a> {
     }
 }
 
+/// The header [`Trace::decode`] must recover from `launch(kernel, ..)`.
+fn header(kernel: &str) -> LaunchHeader {
+    LaunchHeader {
+        kernel: kernel.into(),
+        grid_blocks: 2,
+        executed_blocks: 2,
+        threads_per_block: 64,
+        smem_bytes: 2048,
+        regs_per_thread: 32,
+        overlap: OverlapMode::Prefetch,
+        spec: GpuSpec::kepler_k40m(),
+    }
+}
+
+/// What one launch of a corpus stream was written with: kernel,
+/// `(block_id, events)`, and the end record the reader must report.
+type Written = (&'static str, Vec<(u64, Vec<TraceEvent>)>, LaunchEnd);
+
+/// A launch end with default stats: `aborted` is the writer's flag (set
+/// when a new launch begins before the open one ended).
+fn end(aborted: bool) -> LaunchEnd {
+    LaunchEnd {
+        aborted,
+        fma_lane_ops: 0,
+        stats: Some(KernelStats::default()),
+    }
+}
+
 /// Two complete launches of mixed events.
 fn complete_stream() -> Vec<u8> {
     let spec = GpuSpec::kepler_k40m();
@@ -110,10 +137,36 @@ fn aborted_stream() -> Vec<u8> {
     buf.take()
 }
 
-fn corpus() -> Vec<(&'static str, Vec<u8>)> {
+fn corpus() -> Vec<(&'static str, Vec<u8>, Vec<Written>)> {
+    let events = mixed_events();
+    let complete = |kernel| {
+        let blocks = vec![(0, events.clone()), (1, events[2..5].to_vec())];
+        (kernel, blocks, end(false))
+    };
     vec![
-        ("complete", complete_stream()),
-        ("aborted", aborted_stream()),
+        (
+            "complete",
+            complete_stream(),
+            vec![complete("alpha"), complete("beta")],
+        ),
+        (
+            "aborted",
+            aborted_stream(),
+            vec![
+                ("faulted", vec![(0, events[..3].to_vec())], end(true)),
+                // Cut off by the end of the stream: the reader
+                // synthesizes an aborted end without stats.
+                (
+                    "cut",
+                    vec![(0, events[3..].to_vec())],
+                    LaunchEnd {
+                        aborted: true,
+                        fma_lane_ops: 0,
+                        stats: None,
+                    },
+                ),
+            ],
+        ),
     ]
 }
 
@@ -125,71 +178,39 @@ fn corpus_mixes_every_event_form() {
     assert!(events.iter().any(|e| affine(e) && e.mask != LaneMask::ALL));
     assert!(events.iter().any(|e| !affine(e) && e.mask.count() >= 2));
     assert!(events.iter().any(|e| e.mask.count() == 0));
-    for (name, bytes) in corpus() {
+    for (name, bytes, _) in corpus() {
         assert_eq!(bytes[MAGIC.len()], VERSION, "{name}");
     }
 }
 
-/// A visitor that exercises the streaming path and asserts its delivery
-/// contract: events only inside an open block of an open launch, and
-/// never more per block than the header claimed.
-#[derive(Default)]
-struct Probe {
-    launches_open: u64,
-    launches_closed: u64,
-    claimed: u64,
-    delivered: u64,
-    events_total: u64,
-}
-
-impl TraceVisitor for Probe {
-    fn launch_begin(&mut self, _header: &kconv_trace::LaunchHeader) {
-        self.launches_open += 1;
+/// Decodes `bytes`, which must return a typed result; an accepted stream
+/// must also survive a walk of every block view (heads and lane
+/// addresses) and the head roll-up. Returns whether it was accepted.
+fn decode_checked(bytes: &[u8]) -> bool {
+    let Ok(trace) = Trace::decode(bytes) else {
+        return false;
+    };
+    for launch in trace.launches() {
+        let mut events = 0;
+        for block in launch.blocks() {
+            block.for_each(|_, _| events += 1);
+            assert_eq!(block.heads().len(), block.len());
+        }
+        assert_eq!(events, launch.event_count());
     }
-    fn block_begin(&mut self, _block_id: u64, event_count: u64) {
-        assert!(
-            self.launches_open > self.launches_closed,
-            "block outside launch"
-        );
-        self.claimed = event_count;
-        self.delivered = 0;
-    }
-    fn event(&mut self, _block_id: u64, _ev: &TraceEvent) {
-        self.delivered += 1;
-        self.events_total += 1;
-        assert!(
-            self.delivered <= self.claimed,
-            "more events than the block claimed"
-        );
-    }
-    fn launch_end(&mut self, _end: &kconv_trace::LaunchEnd) {
-        self.launches_closed += 1;
-    }
-}
-
-/// Runs all three reader entry points on `bytes`; each must return a
-/// typed result. The return value is whether every path accepted it.
-fn decode_all(bytes: &[u8]) -> bool {
-    let a = Trace::decode(bytes).is_ok();
-    let b = read_launches(bytes).is_ok();
-    let mut probe = Probe::default();
-    let c = read_trace(bytes, &mut probe).is_ok();
-    assert_eq!(
-        a, b,
-        "Trace::decode and read_launches must agree on validity"
-    );
-    assert_eq!(b, c, "read_launches and read_trace must agree on validity");
-    a
+    let summaries = TraceSummary::from_bytes(bytes).expect("decoded once, decodes again");
+    assert_eq!(summaries.len(), trace.launches().len());
+    true
 }
 
 #[test]
 fn every_truncation_prefix_is_typed() {
-    for (name, bytes) in corpus() {
-        assert!(decode_all(&bytes), "{name}: intact stream must decode");
+    for (name, bytes, _) in corpus() {
+        assert!(decode_checked(&bytes), "{name}: intact stream must decode");
         for cut in 0..bytes.len() {
             // Ok (a clean record boundary synthesizes an aborted launch)
             // or Err — either way typed, never a panic.
-            decode_all(&bytes[..cut]);
+            decode_checked(&bytes[..cut]);
         }
     }
 }
@@ -197,13 +218,13 @@ fn every_truncation_prefix_is_typed() {
 #[test]
 fn seeded_bit_flips_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    for (name, bytes) in corpus() {
+    for (name, bytes, _) in corpus() {
         let mut accepted = 0u32;
         for _ in 0..600 {
             let mut m = bytes.clone();
             let at = rng.gen_range(0..m.len());
             m[at] ^= 1 << rng.gen_range(0..8);
-            if decode_all(&m) {
+            if decode_checked(&m) {
                 accepted += 1;
             }
         }
@@ -217,7 +238,7 @@ fn seeded_bit_flips_never_panic() {
 #[test]
 fn seeded_byte_splices_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xDECADE);
-    for (_, bytes) in corpus() {
+    for (_, bytes, _) in corpus() {
         for _ in 0..200 {
             let mut m = bytes.clone();
             // Overwrite a random short run with random bytes, then cut a
@@ -229,7 +250,7 @@ fn seeded_byte_splices_never_panic() {
             }
             let keep = 1 + rng.gen_range(0..m.len());
             m.truncate(keep);
-            decode_all(&m);
+            decode_checked(&m);
         }
     }
 }
@@ -237,8 +258,8 @@ fn seeded_byte_splices_never_panic() {
 #[test]
 fn hostile_event_counts_fail_without_huge_allocation() {
     // A block header claiming up to u64::MAX events backed by zero event
-    // bytes: the readers must reject it with a typed error, and the
-    // clamped pre-allocation (`RESERVE_EVENTS_MAX`) must keep them from
+    // bytes: the reader must reject it with a typed error, and the
+    // clamped pre-allocation (`RESERVE_EVENTS_MAX`) must keep it from
     // reserving terabytes first (an unclamped reserve aborts the process,
     // which this test would report as a crash, not a failure).
     let spec = GpuSpec::kepler_k40m();
@@ -260,11 +281,6 @@ fn hostile_event_counts_fail_without_huge_allocation() {
         write_u64(&mut bytes, 0); // block id
         write_u64(&mut bytes, claim); // hostile event count
         assert!(Trace::decode(&bytes).is_err(), "claim {claim}: must reject");
-        assert!(read_launches(&bytes).is_err());
-        let mut probe = Probe::default();
-        assert!(read_trace(&bytes, &mut probe).is_err());
-        // The streaming path delivered at most the bytes that existed.
-        assert_eq!(probe.events_total, 0);
     }
 }
 
@@ -277,22 +293,28 @@ fn hostile_name_lengths_fail_typed() {
         bytes.push(TAG_LAUNCH_BEGIN);
         write_u64(&mut bytes, claim); // kernel-name length, no name bytes
         assert!(Trace::decode(&bytes).is_err(), "claim {claim}: must reject");
-        assert!(read_launches(&bytes).is_err());
     }
 }
 
+/// The write path and the read path agree: every intact corpus stream
+/// decodes to exactly the launches, blocks and events it was written
+/// with.
 #[test]
 fn intact_corpus_decodes_identically_across_paths() {
-    for (name, bytes) in corpus() {
+    for (name, bytes, written) in corpus() {
         let trace = Trace::decode(&bytes).expect("intact stream decodes");
-        let launches = read_launches(&bytes).expect("intact stream decodes");
-        assert_eq!(trace.launches().len(), launches.len(), "{name}");
-        for (d, l) in trace.launches().iter().zip(&launches) {
-            assert_eq!(d.header, l.header, "{name}: headers agree");
-            assert_eq!(d.end, l.end, "{name}: ends agree");
-            let streamed: usize = l.blocks.iter().map(|(_, evs)| evs.len()).sum();
-            assert_eq!(d.event_count(), streamed, "{name}: event counts agree");
-            for (view, (id, events)) in d.blocks().zip(&l.blocks) {
+        assert_eq!(trace.launches().len(), written.len(), "{name}");
+        for (d, (kernel, blocks, end)) in trace.launches().iter().zip(&written) {
+            assert_eq!(d.header, header(kernel), "{name}: headers agree");
+            assert_eq!(&d.end, end, "{name}: ends agree");
+            let written_events: usize = blocks.iter().map(|(_, evs)| evs.len()).sum();
+            assert_eq!(
+                d.event_count(),
+                written_events,
+                "{name}: event counts agree"
+            );
+            assert_eq!(d.block_count(), blocks.len(), "{name}");
+            for (view, (id, events)) in d.blocks().zip(blocks) {
                 assert_eq!(view.block_id, *id, "{name}");
                 assert_eq!(&view.to_events(), events, "{name}: events agree");
             }

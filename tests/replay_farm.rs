@@ -1,6 +1,7 @@
 //! Replay-farm integration through the public facade: the decoded
-//! [`Trace`] form, the byte-stream replayer and the live simulator must
-//! agree bit for bit, the fused multi-spec sweep must price every cell
+//! [`Trace`] form must reproduce what its writer was given, the decoded
+//! and byte-stream replayers and the live simulator must agree bit for
+//! bit, the fused multi-spec sweep must price every cell
 //! exactly as the one-spec replay does, and the farm sweep must be
 //! deterministic no matter how its cells are scheduled.
 
@@ -13,7 +14,7 @@ use kconv::sim::{
     TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
 };
 use kconv::tensor::{random_filters, random_maps, ConvProblem};
-use kconv::trace::{read_launches, SharedBuffer, Trace, TraceWriter};
+use kconv::trace::{LaunchEnd, LaunchHeader, SharedBuffer, Trace, TraceWriter};
 
 /// splitmix64 — deterministic, dependency-free.
 struct Rng(u64);
@@ -47,29 +48,47 @@ fn capture(
     (buf.take(), run.report.stats)
 }
 
+/// One launch of [`random_stream`] as its writer was given it.
+struct Written {
+    header: LaunchHeader,
+    blocks: Vec<(u64, Vec<TraceEvent>)>,
+    end: LaunchEnd,
+}
+
 /// A synthetic multi-launch trace of seeded random events — the
 /// adversarial input the real kernels never produce (partial masks,
 /// zero-event blocks, every op kind, sampled grids, and for odd seeds a
-/// last launch cut off before its end record).
-fn random_stream(seed: u64) -> Vec<u8> {
+/// last launch cut off before its end record) — and what it was written
+/// with.
+fn random_stream(seed: u64) -> (Vec<u8>, Vec<Written>) {
     let mut rng = Rng(0xFA12_0000 + seed);
     let spec = GpuSpec::kepler_k40m();
     let buf = SharedBuffer::new();
     let mut w = TraceWriter::new(buf.clone());
+    let mut written = Vec::new();
     for li in 0..1 + (seed % 3) {
-        let name = format!("rand-{seed}-{li}");
         let blocks = 1 + (rng.next() % 4);
-        let grid = blocks * (1 + rng.next() % 3);
+        let header = LaunchHeader {
+            kernel: format!("rand-{seed}-{li}"),
+            grid_blocks: blocks * (1 + rng.next() % 3),
+            executed_blocks: blocks,
+            threads_per_block: 64,
+            smem_bytes: rng.next() % 48_000,
+            regs_per_thread: 16 + rng.next() % 200,
+            overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+            spec: spec.clone(),
+        };
         w.launch_begin(&TraceLaunch {
-            kernel: &name,
-            grid_blocks: grid as usize,
+            kernel: &header.kernel,
+            grid_blocks: header.grid_blocks as usize,
             executed_blocks: blocks as usize,
             threads_per_block: 64,
-            smem_bytes: (rng.next() % 48_000) as u32,
-            regs_per_thread: 16 + (rng.next() % 200) as u32,
-            overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+            smem_bytes: header.smem_bytes as u32,
+            regs_per_thread: header.regs_per_thread as u32,
+            overlap: header.overlap,
             spec: &spec,
         });
+        let mut block_events = Vec::new();
         for block_id in 0..blocks {
             let events: Vec<TraceEvent> = (0..rng.next() % 16)
                 .map(|_| {
@@ -97,6 +116,7 @@ fn random_stream(seed: u64) -> Vec<u8> {
                 })
                 .collect();
             w.block_events(block_id as usize, &events);
+            block_events.push((block_id, events));
         }
         let stats = KernelStats {
             fma_lane_ops: rng.next() % (1 << 40),
@@ -104,25 +124,40 @@ fn random_stream(seed: u64) -> Vec<u8> {
             barriers: rng.next() % (1 << 20),
             ..KernelStats::default()
         };
-        if seed.is_multiple_of(2) || li < seed % 3 {
+        let end = if seed.is_multiple_of(2) || li < seed % 3 {
             w.launch_end(&stats);
-        }
+            LaunchEnd {
+                aborted: false,
+                fma_lane_ops: stats.fma_lane_ops,
+                stats: Some(stats),
+            }
+        } else {
+            LaunchEnd {
+                aborted: true,
+                fma_lane_ops: 0,
+                stats: None,
+            }
+        };
+        written.push(Written {
+            header,
+            blocks: block_events,
+            end,
+        });
     }
-    buf.take()
+    (buf.take(), written)
 }
 
 #[test]
-fn decoded_trace_round_trips_the_streamed_reader_on_random_corpora() {
+fn decoded_trace_round_trips_the_written_events_on_random_corpora() {
     for seed in 0..8 {
-        let bytes = random_stream(seed);
+        let (bytes, written) = random_stream(seed);
         let decoded = Trace::decode(&bytes).expect("decodes");
-        let streamed = read_launches(&bytes).expect("streams");
-        assert_eq!(decoded.launches().len(), streamed.len(), "seed {seed}");
-        for (d, s) in decoded.launches().iter().zip(&streamed) {
-            assert_eq!(d.header, s.header, "seed {seed}");
-            assert_eq!(d.end, s.end, "seed {seed}");
-            assert_eq!(d.block_count(), s.blocks.len(), "seed {seed}");
-            for (view, (block_id, events)) in d.blocks().zip(&s.blocks) {
+        assert_eq!(decoded.launches().len(), written.len(), "seed {seed}");
+        for (d, w) in decoded.launches().iter().zip(&written) {
+            assert_eq!(d.header, w.header, "seed {seed}");
+            assert_eq!(d.end, w.end, "seed {seed}");
+            assert_eq!(d.block_count(), w.blocks.len(), "seed {seed}");
+            for (view, (block_id, events)) in d.blocks().zip(&w.blocks) {
                 assert_eq!(view.block_id, *block_id, "seed {seed}");
                 assert_eq!(&view.to_events(), events, "seed {seed}");
             }
@@ -133,7 +168,7 @@ fn decoded_trace_round_trips_the_streamed_reader_on_random_corpora() {
 #[test]
 fn decoded_and_byte_replay_agree_on_random_corpora_under_every_preset() {
     for seed in 0..6 {
-        let bytes = random_stream(seed);
+        let (bytes, _) = random_stream(seed);
         let trace = Trace::decode(&bytes).expect("decodes");
         for spec in GpuSpec::presets_all() {
             let target = TargetSpec::Spec(spec);
@@ -269,7 +304,7 @@ fn fused_sweep_equals_per_spec_replay_launch_on_every_spec_set() {
         Trace::decode(&special).expect("decodes"),
         Trace::decode(&sampled).expect("decodes"),
     ];
-    traces.extend((0..4).map(|seed| Trace::decode(&random_stream(seed)).expect("decodes")));
+    traces.extend((0..4).map(|seed| Trace::decode(&random_stream(seed).0).expect("decodes")));
     let launches = || traces.iter().flat_map(Trace::launches);
     assert!(launches().any(|l| l.end.aborted), "an aborted launch");
     assert!(
