@@ -60,7 +60,6 @@ use kconv_sim::{Gpu, GpuSpec, LaunchReport, SanitizerMode, SimMode};
 use kconv_sim::{TraceOp, WARP_SIZE};
 use kconv_systolic::{PipelineConfig, SystolicConv};
 use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet, CONV_TOL};
-use kconv_trace::{SharedBuffer, TraceWriter};
 
 /// Input seed shared by every [`capture`] (and the `arch` harness).
 pub const INPUT_SEED: u64 = 307;
@@ -261,17 +260,15 @@ pub fn capture(
     let input = random_maps(problem.channels, problem.height, problem.width, INPUT_SEED);
     let filters = random_filters(problem.filters, problem.channels, problem.k, FILTER_SEED);
     let mut gpu = Gpu::new(variant.spec.clone()).with_sanitizer(SanitizerMode::Off);
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = variant
-        .conv
-        .run(&mut gpu, problem, &input, &filters, SimMode::Full);
-    gpu.set_trace_sink(None);
-    let run = run?;
+    let (run, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+        variant
+            .conv
+            .run(gpu, problem, &input, &filters, SimMode::Full)
+    });
     Ok(ArchCapture {
         kernel: variant.conv.name(),
-        bytes: buf.take(),
-        live: run.report,
+        bytes,
+        live: run?.report,
     })
 }
 

@@ -22,8 +22,10 @@
 //!   quantization oracle, and is bit-identical between serial and
 //!   threaded block execution.
 //!
-//! [`run`] is the single code path behind the `arch` binary (`--check`
-//! gating). It writes `BENCH_arch.json` to the workspace root either way.
+//! [`run`] writes `BENCH_arch.json` to the workspace root; under
+//! `--check` any FAIL is exit status 1.
+
+use std::process::ExitCode;
 
 use kconv_arch::{
     capture, conflict_factor, full_warp_waste, generate_all, generate_forced, measured_mismatch,
@@ -33,6 +35,7 @@ use kconv_core::{ConvRun, DataType, KernelShape};
 use kconv_sim::{Gpu, GpuSpec, Parallelism, SanitizerMode, SimMode};
 use kconv_tensor::{random_filters, random_maps, ConvProblem};
 
+use crate::cli::Args;
 use crate::{fig8, print_table, Checker};
 
 /// The harness problem: one Table-1-sized special layer, small enough
@@ -124,9 +127,8 @@ fn clean_execution(variant: &GeneratedVariant, problem: &ConvProblem, c: &mut Ch
 }
 
 /// Captures the corpus, replays every gate, and writes `BENCH_arch.json`
-/// to the workspace root. Returns the tally for the caller's `--check`
-/// gate.
-pub fn run() -> Checker {
+/// to the workspace root.
+pub fn run(args: &Args) -> ExitCode {
     let mut c = Checker::default();
     let problem = problem();
     let presets = GpuSpec::presets_all();
@@ -318,7 +320,7 @@ pub fn run() -> Checker {
     }
 
     c.summary();
-    c
+    c.exit_code(args.check)
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! what-if analysis at corpus scale: `BENCH_farm.json` is a small Pareto
 //! surface of architectures over the paper's kernels.
 //!
-//! [`run`] is the code path behind the `farm` binary (`--check`
-//! gating, each timed phase best of three). It self-checks:
+//! [`run`] times each phase best of three, writes `BENCH_farm.json` to
+//! the workspace root, and under `--check` exits 1 on any FAIL. It
+//! self-checks:
 //!
 //! * replaying each capture under its own spec reproduces the live
 //!   launch's `KernelStats` and timing bit for bit;
@@ -23,6 +24,7 @@
 //!   byte-stream path that re-decodes per spec — while decoding each
 //!   trace `1` time instead of `specs.len()` times.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use kconv_core::{
@@ -34,8 +36,9 @@ use kconv_sim::mem::lanes;
 use kconv_sim::{BankWidth, Gpu, GpuSpec, LaunchReport, Parallelism, SanitizerMode, SimMode};
 use kconv_systolic::{PipelineConfig, SystolicConv};
 use kconv_tensor::{random_filters, random_maps, ConvProblem};
-use kconv_trace::{SharedBuffer, Trace, TraceWriter};
+use kconv_trace::Trace;
 
+use crate::cli::Args;
 use crate::{fig8, Checker};
 
 /// Input seed shared by every corpus capture.
@@ -207,17 +210,14 @@ pub fn capture_corpus() -> Vec<Capture> {
                 FILTER_SEED,
             );
             let mut gpu = Gpu::new(GpuSpec::kepler_k40m()).with_sanitizer(SanitizerMode::Off);
-            let buf = SharedBuffer::new();
-            gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-            let run = e
-                .conv
-                .run(&mut gpu, &e.problem, &input, &filters, SimMode::Full)
-                .unwrap_or_else(|err| panic!("corpus entry {} runs: {err}", e.name));
-            gpu.set_trace_sink(None);
+            let (run, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+                e.conv.run(gpu, &e.problem, &input, &filters, SimMode::Full)
+            });
+            let run = run.unwrap_or_else(|err| panic!("corpus entry {} runs: {err}", e.name));
             Capture {
                 name: e.name,
                 kernel: e.conv.name(),
-                bytes: buf.take(),
+                bytes,
                 live: run.report,
             }
         })
@@ -299,9 +299,8 @@ const ITERS: usize = 3;
 
 /// Captures the corpus, sweeps it over [`spec_grid`], runs every
 /// self-check, and writes `BENCH_farm.json` to the workspace root, each
-/// timed phase best of `ITERS`. Returns the tally for the caller's
-/// `--check` gate.
-pub fn run() -> Checker {
+/// timed phase best of `ITERS`.
+pub fn run(args: &Args) -> ExitCode {
     let mut c = Checker::default();
 
     // --- Capture: one live run per corpus entry, trace attached ---
@@ -554,7 +553,7 @@ pub fn run() -> Checker {
     }
 
     c.summary();
-    c
+    c.exit_code(args.check)
 }
 
 #[cfg(test)]

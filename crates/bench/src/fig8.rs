@@ -1,4 +1,4 @@
-//! The Fig. 8 reference workload shared by every harness that measures it.
+//! The Fig. 8 reference workload, and the two harnesses built on it.
 //!
 //! `bench_smoke` (counter golden), `whatif` (replay ≡ live) and
 //! `trace_report` (trace-level checks) all run the same layer: the
@@ -7,10 +7,24 @@
 //! This module is the single definition of that workload, its canonical
 //! `KernelStats` JSON rendering, and the golden-file paths — so the
 //! harnesses cannot drift apart on seeds or shapes.
+//!
+//! [`bench_smoke`] runs the layer once, serially, and compares every
+//! counter against `GOLDEN_fig8.json`: the hot-path data structures
+//! (paged write journal, constant-line bitmap, stack-array dedup) are
+//! justified by being bit-identical to the naive models they replaced,
+//! and this is the tripwire that keeps them honest. `--write` re-blesses
+//! the golden; do that only when a modeling change (not an optimization)
+//! intentionally moves the counters. [`debug_timing`] prints each
+//! engine's timing breakdown on the same shape.
 
-use kconv_core::GeneralConv;
-use kconv_sim::KernelStats;
+use std::process::ExitCode;
+
+use kconv_core::{Convolution, GeneralConv, ImplicitGemmConv};
+use kconv_sim::{Gpu, GpuSpec, KernelStats, Parallelism, SanitizerMode, SimMode};
 use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
+
+use crate::cli::Args;
+use crate::{bail, sampled_run};
 
 /// Input seed every fig8 harness uses.
 pub const INPUT_SEED: u64 = 201;
@@ -88,6 +102,70 @@ pub fn print_json_diff(golden: &str, current: &str) {
             eprintln!("  current: {}", c.trim());
         }
     }
+}
+
+/// CI drift check: one serial iteration of the layer, every counter
+/// compared against `GOLDEN_fig8.json` (exit 1 with a field-level diff on
+/// drift), or written there with `--write`.
+pub fn bench_smoke(args: &Args) -> ExitCode {
+    let (problem, input, filters) = workload();
+    let mut gpu = Gpu::new(GpuSpec::kepler_k40m())
+        .with_parallelism(Parallelism::Serial)
+        .with_sanitizer(SanitizerMode::Off);
+    let run = conv()
+        .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
+        .expect("fig8 layer launches");
+    let current = stats_json(&run.report.stats);
+
+    let path = workspace_file("GOLDEN_fig8.json");
+    if args.write {
+        if let Err(e) = std::fs::write(&path, &current) {
+            bail(&format!("cannot write {path}: {e}"));
+        }
+        println!("wrote {path}");
+        return ExitCode::SUCCESS;
+    }
+
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        bail(&format!(
+            "cannot read {path}: {e} (run with --write to create it)"
+        ))
+    });
+    if golden == current {
+        println!("bench_smoke: all fig8 counters match {path}");
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("bench_smoke: counter drift against {path}");
+    print_json_diff(&golden, &current);
+    ExitCode::FAILURE
+}
+
+/// Developer utility, not a paper artifact: the per-component timing
+/// breakdown of each convolution engine on the layer's shape.
+pub fn debug_timing(_: &Args) -> ExitCode {
+    let problem = problem();
+    let engines: [&dyn Convolution; 2] = [&conv(), &ImplicitGemmConv::default()];
+    for e in engines {
+        let run = sampled_run(e, &GpuSpec::kepler_k40m(), &problem, [1, 2], false);
+        let t = &run.report.timing;
+        println!("{}:", e.name());
+        println!(
+            "  blocks={} occ={:?}",
+            run.report.stats.blocks_total, t.occupancy
+        );
+        println!("  compute={:.3}ms smem={:.3}ms cm={:.3}ms gm={:.3}ms barrier={:.3}ms latency={:.3}ms total={:.3}ms",
+            t.t_compute*1e3, t.t_smem*1e3, t.t_cm*1e3, t.t_gm*1e3, t.t_barrier*1e3, t.t_latency*1e3, t.t_total*1e3);
+        println!(
+            "  gflops(alg)={:.0} fma={} alu={} sm_req={} sm_cyc={} replay={:.3}",
+            run.effective_gflops(&problem),
+            run.report.stats.fma_lane_ops,
+            run.report.stats.alu_lane_ops,
+            run.report.stats.sm_requests(),
+            run.report.stats.sm_cycles(),
+            run.report.stats.sm_replay_factor()
+        );
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -1,87 +1,51 @@
 //! # kconv-bench — experiment harnesses for the DAC'17 reproduction
 //!
-//! One binary per harness (see `DESIGN.md` for the index):
+//! One binary, `kconv-bench <harness> [flags]`, runs every harness: each
+//! figure and table of the paper, the §5.1 tile search, the §6 ablations,
+//! and the replay, generator, pipeline and serving gates. [`cli`] holds
+//! the harness table and its flags; run `kconv-bench` with no arguments
+//! to print it (`DESIGN.md` maps harnesses to paper artifacts).
 //!
-//! | Binary | Harness |
-//! |--------|---------|
-//! | `fig1_patterns` | Fig. 1 — the shared-memory access-pattern model, numerically |
-//! | `fig2_gemm` | Fig. 2 — SGEMM: cuBLAS-like vs MAGMA vs MAGMA-mod |
-//! | `fig7_special` | Fig. 7 — special-case convolution vs cuDNN-like |
-//! | `special_tune` | §5.1 — special-case tile search ("W = 256, H = 8 is best") |
-//! | `table1_tune` | Table 1 — general-case design-space exploration |
-//! | `fig8_general` | Fig. 8 — general-case convolution vs cuDNN-like |
-//! | `bench_smoke` | CI drift check of the Fig. 8 3×3 layer against `GOLDEN_fig8.json` |
-//! | `ablation_unmatched` | Fig. 7b inset — the cost of ignoring the bank-width model |
-//! | `ablation_contiguous` | §4.2 — contiguous outputs vs the blocked-GEMM layout |
-//! | `ablation_dtype` | §6 — short-data-type bank mismatch |
-//! | `ablation_overlap` | prefetch/overlap contribution |
-//! | `ablation_arch` | Kepler vs Fermi vs Maxwell-like mismatch penalty |
-//! | `winograd_compare` | related work — direct vs Winograd for 3×3 |
-//! | `trace_report` | traced traffic vs the analytical model, plus the replay gate |
-//! | `whatif` | one capture re-priced under every preset (eq. 1 both ways) |
-//! | `farm` | the replay farm: corpus × spec-grid sweep, `BENCH_farm.json` |
-//! | `arch` | the architecture-adaptive generator's gates, `BENCH_arch.json` |
-//! | `systolic` | the double-buffered pipeline's gates, `BENCH_systolic.json` |
-//! | `serve` | the serving chaos harness, `BENCH_serve.json` |
-//! | `debug_timing` | developer utility: per-engine timing breakdown |
-//!
-//! This library holds the small shared pieces: table rendering,
-//! geometric-mean helpers, the PASS/FAIL [`Checker`] driving the
-//! `--check` harnesses, the synthetic Fig. 1 pattern traces
-//! ([`sm_pattern_trace`]), and the harness bodies ([`farm`], [`arch`],
-//! [`systolic`], [`serve`], [`fig8`]).
+//! This library holds the harness bodies ([`paper`], [`ablation`],
+//! [`fig8`], [`trace_report`], [`whatif`], [`farm`], [`arch`],
+//! [`systolic`], [`serve`]) and the small shared pieces: table
+//! rendering, geometric-mean helpers, the sampled launch most sweeps
+//! measure ([`sampled_run`]), the PASS/FAIL [`Checker`] driving the
+//! `--check` harnesses, and the synthetic Fig. 1 pattern traces
+//! ([`sm_pattern_trace`]).
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod arch;
+pub mod cli;
 pub mod farm;
 pub mod fig8;
+pub mod paper;
 pub mod serve;
 pub mod systolic;
+pub mod trace_report;
+pub mod whatif;
 
+use std::process::ExitCode;
+
+use kconv_core::{ConvRun, Convolution};
+use kconv_replay::ReplayReport;
 use kconv_sim::{
-    GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
+    Gpu, GpuSpec, KernelStats, LaneMask, OverlapMode, Parallelism, SimMode, TraceEvent,
+    TraceLaunch, TraceOp, TraceSink,
 };
+use kconv_tensor::{random_filters, random_maps, ConvProblem, CONV_TOL};
 use kconv_trace::{SharedBuffer, TraceWriter};
 
 /// Prints one `error:` line to stderr and exits with status 2 — the
-/// harness binaries' uniform answer to bad invocations and unusable
-/// inputs (unknown flags or presets, unreadable paths, malformed
-/// traces). Never panics, so operator mistakes produce a one-line
+/// harnesses' uniform answer to unusable inputs (unreadable or
+/// unwritable paths, malformed traces), as [`cli`] answers bad
+/// invocations. Never panics, so operator mistakes produce a one-line
 /// diagnostic instead of a backtrace.
 pub fn bail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
-}
-
-/// Rejects unrecognized command-line arguments: every argument must be
-/// listed in `allowed` (flags taking a value name the value slot via
-/// `takes_value`). Calls [`bail`] with a usage line on the first unknown.
-pub fn reject_unknown_args(bin: &str, allowed: &[(&str, bool)]) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match allowed.iter().find(|(name, _)| *name == arg) {
-            Some((_, takes_value)) => i += 1 + usize::from(*takes_value),
-            None => {
-                let usage: Vec<String> = allowed
-                    .iter()
-                    .map(|(name, takes_value)| {
-                        if *takes_value {
-                            format!("[{name} <value>]")
-                        } else {
-                            format!("[{name}]")
-                        }
-                    })
-                    .collect();
-                bail(&format!(
-                    "unknown argument {arg:?} (usage: {bin} {})",
-                    usage.join(" ")
-                ));
-            }
-        }
-    }
 }
 
 /// Running PASS/FAIL tally for the self-checking harnesses
@@ -125,6 +89,16 @@ impl Checker {
         );
     }
 
+    /// The harness's exit status: failure (1) when `check` is set and any
+    /// check failed, success otherwise.
+    pub fn exit_code(&self, check: bool) -> ExitCode {
+        if check && self.failures > 0 {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        }
+    }
+
     /// Prints the closing `passed/total` summary line.
     pub fn summary(&self) {
         println!(
@@ -138,6 +112,37 @@ impl Checker {
             }
         );
     }
+}
+
+/// One launch of `conv` on a fresh `spec` device, as the paper sweeps
+/// measure it: block parallelism from `KCONV_THREADS`, two sampled
+/// blocks, over `problem`'s random input and filters seeded with
+/// `seeds = [input, filters]`. With `verify`, the executed blocks are
+/// checked against the CPU reference.
+///
+/// # Panics
+///
+/// Panics when the launch or the verification fails: every harness
+/// workload is fixed and known to run.
+pub fn sampled_run(
+    conv: &dyn Convolution,
+    spec: &GpuSpec,
+    problem: &ConvProblem,
+    seeds: [u64; 2],
+    verify: bool,
+) -> ConvRun {
+    let input = random_maps(problem.channels, problem.height, problem.width, seeds[0]);
+    let filters = random_filters(problem.filters, problem.channels, problem.k, seeds[1]);
+    let mut gpu = Gpu::new(spec.clone()).with_parallelism(Parallelism::env_or_auto());
+    conv.run(&mut gpu, problem, &input, &filters, SimMode::Sampled(2))
+        .map_err(|e| e.to_string())
+        .and_then(|run| {
+            if verify {
+                run.verify_executed(problem, &input, &filters, CONV_TOL)?;
+            }
+            Ok(run)
+        })
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", conv.name(), spec.name))
 }
 
 /// Builds a synthetic one-block KTRC trace of `events` full-mask
@@ -169,6 +174,33 @@ pub fn sm_pattern_trace(name: &str, lane_bytes: u32, stride: u64, events: usize)
     w.block_events(0, &vec![event; events]);
     w.launch_end(&KernelStats::default());
     buf.take()
+}
+
+/// The header of the [`replay_columns`] table.
+pub fn replay_header() -> String {
+    format!(
+        "{:>12} {:>9} {:>12} {:>10}  bottleneck",
+        "sm cycles", "waste", "gm txns", "t (ms)"
+    )
+}
+
+/// The columns every re-pricing table prints for one replayed launch:
+/// SM cycles, SM waste, GM transactions, modeled time and its bottleneck
+/// (or why the timing model refused the launch).
+pub fn replay_columns(r: &ReplayReport) -> String {
+    let (ms, bottleneck) = match r.timing {
+        Some(t) => (
+            format!("{:.3}", t.t_total * 1e3),
+            t.bottleneck().to_string(),
+        ),
+        None => ("n/a".into(), r.timing_error.clone().unwrap_or_default()),
+    };
+    format!(
+        "{:>12} {:>9.3} {:>12} {ms:>10}  {bottleneck}",
+        r.sm_cycles(),
+        r.sm_waste(),
+        r.gm_transactions(),
+    )
 }
 
 /// Renders a row of fixed-width columns.

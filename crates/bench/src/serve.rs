@@ -2,9 +2,9 @@
 //! [`ServeEngine`] with and without a seeded chaos plan, gated by the
 //! resilience invariants.
 //!
-//! [`run`] is the single code path behind the `serve` binary (`--check`
-//! gating) and writes `BENCH_serve.json` (requests/s and p50/p99 modeled
-//! latency, chaos off vs. on). The invariants:
+//! [`run`] writes `BENCH_serve.json` (requests/s and p50/p99 modeled
+//! latency, chaos off vs. on); under `--check` any FAIL is exit status 1.
+//! The invariants:
 //!
 //! * every submitted request reaches **exactly one** terminal state
 //!   (completed / rejected / deadline-exceeded / failed), chaos or not;
@@ -20,6 +20,7 @@
 //! * the whole chaos scenario is bit-deterministic: running it twice gives
 //!   identical resolutions, latencies and metrics.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use kconv_core::conv_reference;
@@ -30,6 +31,7 @@ use kconv_serve::{
 use kconv_sim::{FaultSchedule, GpuSpec, Parallelism};
 use kconv_tensor::{all_close, random_filters, random_maps, ConvProblem, CONV_TOL};
 
+use crate::cli::Args;
 use crate::{fig8, Checker};
 
 /// Input seed base for the workload.
@@ -161,13 +163,15 @@ fn scenario(
     (res, *engine.metrics(), engine.events().to_vec(), wall)
 }
 
+/// How many times [`run`] repeats the timed baseline (best-of), on the
+/// engine's default host workers and serially: one 16-request run takes
+/// tens of milliseconds, so a single timing mostly measures the process's
+/// first-run warm-up.
+const ITERS: usize = 5;
+
 /// Serves the workload chaos-off and chaos-on, runs every invariant
-/// check, and writes `BENCH_serve.json` to the workspace root. `iters`
-/// controls how many times the timed baseline repeats (best-of), on the
-/// engine's default host workers and serially. Returns the tally for the
-/// caller's `--check` gate.
-pub fn run(iters: usize) -> Checker {
-    assert!(iters >= 1, "at least one timing iteration");
+/// check, and writes `BENCH_serve.json` to the workspace root.
+pub fn run(args: &Args) -> ExitCode {
     let mut c = Checker::default();
     let n = workload().len();
     println!("serve — {n} mixed Table-1 requests, 4 streams, chaos off vs on\n");
@@ -176,7 +180,7 @@ pub fn run(iters: usize) -> Checker {
     let mut baseline = None;
     let mut base_wall = f64::INFINITY;
     let mut serial_wall = f64::INFINITY;
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let (res, m, ev, wall) = scenario(engine(config()), workload());
         base_wall = base_wall.min(wall);
         baseline = Some((res, m, ev));
@@ -440,7 +444,7 @@ pub fn run(iters: usize) -> Checker {
     );
     println!(
         "[thruput]  wall {wall_rps:.0} req/s on {host_workers} host workers, \
-         {wall_rps_serial:.0} req/s serial (best of {iters})"
+         {wall_rps_serial:.0} req/s serial (best of {ITERS})"
     );
     c.check(
         "latency percentiles well-formed",
@@ -455,7 +459,7 @@ pub fn run(iters: usize) -> Checker {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"requests\": {n},\n  \"streams\": {},\n  \"chaos_off\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"chaos_on\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"retries\": {}, \"re_enqueued\": {}, \"breaker_trips\": {}, \"breaker_recoveries\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"burst\": {{\"one_stream_makespan_ms\": {:.6}, \"four_stream_makespan_ms\": {:.6}}},\n  \"wall_seconds\": {:.6},\n  \"wall_rps\": {:.1},\n  \"wall_rps_serial\": {wall_rps_serial:.1},\n  \"host_workers\": {host_workers},\n  \"kconv_threads\": \"{kconv_threads}\",\n  \"host_cores\": {host_cores},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"requests\": {n},\n  \"streams\": {},\n  \"chaos_off\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"chaos_on\": {{\"completed\": {}, \"rejected\": {}, \"deadline_exceeded\": {}, \"failed\": {}, \"retries\": {}, \"re_enqueued\": {}, \"breaker_trips\": {}, \"breaker_recoveries\": {}, \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}},\n  \"burst\": {{\"one_stream_makespan_ms\": {:.6}, \"four_stream_makespan_ms\": {:.6}}},\n  \"wall_seconds\": {:.6},\n  \"wall_rps\": {:.1},\n  \"wall_rps_serial\": {wall_rps_serial:.1},\n  \"host_workers\": {host_workers},\n  \"kconv_threads\": \"{kconv_threads}\",\n  \"host_cores\": {host_cores},\n  \"iters\": {ITERS},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         config().streams,
         base_m.completed,
         base_m.rejected,
@@ -491,7 +495,7 @@ pub fn run(iters: usize) -> Checker {
     }
 
     c.summary();
-    c
+    c.exit_code(args.check)
 }
 
 #[cfg(test)]

@@ -28,9 +28,10 @@
 //! doubled staging buffer exceeds the block's shared-memory capacity
 //! comes back as a recorded `TuneSkip`, not a launch failure.
 //!
-//! [`run`] is the single code path behind the `systolic` binary
-//! (`--check` gating). It writes `BENCH_systolic.json` to the workspace
-//! root either way.
+//! [`run`] writes `BENCH_systolic.json` to the workspace root; under
+//! `--check` any FAIL is exit status 1.
+
+use std::process::ExitCode;
 
 use kconv_core::{ConvRun, Convolution};
 use kconv_replay::{replay, TargetSpec};
@@ -39,8 +40,9 @@ use kconv_systolic::{
     barrier_halving, depth_axis, explore_pipeline_recorded, PipelineConfig, SystolicConv,
 };
 use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet, CONV_TOL};
-use kconv_trace::{SharedBuffer, TraceSummary, TraceWriter};
+use kconv_trace::TraceSummary;
 
+use crate::cli::Args;
 use crate::{fig8, print_table, Checker};
 
 /// Input seed shared by every harness capture.
@@ -113,13 +115,10 @@ struct Capture {
 fn capture(cfg: PipelineConfig, problem: &ConvProblem) -> Capture {
     let (input, filters) = workload(problem);
     let mut gpu = Gpu::new(GpuSpec::kepler_k40m()).with_sanitizer(SanitizerMode::Off);
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = SystolicConv::new(cfg)
-        .run(&mut gpu, problem, &input, &filters, SimMode::Full)
-        .unwrap_or_else(|e| panic!("systolic d{} on {problem}: {e}", cfg.depth));
-    gpu.set_trace_sink(None);
-    let bytes = buf.take();
+    let (run, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+        SystolicConv::new(cfg).run(gpu, problem, &input, &filters, SimMode::Full)
+    });
+    let run = run.unwrap_or_else(|e| panic!("systolic d{} on {problem}: {e}", cfg.depth));
     let summary = TraceSummary::from_bytes(&bytes)
         .expect("systolic capture decodes")
         .remove(0);
@@ -225,9 +224,8 @@ struct PresetRow {
 }
 
 /// Captures both depths of every preset, replays every gate, and writes
-/// `BENCH_systolic.json` to the workspace root. Returns the tally for the
-/// caller's `--check` gate.
-pub fn run() -> Checker {
+/// `BENCH_systolic.json` to the workspace root.
+pub fn run(args: &Args) -> ExitCode {
     let mut c = Checker::default();
     let spec = GpuSpec::kepler_k40m();
     let base = PipelineConfig::matched_for(&spec);
@@ -438,7 +436,7 @@ pub fn run() -> Checker {
     }
 
     c.summary();
-    c
+    c.exit_code(args.check)
 }
 
 #[cfg(test)]

@@ -32,22 +32,17 @@
 //!    widths, and the synthetic Fig. 1 patterns show exactly the eq. 1
 //!    mismatch factor.
 //!
-//! Usage:
-//!   cargo run --release -p kconv-bench --bin trace_report            # report
-//!   cargo run --release -p kconv-bench --bin trace_report -- --check # exit 1 on FAIL
-//!   cargo run ... -- --spec fermi   # also print replayed summaries under a preset
-//!   cargo run ... -- --trace capture.ktrc   # replay an external KTRC file
-//!
 //! Every check prints a PASS/FAIL line; `--check` (the CI mode) turns any
-//! FAIL into a nonzero exit. `--spec <preset>` (kepler, kepler-4b, fermi,
+//! FAIL into exit status 1. `--spec <preset>` (kepler, kepler-4b, fermi,
 //! maxwell, or a full preset name) additionally re-prices every captured
 //! trace under that architecture and prints the replayed summaries.
 //! `--trace <path>` skips the suite and replays an external KTRC capture
 //! instead (under `--spec` if given, else the embedded capture spec);
-//! unknown presets, unreadable paths and malformed traces exit nonzero
-//! with a one-line `error:` diagnostic rather than a panic.
+//! unreadable paths and malformed traces exit with status 2 and a
+//! one-line `error:` diagnostic rather than a panic.
 
-use kconv_bench::{fig8, sm_pattern_trace, Checker};
+use std::process::ExitCode;
+
 use kconv_core::model::{
     gemm_gm_load_bytes, general_gm_load_bytes, general_sm_reduction, general_vs_gemm_gm_ratio,
     special_gm_load_bytes, special_gm_store_bytes, special_halo_factor,
@@ -61,7 +56,10 @@ use kconv_sim::{
 };
 use kconv_systolic::{barrier_halving, PipelineConfig, SystolicConv};
 use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
-use kconv_trace::{EfficiencyReport, KernelMeta, SharedBuffer, TraceSummary, TraceWriter};
+use kconv_trace::{EfficiencyReport, KernelMeta, TraceSummary};
+
+use crate::cli::Args;
+use crate::{bail, fig8, replay_columns, replay_header, sm_pattern_trace, Checker};
 
 /// One captured launch kept around for the replay checks: the live final
 /// stats and the binary trace they were summed from.
@@ -87,13 +85,11 @@ fn traced_run(
     let mut gpu = Gpu::new(GpuSpec::kepler_k40m())
         .with_parallelism(parallelism)
         .with_sanitizer(SanitizerMode::Off);
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = conv
-        .run(&mut gpu, problem, input, filters, SimMode::Full)
-        .unwrap_or_else(|e| panic!("{}: {e}", conv.name()));
-    gpu.set_trace_sink(None);
-    (run.report.stats, buf.take())
+    let (run, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+        conv.run(gpu, problem, input, filters, SimMode::Full)
+    });
+    let run = run.unwrap_or_else(|e| panic!("{}: {e}", conv.name()));
+    (run.report.stats, bytes)
 }
 
 fn untraced_run(
@@ -210,24 +206,10 @@ fn check_special(c: &mut Checker, traces: &mut Vec<NamedTrace>) {
 /// GEMM formulation by about 1/K, on the Fig. 8 layer set.
 fn check_general_gm(c: &mut Checker, k: usize, traces: &mut Vec<NamedTrace>) {
     let cfg = GeneralConfig::table1(k);
-    let (problem, input, filters) = if k == 3 {
-        fig8::workload()
-    } else {
-        let problem = ConvProblem::general(64 + k - 1, 64, 64, k);
-        let input = random_maps(
-            problem.channels,
-            problem.height,
-            problem.width,
-            fig8::INPUT_SEED,
-        );
-        let filters = random_filters(
-            problem.filters,
-            problem.channels,
-            problem.k,
-            fig8::FILTER_SEED,
-        );
-        (problem, input, filters)
-    };
+    // The Fig. 8 layer (`fig8::workload` at K = 3) at filter size `k`.
+    let problem = ConvProblem::general(64 + k - 1, 64, 64, k);
+    let input = random_maps(64, problem.height, problem.width, fig8::INPUT_SEED);
+    let filters = random_filters(64, 64, k, fig8::FILTER_SEED);
     println!("\n[general {k}x{k}] {problem}, {cfg}");
 
     let (stats, bytes) = traced_run(
@@ -571,88 +553,40 @@ fn check_replay_patterns(c: &mut Checker) {
 /// print the replayed summaries.
 fn print_replayed(spec: &GpuSpec, traces: &[NamedTrace]) {
     println!("\n[--spec] captures re-priced under {}", spec.name);
-    println!(
-        "  {:<20} {:>12} {:>9} {:>12} {:>10}  bottleneck",
-        "kernel", "sm cycles", "waste", "gm txns", "t (ms)"
-    );
+    println!("  {:<20} {}", "kernel", replay_header());
     for t in traces {
         let r = &replay(&t.bytes, &TargetSpec::Spec(spec.clone())).expect("replayable capture")[0];
-        println!(
-            "  {:<20} {:>12} {:>9.3} {:>12} {:>10}  {}",
-            t.name,
-            r.sm_cycles(),
-            r.sm_waste(),
-            r.gm_transactions(),
-            r.timing
-                .map_or("n/a".into(), |t| format!("{:.3}", t.t_total * 1e3)),
-            r.timing.map_or_else(
-                || r.timing_error.clone().unwrap_or_default(),
-                |t| t.bottleneck().to_string()
-            ),
-        );
+        println!("  {:<20} {}", t.name, replay_columns(r));
     }
 }
 
 /// `--trace <path>`: replay an external KTRC capture and print one summary
 /// row per launch. Unreadable paths and malformed byte streams produce a
-/// one-line `error:` and a nonzero exit — external files are untrusted
+/// one-line `error:` and exit status 2 — external files are untrusted
 /// input, not an invariant violation worth a backtrace.
-fn replay_external(path: &str, spec: Option<&GpuSpec>) -> ! {
-    let bytes = std::fs::read(path)
-        .unwrap_or_else(|e| kconv_bench::bail(&format!("cannot read trace {path:?}: {e}")));
+fn replay_external(path: &str, spec: Option<&GpuSpec>) -> ExitCode {
+    let bytes =
+        std::fs::read(path).unwrap_or_else(|e| bail(&format!("cannot read trace {path:?}: {e}")));
     let target = spec.map_or(TargetSpec::Capture, |s| TargetSpec::Spec(s.clone()));
     let reports = replay(&bytes, &target)
-        .unwrap_or_else(|e| kconv_bench::bail(&format!("malformed KTRC trace {path:?}: {e}")));
+        .unwrap_or_else(|e| bail(&format!("malformed KTRC trace {path:?}: {e}")));
     println!(
         "[--trace] {path}: {} B, {} launch(es), priced under {}",
         bytes.len(),
         reports.len(),
         spec.map_or("capture spec", |s| s.name),
     );
-    println!(
-        "  {:<4} {:>12} {:>9} {:>12} {:>10}  bottleneck",
-        "#", "sm cycles", "waste", "gm txns", "t (ms)"
-    );
+    println!("  {:<4} {}", "#", replay_header());
     for (i, r) in reports.iter().enumerate() {
-        println!(
-            "  {:<4} {:>12} {:>9.3} {:>12} {:>10}  {}",
-            i,
-            r.sm_cycles(),
-            r.sm_waste(),
-            r.gm_transactions(),
-            r.timing
-                .map_or("n/a".into(), |t| format!("{:.3}", t.t_total * 1e3)),
-            r.timing.map_or_else(
-                || r.timing_error.clone().unwrap_or_default(),
-                |t| t.bottleneck().to_string()
-            ),
-        );
+        println!("  {i:<4} {}", replay_columns(r));
     }
-    std::process::exit(0)
+    ExitCode::SUCCESS
 }
 
-fn main() {
-    kconv_bench::reject_unknown_args(
-        "trace_report",
-        &[("--check", false), ("--spec", true), ("--trace", true)],
-    );
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let target = args.iter().position(|a| a == "--spec").map(|i| {
-        let alias = args.get(i + 1).unwrap_or_else(|| {
-            kconv_bench::bail("--spec needs a preset name (kepler, kepler-4b, fermi, maxwell)")
-        });
-        GpuSpec::preset(alias).unwrap_or_else(|| {
-            kconv_bench::bail(&format!(
-                "unknown spec preset {alias:?} (try kepler, kepler-4b, fermi, maxwell)"
-            ))
-        })
-    });
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
-        let path = args
-            .get(i + 1)
-            .unwrap_or_else(|| kconv_bench::bail("--trace needs a path to a KTRC file"));
-        replay_external(path, target.as_ref());
+/// Runs the suite (or, with `--trace`, replays an external capture).
+pub fn run(args: &Args) -> ExitCode {
+    if let Some(path) = &args.trace {
+        return replay_external(path, args.spec.as_ref());
     }
     println!(
         "trace_report — measured traffic vs the paper's analytical model, on simulated {}",
@@ -670,12 +604,10 @@ fn main() {
     check_determinism(&mut c, &traces);
     check_replay(&mut c, &traces);
     check_replay_patterns(&mut c);
-    if let Some(spec) = &target {
+    if let Some(spec) = &args.spec {
         print_replayed(spec, &traces);
     }
 
     c.summary();
-    if check && c.failures > 0 {
-        std::process::exit(1);
-    }
+    c.exit_code(args.check)
 }

@@ -30,17 +30,18 @@
 //! preset — the generator (`kconv-arch`) and the replay engine agree on
 //! the same formula from opposite directions.
 //!
-//! Usage:
-//!   cargo run --release -p kconv-bench --bin whatif            # report
-//!   cargo run --release -p kconv-bench --bin whatif -- --check # exit 1 on FAIL
-//!
-//! Writes `BENCH_whatif.json` to the workspace root either way.
+//! [`run`] writes `BENCH_whatif.json` to the workspace root; under
+//! `--check` any FAIL is exit status 1.
 
-use kconv_bench::{fig8, sm_pattern_trace, Checker};
+use std::process::ExitCode;
+
 use kconv_core::{Convolution, DataType, KernelShape};
 use kconv_replay::{replay_decoded, sweep, ReplayReport, TargetSpec};
 use kconv_sim::{Gpu, GpuSpec, LaunchReport, Parallelism, SanitizerMode, SimMode};
-use kconv_trace::{SharedBuffer, Trace, TraceWriter};
+use kconv_trace::Trace;
+
+use crate::cli::Args;
+use crate::{fig8, replay_columns, replay_header, sm_pattern_trace, Checker};
 
 /// Expected replayed SM cycles (ld + st) of the Fig. 8 trace per sweep
 /// preset (keyed by `GpuSpec::name`) — drift guards for `--check`. These
@@ -69,13 +70,10 @@ fn captured_fig8(parallelism: Parallelism) -> (LaunchReport, Vec<u8>) {
     let mut gpu = Gpu::new(GpuSpec::kepler_k40m())
         .with_parallelism(parallelism)
         .with_sanitizer(SanitizerMode::Off);
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = fig8::conv()
-        .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
-        .expect("fig8 workload runs");
-    gpu.set_trace_sink(None);
-    (run.report, buf.take())
+    let (run, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+        fig8::conv().run(gpu, &problem, &input, &filters, SimMode::Full)
+    });
+    (run.expect("fig8 workload runs").report, bytes)
 }
 
 /// One sweep row rendered for the report and the JSON file.
@@ -108,9 +106,8 @@ fn expect_for(table: &[(&str, u64)], name: &str) -> u64 {
         .expect("preset name in expectation table")
 }
 
-fn main() {
-    kconv_bench::reject_unknown_args("whatif", &[("--check", false)]);
-    let check = std::env::args().any(|a| a == "--check");
+/// Captures, gates, sweeps, and writes `BENCH_whatif.json`.
+pub fn run(args: &Args) -> ExitCode {
     println!(
         "whatif — trace-driven replay of the Fig. 8 layer under {} target specs",
         GpuSpec::presets_all().len()
@@ -155,25 +152,13 @@ fn main() {
         "\n[sweep] fig8 general 3x3, one capture, {} re-pricings",
         rows.len()
     );
-    println!(
-        "  {:<22} {:>5} {:>12} {:>9} {:>12} {:>10}  bottleneck",
-        "spec", "bank", "sm cycles", "waste", "gm txns", "t (ms)"
-    );
+    println!("  {:<22} {:>5} {}", "spec", "bank", replay_header());
     for row in &rows {
-        let r = &row.report;
         println!(
-            "  {:<22} {:>4}B {:>12} {:>9.3} {:>12} {:>10}  {}",
+            "  {:<22} {:>4}B {}",
             row.spec_name,
             row.bank_bytes,
-            r.sm_cycles(),
-            r.sm_waste(),
-            r.gm_transactions(),
-            r.timing
-                .map_or("n/a".into(), |t| format!("{:.3}", t.t_total * 1e3)),
-            r.timing.map_or_else(
-                || r.timing_error.clone().unwrap_or_default(),
-                |t| t.bottleneck().to_string()
-            ),
+            replay_columns(&row.report)
         );
     }
     for row in &rows {
@@ -313,7 +298,5 @@ fn main() {
     }
 
     c.summary();
-    if check && c.failures > 0 {
-        std::process::exit(1);
-    }
+    c.exit_code(args.check)
 }

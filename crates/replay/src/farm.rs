@@ -159,7 +159,6 @@ mod tests {
     use super::*;
     use crate::TargetSpec;
     use kconv_sim::{lane_addrs, BankWidth, Gpu, LaneMask, LaunchConfig, SimMode};
-    use kconv_trace::{SharedBuffer, TraceWriter};
 
     /// Captures a small two-block launch touching GM + SM + CM.
     fn capture(seed: u64) -> Trace {
@@ -167,26 +166,25 @@ mod tests {
         let src = gpu.alloc_f32(256).unwrap();
         gpu.upload_f32(src, &vec![1.0; 256]).unwrap();
         gpu.write_const_f32(0, &[2.0; 32]).unwrap();
-        let buf = SharedBuffer::new();
-        gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
         let cfg = LaunchConfig::new("farm-cell", 2, 64).with_smem(2048);
-        gpu.launch(&cfg, SimMode::Full, |blk| {
-            let id = blk.dims.block_id as u64;
-            blk.each_warp(|w| {
-                let a = lane_addrs(src.f32_addr((seed % 2) * 32 + id * 64), 4);
-                let x = w.ld_global::<1>(&a, LaneMask::ALL);
-                let s = lane_addrs(w.warp_id() as u64 * 128, 4);
-                w.st_shared::<1>(&s, &x, LaneMask::ALL);
-                let _ = w.ld_const(
-                    &kconv_sim::lane_addrs_uniform(4 * (seed % 8)),
-                    LaneMask::ALL,
-                );
-            });
-            blk.sync();
-        })
-        .unwrap();
-        gpu.set_trace_sink(None);
-        Trace::decode(&buf.take()).unwrap()
+        let (result, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+            gpu.launch(&cfg, SimMode::Full, |blk| {
+                let id = blk.dims.block_id as u64;
+                blk.each_warp(|w| {
+                    let a = lane_addrs(src.f32_addr((seed % 2) * 32 + id * 64), 4);
+                    let x = w.ld_global::<1>(&a, LaneMask::ALL);
+                    let s = lane_addrs(w.warp_id() as u64 * 128, 4);
+                    w.st_shared::<1>(&s, &x, LaneMask::ALL);
+                    let _ = w.ld_const(
+                        &kconv_sim::lane_addrs_uniform(4 * (seed % 8)),
+                        LaneMask::ALL,
+                    );
+                });
+                blk.sync();
+            })
+        });
+        result.unwrap();
+        Trace::decode(&bytes).unwrap()
     }
 
     fn grid() -> Vec<GpuSpec> {

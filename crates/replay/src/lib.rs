@@ -74,23 +74,22 @@
 //! ```
 //! use kconv_replay::{replay, TargetSpec};
 //! use kconv_sim::{lane_addrs, Gpu, GpuSpec, LaneMask, LaunchConfig, SimMode};
-//! use kconv_trace::{SharedBuffer, TraceWriter};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
 //! let src = gpu.alloc_f32(32)?;
 //! gpu.upload_f32(src, &[1.0; 32])?;
-//! let buf = SharedBuffer::new();
-//! gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-//! let report = gpu.launch(&LaunchConfig::new("read", 1, 32), SimMode::Full, |blk| {
-//!     blk.each_warp(|w| {
-//!         w.ld_global::<1>(&lane_addrs(src.f32_addr(0), 4), LaneMask::ALL);
-//!     });
-//! })?;
-//! gpu.set_trace_sink(None);
+//! let (report, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+//!     gpu.launch(&LaunchConfig::new("read", 1, 32), SimMode::Full, |blk| {
+//!         blk.each_warp(|w| {
+//!             w.ld_global::<1>(&lane_addrs(src.f32_addr(0), 4), LaneMask::ALL);
+//!         });
+//!     })
+//! });
+//! let report = report?;
 //!
 //! // Under the capture spec the replay is bit-identical to the live run.
-//! let replayed = replay(&buf.take(), &TargetSpec::Capture)?;
+//! let replayed = replay(&bytes, &TargetSpec::Capture)?;
 //! assert_eq!(replayed[0].stats, report.stats);
 //! # Ok(())
 //! # }
@@ -740,13 +739,11 @@ mod tests {
         let vals: Vec<f32> = (0..1024).map(|i| i as f32 * 0.5).collect();
         gpu.upload_f32(src, &vals).unwrap();
         gpu.write_const_f32(0, &[2.0; 64]).unwrap();
-        let buf = SharedBuffer::new();
-        gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
         let cfg = LaunchConfig::new("all-ops", 6, 64)
             .with_smem(4096)
             .with_regs(40);
-        let report = gpu
-            .launch(&cfg, mode, |blk| {
+        let (report, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+            gpu.launch(&cfg, mode, |blk| {
                 let id = blk.dims.block_id as u64;
                 blk.each_warp(|w| {
                     let wid = w.warp_id() as u64;
@@ -777,9 +774,8 @@ mod tests {
                 });
                 blk.sync();
             })
-            .unwrap();
-        gpu.set_trace_sink(None);
-        (report, buf.take())
+        });
+        (report.unwrap(), bytes)
     }
 
     #[test]

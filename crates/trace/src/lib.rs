@@ -9,8 +9,8 @@
 //!   instruction of a launch to any `Write` target, and its one reader,
 //!   which materializes the stream into flat slabs (see [`decoded`]) so
 //!   consumers decode once and walk or re-price many times.
-//!   [`SharedBuffer`] keeps a handle on the bytes while the writer is
-//!   boxed inside the `Gpu`.
+//!   [`capture`] attaches a writer to a `Gpu` around one closure and
+//!   hands back the bytes.
 //! * [`TraceSummary`] — per-launch roll-up of the event heads: per-op
 //!   totals and the bank-conflict histogram.
 //! * [`EfficiencyReport`] — address-granular analysis: distinct
@@ -27,24 +27,24 @@
 //!
 //! ```
 //! use kconv_sim::{lane_addrs, Gpu, GpuSpec, LaneMask, LaunchConfig, SimMode};
-//! use kconv_trace::{SharedBuffer, TraceSummary, TraceWriter};
+//! use kconv_trace::TraceSummary;
 //!
 //! # fn main() -> Result<(), kconv_sim::SimError> {
 //! let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
 //! let src = gpu.alloc_f32(32)?;
 //! gpu.upload_f32(src, &[1.0; 32])?;
 //!
-//! let buf = SharedBuffer::new();
-//! gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
 //! let cfg = LaunchConfig::new("read", 1, 32);
-//! gpu.launch(&cfg, SimMode::Full, |blk| {
-//!     blk.each_warp(|w| {
-//!         w.ld_global::<1>(&lane_addrs(src.f32_addr(0), 4), LaneMask::ALL);
-//!     });
-//! })?;
-//! gpu.set_trace_sink(None); // drop the writer, flushing the buffer
+//! let (report, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+//!     gpu.launch(&cfg, SimMode::Full, |blk| {
+//!         blk.each_warp(|w| {
+//!             w.ld_global::<1>(&lane_addrs(src.f32_addr(0), 4), LaneMask::ALL);
+//!         });
+//!     })
+//! });
+//! report?;
 //!
-//! let summary = &TraceSummary::from_bytes(&buf.take()).unwrap()[0];
+//! let summary = &TraceSummary::from_bytes(&bytes).unwrap()[0];
 //! assert_eq!(summary.gm_ld_useful_bytes(), 128);
 //! assert_eq!(summary.gm_transactions(), 1); // coalesced to one line
 //! # Ok(())
@@ -64,6 +64,36 @@ pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
 pub use decoded::{affine_addrs, affine_lanes, BlockView, DecodedLaunch, EventHead, Trace};
 pub use format::{LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, VERSION};
 pub use summary::{OpTotals, TraceSummary};
+
+use kconv_sim::Gpu;
+
+/// Runs `run` on `gpu` with a [`TraceWriter`] attached and returns its
+/// result together with the KTRC bytes of every launch it made.
+///
+/// The writer (on a [`SharedBuffer`]) replaces any sink already installed
+/// and is detached again — which flushes it — whatever `run` returns, so
+/// a failed launch leaves `gpu` untraced and still yields the bytes
+/// written up to the failure.
+///
+/// ```
+/// use kconv_sim::{Gpu, GpuSpec, LaunchConfig, SimMode};
+///
+/// let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
+/// let bad = LaunchConfig::new("too-wide", 1, 4096); // over the block limit
+/// let (result, bytes) = kconv_trace::capture(&mut gpu, |gpu| {
+///     gpu.launch(&bad, SimMode::Full, |_| {})
+/// });
+/// assert!(result.is_err());
+/// assert!(gpu.take_trace_sink().is_none()); // detached on the error path too
+/// assert!(bytes.is_empty()); // rejected before the launch began
+/// ```
+pub fn capture<R>(gpu: &mut Gpu, run: impl FnOnce(&mut Gpu) -> R) -> (R, Vec<u8>) {
+    let buf = SharedBuffer::new();
+    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
+    let result = run(gpu);
+    gpu.set_trace_sink(None);
+    (result, buf.take())
+}
 
 /// Upper bound on speculative event pre-allocation from one block
 /// header's (untrusted) event-count varint. A corrupt or hostile count
@@ -132,11 +162,9 @@ mod tests {
             let vals: Vec<f32> = (0..16 * 64).map(|i| i as f32).collect();
             gpu.upload_f32(src, &vals).unwrap();
             gpu.write_const_f32(0, &[3.0; 64]).unwrap();
-            let buf = SharedBuffer::new();
-            gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
             let cfg = LaunchConfig::new("roundtrip", 16, 64).with_smem(2048);
-            let report = gpu
-                .launch(&cfg, SimMode::Full, |blk| {
+            let (report, bytes) = capture(&mut gpu, |gpu| {
+                gpu.launch(&cfg, SimMode::Full, |blk| {
                     let id = blk.dims.block_id as u64;
                     blk.each_warp(|w| {
                         let a = lane_addrs(src.f32_addr(id * 64 + w.warp_id() as u64 * 32), 4);
@@ -153,9 +181,8 @@ mod tests {
                     });
                     blk.sync();
                 })
-                .unwrap();
-            gpu.set_trace_sink(None);
-            (report.stats, buf.take())
+            });
+            (report.unwrap().stats, bytes)
         };
 
         let (stats, bytes) = run(Parallelism::Serial);
@@ -197,25 +224,24 @@ mod tests {
         let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
         let src = gpu.alloc_f32(4 * 32).unwrap();
         gpu.upload_f32(src, &vec![1.0; 4 * 32]).unwrap();
-        let buf = SharedBuffer::new();
-        gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
         let cfg = LaunchConfig::new("halo", 2, 32);
-        gpu.launch(&cfg, SimMode::Full, |blk| {
-            let id = blk.dims.block_id as u64;
-            blk.each_warp(|w| {
-                // Each block reads rows [2*id, 2*id+1] plus halo row 2*id+2
-                // clamped to the last row; block 0's halo row 2 is block
-                // 1's first row -> 32 words read twice.
-                for row in 0..3u64 {
-                    let r = (2 * id + row).min(3);
-                    w.ld_global::<1>(&lane_addrs(src.f32_addr(r * 32), 4), LaneMask::ALL);
-                }
-            });
-        })
-        .unwrap();
-        gpu.set_trace_sink(None);
+        let (result, bytes) = capture(&mut gpu, |gpu| {
+            gpu.launch(&cfg, SimMode::Full, |blk| {
+                let id = blk.dims.block_id as u64;
+                blk.each_warp(|w| {
+                    // Each block reads rows [2*id, 2*id+1] plus halo row 2*id+2
+                    // clamped to the last row; block 0's halo row 2 is block
+                    // 1's first row -> 32 words read twice.
+                    for row in 0..3u64 {
+                        let r = (2 * id + row).min(3);
+                        w.ld_global::<1>(&lane_addrs(src.f32_addr(r * 32), 4), LaneMask::ALL);
+                    }
+                });
+            })
+        });
+        result.unwrap();
         let reports = EfficiencyReport::analyze(
-            &buf.take(),
+            &bytes,
             &KernelMeta {
                 out_pixels: 4 * 32,
                 sm_image_split: None,

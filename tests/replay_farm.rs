@@ -39,13 +39,10 @@ fn capture(
     let input = random_maps(problem.channels, problem.height, problem.width, seed);
     let filters = random_filters(problem.filters, problem.channels, problem.k, seed + 1);
     let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = conv
-        .run(&mut gpu, &problem, &input, &filters, mode)
-        .expect("corpus kernel runs");
-    gpu.set_trace_sink(None);
-    (buf.take(), run.report.stats)
+    let (run, bytes) = kconv::trace::capture(&mut gpu, |gpu| {
+        conv.run(gpu, &problem, &input, &filters, mode)
+    });
+    (bytes, run.expect("corpus kernel runs").report.stats)
 }
 
 /// One launch of [`random_stream`] as its writer was given it.

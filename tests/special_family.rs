@@ -15,7 +15,7 @@
 use kconv::apps::EnginePlan;
 use kconv::core::{Convolution, DataType, Storage};
 use kconv::prelude::*;
-use kconv::trace::{SharedBuffer, TraceWriter};
+use kconv::trace::capture;
 
 /// The kernel under test for `storage` with `n` elements per access and
 /// the paper's tile.
@@ -80,15 +80,13 @@ fn observe(spec: &str, storage: Storage, n: usize) -> (u64, String, u64, u64) {
     let filters = random_filters(2, 1, 3, 1503);
     let conv = kernel(storage, n);
     let mut gpu = Gpu::new(spec_named(spec));
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = conv
-        .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
-        .unwrap_or_else(|e| panic!("{spec} {storage:?} n={n}: {e}"));
-    gpu.set_trace_sink(None);
+    let (run, trace) = capture(&mut gpu, |gpu| {
+        conv.run(gpu, &problem, &input, &filters, SimMode::Full)
+    });
+    let run = run.unwrap_or_else(|e| panic!("{spec} {storage:?} n={n}: {e}"));
     let out = run.output.as_slice().iter().flat_map(|v| v.to_le_bytes());
     (
-        fnv1a(buf.take()),
+        fnv1a(trace),
         conv.name(),
         fnv1a(out),
         fnv1a(format!("{:?}", run.report.stats).into_bytes()),
@@ -130,18 +128,16 @@ fn fused_batch_is_pinned() {
     let inputs: Vec<_> = (0..2).map(|i| random_maps(1, 40, 40, 1511 + i)).collect();
     let filters = random_filters(2, 1, 3, 1513);
     let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
-    let buf = SharedBuffer::new();
-    gpu.set_trace_sink(Some(Box::new(TraceWriter::new(buf.clone()))));
-    let run = SpecialConv::default()
-        .run_fused_batch(&mut gpu, &problem, &inputs, &filters, SimMode::Full)
-        .expect("fused batch");
-    gpu.set_trace_sink(None);
+    let (run, trace) = capture(&mut gpu, |gpu| {
+        SpecialConv::default().run_fused_batch(gpu, &problem, &inputs, &filters, SimMode::Full)
+    });
+    let run = run.expect("fused batch");
     let out = run
         .outputs
         .iter()
         .flat_map(|o| o.as_slice().iter().flat_map(|v| v.to_le_bytes()));
     let got = (
-        fnv1a(buf.take()),
+        fnv1a(trace),
         fnv1a(out),
         fnv1a(format!("{:?}", run.report.stats).into_bytes()),
     );
