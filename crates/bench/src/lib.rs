@@ -171,7 +171,7 @@ pub fn sm_pattern_trace(name: &str, lane_bytes: u32, stride: u64, events: usize)
         cycles: 1,
         addrs: std::array::from_fn(|lane| lane as u64 * stride),
     };
-    w.block_events(0, &vec![event; events]);
+    w.write_block(0, &vec![event; events]);
     w.launch_end(&KernelStats::default());
     buf.take()
 }

@@ -17,7 +17,7 @@
 use std::ops::Range;
 
 use kconv_sim::{GpuSpec, Parallelism};
-use kconv_trace::Trace;
+use kconv_trace::{DecodedLaunch, Trace};
 
 use crate::{price_launch, ReplayError, ReplayReport};
 
@@ -81,19 +81,7 @@ pub fn sweep_cells(
         slot_count += traces[t].launches().len();
     }
 
-    // The unit of work the pool schedules: one (trace, launch) with the
-    // contiguous run of `work` pairs that request that trace, priced under
-    // all of their specs in one walk over the launch's slabs. Largest
-    // launch first, so the long units do not straggle at the end.
-    let mut units: Vec<(usize, usize, Range<usize>)> = Vec::new();
-    let mut start = 0;
-    for run in work.chunk_by(|a, b| a.0 == b.0) {
-        let (t, pairs) = (run[0].0, start..start + run.len());
-        start = pairs.end;
-        units.extend((0..traces[t].launches().len()).map(|l| (t, l, pairs.clone())));
-    }
-    units.sort_by_key(|&(t, l, _)| std::cmp::Reverse(traces[t].launches()[l].event_count()));
-
+    let units = units(traces, &work);
     let (work, base) = (&work, &base);
     let price = |(t, l, run): &(usize, usize, Range<usize>)| -> Vec<(usize, SweepCell)> {
         let unit_specs = work[run.clone()].iter().map(|&(_, s)| specs[s].clone());
@@ -152,6 +140,41 @@ pub fn sweep_cells(
         .into_iter()
         .map(|c| c.expect("every cell priced exactly once"))
         .collect()
+}
+
+/// Pricing weight of one affine event, relative to [`LANE_PRICED_COST`].
+const AFFINE_COST: usize = 1;
+/// Pricing weight of one two-level or explicit event, whose pricing reads
+/// its lanes one by one. Fitted to the per-capture serial pricing times of
+/// kbench's `farm-sweep` (`replay.price_share` × `replay.price_s`, seed
+/// 1, 2-core host): about 650 ns per affine event and 4,200 ns per
+/// lane-priced event over the 16-spec grid, a ratio of 6.5.
+const LANE_PRICED_COST: usize = 6;
+
+/// A launch's estimated pricing cost, in [`AFFINE_COST`] units: the sweep
+/// schedules its units by it. Event count alone misorders them:
+/// `special-7x7`'s affine events price several times cheaper each than
+/// `general-7x7`'s two-level and explicit ones.
+fn pricing_cost(launch: &DecodedLaunch) -> usize {
+    let lane_priced = launch.lane_priced_events();
+    (launch.event_count() - lane_priced) * AFFINE_COST + lane_priced * LANE_PRICED_COST
+}
+
+/// The units of work the pool schedules: each (trace, launch) with the
+/// contiguous run of `work` pairs that request that trace, priced under
+/// all of their specs in one walk over the launch's slabs. Costliest
+/// first ([`pricing_cost`]), so the long units do not straggle at the
+/// end; ties keep (trace, launch) order.
+fn units(traces: &[Trace], work: &[(usize, usize)]) -> Vec<(usize, usize, Range<usize>)> {
+    let mut units: Vec<(usize, usize, Range<usize>)> = Vec::new();
+    let mut start = 0;
+    for run in work.chunk_by(|a, b| a.0 == b.0) {
+        let (t, pairs) = (run[0].0, start..start + run.len());
+        start = pairs.end;
+        units.extend((0..traces[t].launches().len()).map(|l| (t, l, pairs.clone())));
+    }
+    units.sort_by_key(|&(t, l, _)| std::cmp::Reverse(pricing_cost(&traces[t].launches()[l])));
+    units
 }
 
 #[cfg(test)]
@@ -240,6 +263,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A one-launch trace of `events` full-warp shared-memory loads, every
+    /// one affine or every one explicit.
+    fn synthetic(events: usize, affine: bool) -> Trace {
+        use kconv_sim::{KernelStats, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink};
+        let spec = GpuSpec::kepler_k40m();
+        let buf = kconv_trace::SharedBuffer::new();
+        let mut w = kconv_trace::TraceWriter::new(buf.clone());
+        w.launch_begin(&TraceLaunch {
+            kernel: "synthetic",
+            grid_blocks: 1,
+            executed_blocks: 1,
+            threads_per_block: 32,
+            smem_bytes: 4096,
+            regs_per_thread: 32,
+            overlap: OverlapMode::Prefetch,
+            spec: &spec,
+        });
+        let mut addrs = lane_addrs(0, 4);
+        if !affine {
+            addrs[31] = 0; // breaks the progression and any tile
+        }
+        let event = TraceEvent {
+            op: TraceOp::SmLd,
+            warp: 0,
+            mask: LaneMask::ALL,
+            lane_bytes: 4,
+            transactions: 0,
+            cycles: 1,
+            addrs,
+        };
+        w.write_block(0, &vec![event; events]);
+        w.launch_end(&KernelStats::default());
+        Trace::decode(&buf.take()).unwrap()
+    }
+
+    /// Units are ordered by pricing cost, not event count: 100 explicit
+    /// events (cost 600) tie with 600 affine ones and go first by trace
+    /// order, ahead of 500 affine ones (cost 500) and 80 explicit ones
+    /// (cost 480).
+    #[test]
+    fn units_run_costliest_first() {
+        let traces = vec![
+            synthetic(500, true),
+            synthetic(100, false),
+            synthetic(80, false),
+            synthetic(600, true),
+            synthetic(500, true),
+        ];
+        assert_eq!(traces[1].launches()[0].lane_priced_events(), 100);
+        assert_eq!(traces[0].launches()[0].lane_priced_events(), 0);
+        let work: Vec<(usize, usize)> = (0..traces.len()).map(|t| (t, 0)).collect();
+        let order: Vec<usize> = units(&traces, &work).iter().map(|u| u.0).collect();
+        // Costs: 500, 600, 480, 600, 500.
+        assert_eq!(order, vec![1, 3, 0, 4, 2]);
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! | `CmLd` | `cm_line_bytes`, with a launch-scoped line set per key |
 //!
 //! Events reach the pricing core in their decoded form: an affine event
-//! (KTRC v5, `first + k·step` over the active lanes) is expanded to lane
+//! (`first + k·step` over the active lanes) is expanded to lane
 //! addresses only where a price needs them. The warp-uniform constant
 //! load (`CmLd` with step 0, the dominant event of the paper's kernels)
 //! needs none: it touches `first / cm_line_bytes` once per key and
@@ -896,7 +896,7 @@ mod tests {
                             }
                         })
                         .collect();
-                    w.block_events(block_id as usize, &events);
+                    w.write_block(block_id as usize, &events);
                     launch_events.push(events);
                 }
                 let stats = KernelStats {
@@ -1069,7 +1069,7 @@ mod tests {
                 }
             })
             .collect();
-        w.block_events(0, &evs);
+        w.write_block(0, &evs);
         w.launch_end(&KernelStats::default());
         buf.take()
     }
@@ -1122,7 +1122,7 @@ mod tests {
         for (lane, a) in addrs.iter_mut().enumerate() {
             *a = lane as u64 * 4;
         }
-        w.block_events(
+        w.write_block(
             0,
             &[TraceEvent {
                 op: TraceOp::GmLd,

@@ -36,7 +36,7 @@ use crate::mem::SharedMemory;
 use crate::pricing::RoCache;
 use crate::spec::WARP_SIZE;
 use crate::stats::KernelStats;
-use crate::trace::{cost_counters, TraceEvent, TraceOp};
+use crate::trace::{cost_counters, BlockTrace, EventEncoder, TraceEvent, TraceOp};
 use crate::warp::{LaneMask, WarpAddrs};
 
 /// Geometry of the executing block within its launch.
@@ -93,10 +93,11 @@ pub struct BlockCtx<'a> {
     /// Test-only fault injector and its per-block memory-op counter.
     inj: Option<Inject>,
     op_counter: u64,
-    /// Trace buffer: `Some` when the launcher armed tracing; every warp
-    /// memory instruction appends one event, harvested at block end and
-    /// flushed to the [`TraceSink`](crate::TraceSink) in block-id order.
-    pub(crate) events: Option<Vec<TraceEvent>>,
+    /// Encoded trace: `Some` when the launcher armed tracing; every warp
+    /// memory instruction encodes one event onto it at the access,
+    /// harvested at block end and flushed to the
+    /// [`TraceSink`](crate::TraceSink) in block-id order.
+    pub(crate) trace: Option<BlockTrace>,
 }
 
 impl std::fmt::Debug for BlockCtx<'_> {
@@ -131,14 +132,14 @@ impl<'a> BlockCtx<'a> {
             step_budget: u64::MAX,
             inj: None,
             op_counter: 0,
-            events: None,
+            trace: None,
         }
     }
 
-    /// Arms per-instruction tracing: warp memory ops append to the block's
-    /// event buffer instead of running counter-only.
-    pub(crate) fn with_tracing(mut self) -> Self {
-        self.events = Some(Vec::new());
+    /// Arms per-instruction tracing: warp memory ops encode one event each
+    /// with `encode` instead of running counter-only.
+    pub(crate) fn with_tracing(mut self, encode: EventEncoder) -> Self {
+        self.trace = Some(BlockTrace::new(encode));
         self
     }
 
@@ -250,19 +251,21 @@ impl<'a> BlockCtx<'a> {
         self.stats.barriers += 1;
         let warps = self.dims.warps();
         self.stats.bar_syncs += warps as u64;
-        if let Some(events) = self.events.as_mut() {
+        if let Some(trace) = self.trace.as_mut() {
             // One arrival event per warp, in warp-id order, so offline
             // consumers can count per-warp barrier work positionally.
+            let mut bar = TraceEvent {
+                op: TraceOp::Bar,
+                warp: 0,
+                mask: LaneMask(0),
+                lane_bytes: 0,
+                transactions: 0,
+                cycles: 0,
+                addrs: [0; WARP_SIZE],
+            };
             for warp in 0..warps {
-                events.push(TraceEvent {
-                    op: TraceOp::Bar,
-                    warp: warp as u32,
-                    mask: LaneMask(0),
-                    lane_bytes: 0,
-                    transactions: 0,
-                    cycles: 0,
-                    addrs: [0; WARP_SIZE],
-                });
+                bar.warp = warp as u32;
+                trace.push(&bar);
             }
         }
         self.phase += 1;
@@ -333,7 +336,8 @@ impl WarpCtx<'_, '_> {
     /// tick, fault injection, population masking — and, when the launcher
     /// armed tracing, a [`TraceEvent`] capturing the cost delta the memory
     /// model charged for this access (the `op`-specific counter pair from
-    /// [`cost_counters`]). With tracing off the extra work is a single
+    /// [`cost_counters`]), encoded on the spot by the sink's
+    /// [`EventEncoder`]. With tracing off the extra work is a single
     /// `Option` discriminant check; `access` inlines into the same code the
     /// ops previously open-coded.
     #[inline(always)]
@@ -349,7 +353,7 @@ impl WarpCtx<'_, '_> {
         let addrs = patched.as_ref().unwrap_or(addrs);
         let m = self.live(mask);
         let site = self.site();
-        if self.block.events.is_none() {
+        if self.block.trace.is_none() {
             return access(self.block, site, addrs, m);
         }
         let (t0, c0) = cost_counters(&self.block.stats, op);
@@ -364,7 +368,7 @@ impl WarpCtx<'_, '_> {
             cycles: (c1 - c0) as u32,
             addrs: *addrs,
         };
-        self.block.events.as_mut().expect("tracing armed").push(ev);
+        self.block.trace.as_mut().expect("tracing armed").push(&ev);
         out
     }
 
@@ -517,6 +521,7 @@ mod tests {
     use crate::fault::{install_quiet_hook, FaultPayload};
     use crate::mem::{ConstantMemory, GlobalMemory, SharedMemory};
     use crate::spec::BankWidth;
+    use crate::trace::tests::{raw_decode, raw_encode};
     use crate::warp::lane_addrs;
 
     fn harness(threads: usize) -> (GlobalMemory, ConstantMemory, BlockDims) {
@@ -706,15 +711,17 @@ mod tests {
         let vals: Vec<f32> = (0..1024).map(|i| i as f32).collect();
         gm.write_f32s(buf, 0, &vals).unwrap();
         let smem = SharedMemory::new(8192, 32, BankWidth::B8);
-        let mut blk = ctx(dims, &mut gm, &mut cm, smem).with_tracing();
+        let mut blk = ctx(dims, &mut gm, &mut cm, smem).with_tracing(raw_encode);
         blk.each_warp(|w| {
             let gaddrs = lane_addrs(buf.f32_addr(0), 4);
             let got = w.ld_global::<1>(&gaddrs, LaneMask::ALL);
             let saddrs = lane_addrs(0, 256); // every lane hits bank 0: replays
             w.st_shared::<1>(&saddrs, &got, LaneMask::ALL);
         });
-        let events = blk.events.take().unwrap();
-        assert_eq!(events.len(), 4); // 2 warps x (1 gm.ld + 1 sm.st)
+        let trace = blk.trace.take().unwrap();
+        assert_eq!(trace.events, 4); // 2 warps x (1 gm.ld + 1 sm.st)
+        let events = raw_decode(&trace.bytes);
+        assert_eq!(events.len(), 4);
         assert_eq!(events[0].op, TraceOp::GmLd);
         assert_eq!(events[1].op, TraceOp::SmSt);
         assert_eq!(events[2].warp, 1);
@@ -746,7 +753,7 @@ mod tests {
         blk.each_warp(|w| {
             w.ld_global::<1>(&lane_addrs(buf.f32_addr(0), 4), LaneMask::ALL);
         });
-        assert!(blk.events.is_none());
+        assert!(blk.trace.is_none());
         assert_eq!(blk.stats.gm_ld_requests, 1);
     }
 

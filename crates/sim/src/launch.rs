@@ -69,7 +69,7 @@ use crate::pricing::RoCache;
 use crate::spec::GpuSpec;
 use crate::stats::KernelStats;
 use crate::timing::{self, OverlapMode, Timing};
-use crate::trace::{TraceEvent, TraceLaunch, TraceSink};
+use crate::trace::{BlockTrace, EventEncoder, TraceLaunch, TraceSink};
 
 /// Launch geometry and resource declaration for one kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,7 +251,7 @@ struct BlockOut {
     stats: KernelStats,
     journal: WriteJournal,
     cm_lines: LineBitmap,
-    events: Vec<TraceEvent>,
+    trace: Option<BlockTrace>,
 }
 
 /// A simulated GPU: an architecture plus its global and constant memories.
@@ -438,7 +438,8 @@ impl Gpu {
 
     /// Installs (or, with `None`, removes) the per-warp trace sink for
     /// subsequent launches. See [`TraceSink`] for the delivery contract:
-    /// one event per warp memory instruction, flushed per block in
+    /// one event per warp memory instruction, encoded at the access by the
+    /// sink's encoder on the block's thread, and flushed per block in
     /// ascending block-id order on the launching thread, identically under
     /// serial and threaded execution. With no sink installed the hook costs
     /// one branch per memory instruction and buffers nothing.
@@ -638,7 +639,7 @@ impl Gpu {
         ids: &[usize],
         kernel: &(impl Fn(&mut BlockCtx) + Sync),
     ) -> Result<KernelStats> {
-        let tracing = self.trace.is_some();
+        let encoder = self.trace.as_ref().map(|sink| sink.encoder());
         let mut total = KernelStats::default();
         for &block_id in ids {
             let inject = self.block_inject(cfg, block_id);
@@ -651,13 +652,11 @@ impl Gpu {
                 self.sanitizer,
                 self.step_budget,
                 inject,
-                tracing,
+                encoder,
                 kernel,
             )?;
             total.merge(&blk.stats);
-            if let Some(sink) = self.trace.as_mut() {
-                sink.block_events(block_id, &blk.events);
-            }
+            deliver(&mut self.trace, block_id, blk.trace);
         }
         Ok(total)
     }
@@ -672,13 +671,13 @@ impl Gpu {
         /// Side effects a worker hands back for one block. The counters do
         /// NOT ride along: they are folded into the worker's thread-local
         /// shard so the merge loop never clones or queues `KernelStats`.
-        /// Trace events do ride along (they are inherently per block) and
-        /// are flushed by the ordered merge below, which is what makes a
-        /// threaded trace byte-identical to the serial one.
+        /// The block's encoded trace does ride along (it is inherently per
+        /// block) and is flushed by the ordered merge below, which is what
+        /// makes a threaded trace byte-identical to the serial one.
         struct BlockSide {
             journal: WriteJournal,
             cm_lines: LineBitmap,
-            events: Vec<TraceEvent>,
+            trace: Option<BlockTrace>,
         }
         type Slot = Mutex<Option<std::result::Result<BlockSide, DeviceFault>>>;
         let slots: Vec<Slot> = ids.iter().map(|_| Mutex::new(None)).collect();
@@ -687,7 +686,7 @@ impl Gpu {
         let shards = Mutex::new(KernelStats::default());
         let (spec, gm, cm) = (&self.spec, &self.gm, &self.cm);
         let (sanitizer, step_budget) = (self.sanitizer, self.step_budget);
-        let tracing = self.trace.is_some();
+        let encoder = self.trace.as_ref().map(|sink| sink.encoder());
         // Device faults are contained per block, so workers never panic on
         // kernel bugs; every selected block runs to a verdict and the merge
         // below picks the fault (if any) with the lowest block id —
@@ -713,7 +712,7 @@ impl Gpu {
                             sanitizer,
                             step_budget,
                             injects[i],
-                            tracing,
+                            encoder,
                             kernel,
                         )
                         .map(|out| {
@@ -721,7 +720,7 @@ impl Gpu {
                             BlockSide {
                                 journal: out.journal,
                                 cm_lines: out.cm_lines,
-                                events: out.events,
+                                trace: out.trace,
                             }
                         });
                         match slots[i].lock() {
@@ -744,7 +743,7 @@ impl Gpu {
         // Deterministic merge in block-id order (ids are ascending for
         // every SimMode): replay journals into global memory, fold each
         // block's constant-line bitmap into the launch-scoped cache state,
-        // and flush each block's trace events to the sink. The first
+        // and flush each block's encoded trace to the sink. The first
         // faulting block (lowest id) stops the merge, leaving memory in the
         // documented unspecified state and the sink with exactly the clean
         // prefix of blocks a serial run would have delivered.
@@ -760,11 +759,16 @@ impl Gpu {
                 self.gm.apply_journal(&side.journal);
             }
             total.cm_misses += self.cm.absorb_lines(&side.cm_lines);
-            if let Some(sink) = self.trace.as_mut() {
-                sink.block_events(ids[i], &side.events);
-            }
+            deliver(&mut self.trace, ids[i], side.trace);
         }
         Ok(total)
+    }
+}
+
+/// Hands one block's encoded trace to the sink, if one is installed.
+fn deliver(sink: &mut Option<Box<dyn TraceSink>>, block_id: usize, trace: Option<BlockTrace>) {
+    if let (Some(sink), Some(trace)) = (sink.as_mut(), trace) {
+        sink.block_encoded(block_id, trace.events, &trace.bytes);
     }
 }
 
@@ -780,7 +784,7 @@ fn exec_block(
     sanitizer: SanitizerMode,
     step_budget: u64,
     inject: Option<Inject>,
-    tracing: bool,
+    encoder: Option<EventEncoder>,
     kernel: &(impl Fn(&mut BlockCtx) + Sync),
 ) -> std::result::Result<BlockOut, DeviceFault> {
     let dims = BlockDims {
@@ -798,8 +802,8 @@ fn exec_block(
     if let Some(inj) = inject {
         blk = blk.with_injection(inj);
     }
-    if tracing {
-        blk = blk.with_tracing();
+    if let Some(encode) = encoder {
+        blk = blk.with_tracing(encode);
     }
     fault::contain(&cfg.name, block_id, move || {
         kernel(&mut blk);
@@ -809,14 +813,14 @@ fn exec_block(
             gm,
             cm,
             stats,
-            events,
+            trace,
             ..
         } = blk;
         BlockOut {
             stats,
             journal: gm.into_journal().unwrap_or_default(),
             cm_lines: cm.into_touched_lines().unwrap_or_default(),
-            events: events.unwrap_or_default(),
+            trace,
         }
     })
 }
@@ -1019,7 +1023,8 @@ mod tests {
 
     #[test]
     fn trace_events_are_ordered_and_identical_across_parallelism() {
-        use crate::trace::{TraceEvent, TraceLaunch, TraceSink};
+        use crate::trace::tests::{raw_decode, raw_encode};
+        use crate::trace::{EventEncoder, TraceEvent, TraceLaunch, TraceSink};
         use std::sync::Arc;
 
         #[derive(Default)]
@@ -1036,9 +1041,14 @@ mod tests {
                 assert_eq!(launch.executed_blocks, 24);
                 self.0.lock().unwrap().begins += 1;
             }
-            fn block_events(&mut self, block_id: usize, events: &[TraceEvent]) {
+            fn encoder(&self) -> EventEncoder {
+                raw_encode
+            }
+            fn block_encoded(&mut self, block_id: usize, count: u64, bytes: &[u8]) {
+                let events = raw_decode(bytes);
+                assert_eq!(events.len() as u64, count);
                 let mut log = self.0.lock().unwrap();
-                log.blocks.push((block_id, events.to_vec()));
+                log.blocks.push((block_id, events));
             }
             fn launch_end(&mut self, stats: &KernelStats) {
                 assert!(stats.gm_st_transactions > 0);
@@ -1090,7 +1100,8 @@ mod tests {
 
     #[test]
     fn faulted_traced_launch_delivers_clean_prefix_and_no_end() {
-        use crate::trace::{TraceEvent, TraceLaunch, TraceSink};
+        use crate::trace::tests::raw_encode;
+        use crate::trace::{EventEncoder, TraceLaunch, TraceSink};
         use std::sync::Arc;
 
         #[derive(Default)]
@@ -1101,7 +1112,10 @@ mod tests {
         struct Collect(Arc<Mutex<Log>>);
         impl TraceSink for Collect {
             fn launch_begin(&mut self, _launch: &TraceLaunch<'_>) {}
-            fn block_events(&mut self, block_id: usize, _events: &[TraceEvent]) {
+            fn encoder(&self) -> EventEncoder {
+                raw_encode
+            }
+            fn block_encoded(&mut self, block_id: usize, _events: u64, _bytes: &[u8]) {
                 self.0.lock().unwrap().block_ids.push(block_id);
             }
             fn launch_end(&mut self, _stats: &KernelStats) {

@@ -21,10 +21,12 @@
 //! [`SanitizerMode::Off`](crate::SanitizerMode): no shadow state, no event
 //! construction, nothing to buffer.
 //!
-//! With a sink installed, events are buffered per block and delivered in
-//! ascending block-id order on the launching thread — mirroring how the
-//! parallel launch path replays write journals (see
-//! [`crate::launch`]). A trace captured under
+//! With a sink installed, each event is encoded at the access, on the
+//! thread that runs its block, by the sink's pure [`EventEncoder`]: a
+//! block carries only its encoded bytes and an event count. The blocks'
+//! bytes are delivered in ascending block-id order on the launching
+//! thread — mirroring how the parallel launch path replays write journals
+//! (see [`crate::launch`]). A trace captured under
 //! [`Parallelism::Threads`](crate::Parallelism) is therefore byte-for-byte
 //! identical to the serial trace of the same launch.
 
@@ -196,28 +198,73 @@ pub struct TraceLaunch<'a> {
     pub spec: &'a GpuSpec,
 }
 
+/// A sink's per-event encoder: appends the bytes of one event to the
+/// buffer of the block that issued it.
+///
+/// It runs on the block's worker thread, once per warp memory instruction
+/// (and once per warp per barrier), so it must be **pure**: its output
+/// may depend only on the event, never on sink state, the thread or the
+/// buffer's earlier bytes. That is what keeps a threaded trace
+/// byte-identical to the serial one.
+pub type EventEncoder = fn(&mut Vec<u8>, &TraceEvent);
+
 /// Observer for per-warp memory-instruction traces.
 ///
-/// Contract (all methods run on the launching thread):
+/// Contract:
 ///
 /// 1. [`launch_begin`](TraceSink::launch_begin) once per traced launch,
 ///    after validation and before any block executes;
-/// 2. [`block_events`](TraceSink::block_events) once per executed block in
-///    **ascending block-id order**, regardless of
-///    [`Parallelism`](crate::Parallelism) — the events inside a block are
-///    in program order;
-/// 3. [`launch_end`](TraceSink::launch_end) once with the launch's final
+/// 2. [`encoder`](TraceSink::encoder) once per traced launch, after
+///    `launch_begin`: every executed block encodes its events with the
+///    returned function, in program order, on whatever thread runs the
+///    block (see [`EventEncoder`] — it must be pure);
+/// 3. [`block_encoded`](TraceSink::block_encoded) once per executed block
+///    in **ascending block-id order**, regardless of
+///    [`Parallelism`](crate::Parallelism), with the block's event count
+///    and the concatenation of its encoded events;
+/// 4. [`launch_end`](TraceSink::launch_end) once with the launch's final
 ///    (scaled) stats — only for successful launches. A faulted launch
-///    delivers the events of the clean blocks that precede the fault and
-///    no `launch_end`; sinks that frame launches should treat a
-///    `launch_begin` (or drop) while a launch is open as an abort.
+///    delivers the blocks that precede the fault and no `launch_end`;
+///    sinks that frame launches should treat a `launch_begin` (or drop)
+///    while a launch is open as an abort.
+///
+/// The methods other than the encoder itself run on the launching thread.
 pub trait TraceSink: Send {
     /// A traced launch is starting.
     fn launch_begin(&mut self, launch: &TraceLaunch<'_>);
-    /// All events of one executed block, in program order.
-    fn block_events(&mut self, block_id: usize, events: &[TraceEvent]);
+    /// The pure per-event encoder the launch's blocks run.
+    fn encoder(&self) -> EventEncoder;
+    /// One executed block: `events` events, encoded back to back in
+    /// program order by [`encoder`](TraceSink::encoder) into `bytes`.
+    fn block_encoded(&mut self, block_id: usize, events: u64, bytes: &[u8]);
     /// The launch completed with these final stats.
     fn launch_end(&mut self, stats: &KernelStats);
+}
+
+/// One block's trace while it runs: the sink's encoder and the bytes it
+/// has appended so far.
+#[derive(Debug)]
+pub(crate) struct BlockTrace {
+    encode: EventEncoder,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) events: u64,
+}
+
+impl BlockTrace {
+    pub(crate) fn new(encode: EventEncoder) -> Self {
+        BlockTrace {
+            encode,
+            bytes: Vec::new(),
+            events: 0,
+        }
+    }
+
+    /// Encodes one event onto the block's bytes.
+    #[inline]
+    pub(crate) fn push(&mut self, ev: &TraceEvent) {
+        (self.encode)(&mut self.bytes, ev);
+        self.events += 1;
+    }
 }
 
 /// The [`KernelStats`] counters a [`TraceEvent`] for `op` is charged
@@ -235,8 +282,78 @@ pub(crate) fn cost_counters(stats: &KernelStats, op: TraceOp) -> (u64, u64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::spec::WARP_SIZE;
+
+    /// Bytes per event of [`raw_encode`].
+    const RAW_BYTES: usize = 1 + 5 * 4 + WARP_SIZE * 8;
+
+    /// A test encoder that keeps every field: the op tag, the five `u32`
+    /// head fields and all 32 addresses, little-endian.
+    pub(crate) fn raw_encode(buf: &mut Vec<u8>, ev: &TraceEvent) {
+        buf.push(ev.op as u8);
+        for v in [
+            ev.warp,
+            ev.mask.0,
+            ev.lane_bytes,
+            ev.transactions,
+            ev.cycles,
+        ] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        for a in ev.addrs {
+            buf.extend_from_slice(&a.to_le_bytes());
+        }
+    }
+
+    /// The events [`raw_encode`] wrote into `bytes`.
+    pub(crate) fn raw_decode(bytes: &[u8]) -> Vec<TraceEvent> {
+        assert_eq!(bytes.len() % RAW_BYTES, 0, "whole raw events");
+        bytes
+            .chunks_exact(RAW_BYTES)
+            .map(|b| {
+                let u32_at =
+                    |i: usize| u32::from_le_bytes(b[1 + 4 * i..5 + 4 * i].try_into().unwrap());
+                TraceEvent {
+                    op: TraceOp::from_u8(b[0]).expect("op tag"),
+                    warp: u32_at(0),
+                    mask: LaneMask(u32_at(1)),
+                    lane_bytes: u32_at(2),
+                    transactions: u32_at(3),
+                    cycles: u32_at(4),
+                    addrs: std::array::from_fn(|l| {
+                        let at = 1 + 5 * 4 + 8 * l;
+                        u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_trace_counts_and_encodes_in_order() {
+        let ev = |op, warp| TraceEvent {
+            op,
+            warp,
+            mask: LaneMask::first(5),
+            lane_bytes: 4,
+            transactions: 1,
+            cycles: 2,
+            addrs: std::array::from_fn(|l| 64 * l as u64),
+        };
+        let events = [
+            ev(TraceOp::GmLd, 0),
+            ev(TraceOp::Bar, 1),
+            ev(TraceOp::SmSt, 2),
+        ];
+        let mut t = BlockTrace::new(raw_encode);
+        for e in &events {
+            t.push(e);
+        }
+        assert_eq!(t.events, 3);
+        assert_eq!(raw_decode(&t.bytes), events);
+    }
 
     #[test]
     fn op_tags_round_trip() {

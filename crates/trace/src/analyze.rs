@@ -223,7 +223,7 @@ mod tests {
             overlap: OverlapMode::Prefetch,
             spec: &spec,
         });
-        w.block_events(
+        w.write_block(
             0,
             &[
                 gm_ld(0, 4, 32),   // words 0..32, once
@@ -278,7 +278,7 @@ mod tests {
         });
         let mut ev = gm_ld(0, 8, 4); // float2 per lane: 8 bytes
         ev.lane_bytes = 8;
-        w.block_events(0, &[ev]);
+        w.write_block(0, &[ev]);
         w.launch_end(&KernelStats::default());
         let reports = EfficiencyReport::analyze(&buf.take(), &KernelMeta::default()).unwrap();
         assert_eq!(reports[0].gm_ld_distinct_words, 8);
@@ -298,7 +298,7 @@ mod tests {
             overlap: OverlapMode::Prefetch,
             spec: &spec,
         });
-        w.block_events(0, &[gm_ld(u64::MAX - 1, 0, 1)]);
+        w.write_block(0, &[gm_ld(u64::MAX - 1, 0, 1)]);
         w.launch_end(&KernelStats::default());
         let reports = EfficiencyReport::analyze(&buf.take(), &KernelMeta::default()).unwrap();
         assert_eq!(reports[0].gm_ld_distinct_words, 1);

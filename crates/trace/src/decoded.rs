@@ -6,13 +6,15 @@
 //! hypothetical [`GpuSpec`](kconv_sim::GpuSpec)s, and the roll-ups
 //! ([`TraceSummary`](crate::TraceSummary),
 //! [`EfficiencyReport`](crate::EfficiencyReport)) walk it once more, so a
-//! [`Trace`] materializes the stream into three flat slabs per launch —
+//! [`Trace`] materializes the stream into flat slabs per launch —
 //!
 //! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane, recorded
 //!   transactions/cycles) that also carry the lane addresses of every
 //!   **affine** event compactly, as `first` and `step`
 //!   ([`EventHead::affine`]) — the form nearly every convolution-kernel
 //!   warp access takes, and every 0- or 1-lane event,
+//! * one `[base, s1, s2]` row (24 bytes) per **two-level** event
+//!   ([`TwoLevel`]), its period riding in the head,
 //! * one `u64` address slab holding [`WARP_SIZE`] canonical addresses
 //!   (inactive lanes zeroed) for each **explicit** event only, and
 //! * block spans (`block_id` + event range)
@@ -21,8 +23,8 @@
 //! [`BlockView::for_each`], which lends each event's addresses as a
 //! [`&WarpAddrs`](kconv_sim::WarpAddrs), exactly the type the shared
 //! pricing functions take: borrowed from the slab for explicit events,
-//! expanded on the stack for affine ones. Consumers that need no
-//! addresses read [`BlockView::heads`].
+//! expanded on the stack for affine and two-level ones. Consumers that
+//! need no addresses read [`BlockView::heads`].
 //!
 //! The decoded form is *lossless*: every header, end record and event
 //! field the writer was given is recoverable (see
@@ -43,6 +45,13 @@ use crate::{TraceError, RESERVE_EVENTS_MAX};
 /// reads `first + k·step`, wrapping — or `None`. Every 0- and 1-lane
 /// event qualifies, with step 0 (and `first` 0 when no lane is active).
 pub fn affine_lanes(mask: LaneMask, addrs: &WarpAddrs) -> Option<(u64, u64)> {
+    if mask.is_all() {
+        // Closed form over all 32 lanes: every successive delta equals
+        // lane 1's. Branch-free, so it vectorizes.
+        let (first, step) = (addrs[0], addrs[1].wrapping_sub(addrs[0]));
+        let diff = (1..WARP_SIZE).fold(0, |d, l| d | (addrs[l].wrapping_sub(addrs[l - 1]) ^ step));
+        return (diff == 0).then_some((first, step));
+    }
     let mut lanes = mask.0;
     if lanes == 0 {
         return Some((0, 0));
@@ -84,9 +93,138 @@ pub fn affine_addrs(mask: LaneMask, first: u64, step: u64) -> WarpAddrs {
     addrs
 }
 
+/// The periods a [`TwoLevel`] event may have, smallest first.
+pub(crate) const TWO_LEVEL_PERIODS: [u8; 4] = [2, 4, 8, 16];
+
+/// The two-level lane form: lane `l` reads `base + (l mod p)·s1 +
+/// (l div p)·s2`, wrapping — the shape a 2-D thread tile of `p` columns
+/// gives a warp (the general kernel's `t % tx_count`, `t / tx_count`).
+/// Unlike the affine form it is indexed by lane, not by active-lane rank.
+///
+/// The form is canonical: `p` is 2, 4, 8 or 16, lanes 0, 1 and `p` are
+/// active, and `base`, `s1` and `s2` are lane 0's address and
+/// the deltas from it to lanes 1 and `p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TwoLevel {
+    /// Lanes per row.
+    pub p: u8,
+    /// Lane 0's address.
+    pub base: u64,
+    /// Step between neighbouring lanes of a row.
+    pub s1: u64,
+    /// Step between rows.
+    pub s2: u64,
+}
+
+impl TwoLevel {
+    /// The canonical two-level form of an event's addresses with the
+    /// smallest period that fits, or `None`. It does not try the affine
+    /// form first: the writer does (see [`crate::format`]).
+    pub fn of(mask: LaneMask, addrs: &WarpAddrs) -> Option<TwoLevel> {
+        if mask.0 & 0b11 != 0b11 {
+            return None;
+        }
+        let (base, s1) = (addrs[0], addrs[1].wrapping_sub(addrs[0]));
+        let form = |p: u8| TwoLevel {
+            p,
+            base,
+            s1,
+            s2: addrs[usize::from(p)].wrapping_sub(base),
+        };
+        if mask.is_all() {
+            // Row 0 steps by `s1` up to the first lane that breaks the
+            // step. A tile of period `p` breaks it first at lane `p` unless
+            // it is affine (then period 2 fits), so that lane is the only
+            // period to check, and lanes `1..p` already fit.
+            let pl = (2..WARP_SIZE)
+                .find(|&l| addrs[l].wrapping_sub(addrs[l - 1]) != s1)
+                .unwrap_or(2);
+            let p = pl as u8;
+            if !TWO_LEVEL_PERIODS.contains(&p) {
+                return None;
+            }
+            let form = form(p);
+            let diff = (pl..WARP_SIZE).fold(0, |d, l| {
+                d | (addrs[l].wrapping_sub(addrs[l - pl]) ^ form.s2)
+            });
+            return (diff == 0).then_some(form);
+        }
+        TWO_LEVEL_PERIODS
+            .into_iter()
+            .filter(|&p| mask.is_active(usize::from(p)))
+            .map(form)
+            .find(|form| form.fits(mask, addrs))
+    }
+
+    /// Whether every active lane of `addrs` reads what this form gives it:
+    /// a closed-form compare over all 32 lanes, branch-free.
+    fn fits(&self, mask: LaneMask, addrs: &WarpAddrs) -> bool {
+        let want = self.fill();
+        let diff = (0..WARP_SIZE).fold(0, |d, l| d | ((addrs[l] ^ want[l]) & lane_bits(mask, l)));
+        diff == 0
+    }
+
+    /// Every lane's address, active or not: row 0 steps by `s1`, and each
+    /// later lane sits `s2` past the lane a row above. A literal period
+    /// per arm lets each copy unroll and vectorize.
+    fn fill(&self) -> WarpAddrs {
+        match self.p {
+            2 => self.fill_rows(2),
+            4 => self.fill_rows(4),
+            8 => self.fill_rows(8),
+            16 => self.fill_rows(16),
+            p => self.fill_rows(usize::from(p).clamp(1, WARP_SIZE)),
+        }
+    }
+
+    #[inline(always)]
+    fn fill_rows(&self, p: usize) -> WarpAddrs {
+        let mut out = [0u64; WARP_SIZE];
+        let mut a = self.base;
+        for slot in &mut out[..p] {
+            *slot = a;
+            a = a.wrapping_add(self.s1);
+        }
+        for l in p..WARP_SIZE {
+            out[l] = out[l - p].wrapping_add(self.s2);
+        }
+        out
+    }
+
+    /// The canonical lane addresses under `mask`: inactive lanes are zero.
+    /// The inverse of [`TwoLevel::of`].
+    pub fn addrs(&self, mask: LaneMask) -> WarpAddrs {
+        let mut out = self.fill();
+        if !mask.is_all() {
+            for (l, a) in out.iter_mut().enumerate() {
+                *a &= lane_bits(mask, l);
+            }
+        }
+        out
+    }
+}
+
+/// All ones when `lane` is active in `mask`, zero otherwise.
+#[inline]
+fn lane_bits(mask: LaneMask, lane: usize) -> u64 {
+    0u64.wrapping_sub(u64::from(mask.0 >> lane & 1))
+}
+
+/// How one event's lane addresses are stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lanes {
+    /// In the head's `first` and `step` (see [`affine_lanes`]).
+    Affine,
+    /// In the launch's two-level slab, at index `first`; the period
+    /// rides here.
+    TwoLevel { p: u8 },
+    /// In the launch's address slab, at row `first`.
+    Explicit,
+}
+
 /// The fixed-size part of one traced warp instruction, plus where its
-/// lane addresses live: inline for affine events, in the launch's
-/// address slab for the rest.
+/// lane addresses live: inline for affine events, in one of the launch's
+/// side slabs for the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHead {
     /// Which instruction.
@@ -101,11 +239,11 @@ pub struct EventHead {
     pub transactions: u32,
     /// Cycles charged at capture time.
     pub cycles: u32,
-    /// Whether the lane addresses live in the launch's address slab, at
-    /// event index `first`, instead of in `first` and `step`. (A flag
-    /// rather than an enum keeps the head at 40 bytes, not 48.)
-    pub(crate) explicit: bool,
-    /// Affine: the lowest active lane's address; explicit: the slab index.
+    /// The lane form. (Keeping `first` and `step` beside this two-byte
+    /// enum rather than inside it keeps the head at 40 bytes.)
+    pub(crate) lanes: Lanes,
+    /// Affine: the lowest active lane's address; otherwise the index into
+    /// the form's slab.
     pub(crate) first: u64,
     /// Affine: the address step between successive active lanes.
     pub(crate) step: u64,
@@ -114,9 +252,9 @@ pub struct EventHead {
 impl EventHead {
     /// `Some((first, step))` when the event's `k`-th active lane (lowest
     /// first) reads `first + k·step` (see [`affine_lanes`]); `None` when
-    /// its addresses are stored explicitly.
+    /// its addresses are stored in two-level or explicit form.
     pub fn affine(&self) -> Option<(u64, u64)> {
-        (!self.explicit).then_some((self.first, self.step))
+        (self.lanes == Lanes::Affine).then_some((self.first, self.step))
     }
 }
 
@@ -138,6 +276,8 @@ pub struct DecodedLaunch {
     pub end: LaunchEnd,
     blocks: Vec<BlockSpan>,
     heads: Vec<EventHead>,
+    /// `[base, s1, s2]` of each two-level event.
+    two_level: Vec<[u64; 3]>,
     /// Lane addresses of the explicit events, `WARP_SIZE` per event,
     /// inactive lanes zeroed.
     addrs: Vec<u64>,
@@ -154,6 +294,7 @@ impl DecodedLaunch {
             },
             blocks: Vec::new(),
             heads: Vec::new(),
+            two_level: Vec::new(),
             addrs: Vec::new(),
         }
     }
@@ -168,29 +309,52 @@ impl DecodedLaunch {
         self.blocks.len()
     }
 
+    /// Number of events whose pricing reads lane addresses one by one:
+    /// the two-level and explicit ones. The rest are affine.
+    pub fn lane_priced_events(&self) -> usize {
+        self.two_level.len() + self.addrs.len() / WARP_SIZE
+    }
+
     /// The blocks in delivery order, each a borrowed view into the slabs.
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = BlockView<'_>> + '_ {
         self.blocks.iter().map(|span| BlockView {
             block_id: span.id,
             heads: &self.heads[span.start..span.start + span.len],
+            two_level: &self.two_level,
             addrs: &self.addrs,
         })
     }
 
-    /// Appends one event to the block being decoded. `lanes` carries an
-    /// explicit event's canonical addresses: stored compactly when they
-    /// form a progression after all (every 0- and 1-lane event does), as
-    /// a slab row otherwise.
+    /// Appends one affine event (its `first` and `step` already in
+    /// `head`) to the block being decoded.
     #[inline]
-    pub(crate) fn push_event(&mut self, mut head: EventHead, lanes: Option<&WarpAddrs>) {
-        if let Some(addrs) = lanes {
-            match affine_lanes(head.mask, addrs) {
-                Some((first, step)) => (head.first, head.step) = (first, step),
-                None => {
-                    head.explicit = true;
-                    head.first = (self.addrs.len() / WARP_SIZE) as u64;
-                    self.addrs.extend_from_slice(addrs);
-                }
+    pub(crate) fn push_affine(&mut self, head: EventHead) {
+        self.heads.push(head);
+    }
+
+    /// Appends one two-level event to the block being decoded.
+    #[inline]
+    pub(crate) fn push_two_level(&mut self, mut head: EventHead, form: TwoLevel) {
+        head.lanes = Lanes::TwoLevel { p: form.p };
+        head.first = self.two_level.len() as u64;
+        self.two_level.push([form.base, form.s1, form.s2]);
+        self.heads.push(head);
+    }
+
+    /// Appends one explicit event to the block being decoded, given its
+    /// canonical addresses: stored compactly when they form a progression
+    /// after all (every 0- and 1-lane event does), as a slab row
+    /// otherwise.
+    #[inline]
+    pub(crate) fn push_explicit(&mut self, mut head: EventHead, addrs: &WarpAddrs) {
+        match affine_lanes(head.mask, addrs) {
+            Some((first, step)) => {
+                (head.lanes, head.first, head.step) = (Lanes::Affine, first, step);
+            }
+            None => {
+                head.lanes = Lanes::Explicit;
+                head.first = (self.addrs.len() / WARP_SIZE) as u64;
+                self.addrs.extend_from_slice(addrs);
             }
         }
         self.heads.push(head);
@@ -203,6 +367,8 @@ pub struct BlockView<'a> {
     /// The block id recorded by the writer.
     pub block_id: u64,
     heads: &'a [EventHead],
+    /// The launch's whole two-level slab.
+    two_level: &'a [[u64; 3]],
     /// The launch's whole explicit-address slab.
     addrs: &'a [u64],
 }
@@ -226,15 +392,21 @@ impl BlockView<'_> {
 
     /// Calls `f` on the block's events in issue order, each head paired
     /// with its canonical lane addresses: a borrow of the slab for an
-    /// explicit event, expanded on the stack for an affine one.
+    /// explicit event, expanded on the stack for an affine or two-level
+    /// one.
     pub fn for_each(&self, mut f: impl FnMut(&EventHead, &WarpAddrs)) {
         for head in self.heads {
-            if head.explicit {
-                let i = head.first as usize;
-                let slice = &self.addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
-                f(head, <&WarpAddrs>::try_from(slice).expect("slab stride"));
-            } else {
-                f(head, &affine_addrs(head.mask, head.first, head.step));
+            let i = head.first as usize;
+            match head.lanes {
+                Lanes::Affine => f(head, &affine_addrs(head.mask, head.first, head.step)),
+                Lanes::TwoLevel { p } => {
+                    let [base, s1, s2] = self.two_level[i];
+                    f(head, &TwoLevel { p, base, s1, s2 }.addrs(head.mask));
+                }
+                Lanes::Explicit => {
+                    let slice = &self.addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
+                    f(head, <&WarpAddrs>::try_from(slice).expect("slab stride"));
+                }
             }
         }
     }
@@ -266,9 +438,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Decodes a binary KTRC stream into slabs. Affine events stay
-    /// compact; explicit ones whose lanes happen to form a progression
-    /// (every 0- and 1-lane event) are stored compactly too.
+    /// Decodes a binary KTRC stream into slabs. Affine and two-level
+    /// events stay compact; explicit ones whose lanes happen to form a
+    /// progression (every 0- and 1-lane event) are stored compactly too.
     ///
     /// A launch cut off by a new launch-begin record or by the end of the
     /// stream keeps the blocks delivered before the cut and a synthesized
@@ -433,7 +605,7 @@ mod tests {
                         }
                     })
                     .collect();
-                w.block_events(block_id as usize, &events);
+                w.write_block(block_id as usize, &events);
                 block_events.push((block_id, events));
             }
             let stats = KernelStats {
@@ -490,8 +662,9 @@ mod tests {
         }
     }
 
-    /// Only events whose lanes do not form a progression take slab
-    /// space; the rest round-trip from their heads alone.
+    /// Only events whose lanes form neither a progression nor a
+    /// two-level tile take an address-slab row; two-level events take one
+    /// three-word row; the rest round-trip from their heads alone.
     #[test]
     fn affine_events_take_no_slab_space() {
         for seed in 0..8u64 {
@@ -502,17 +675,92 @@ mod tests {
                 .iter()
                 .zip(written)
             {
-                let explicit = wl
+                let events: Vec<TraceEvent> = wl
                     .blocks
                     .iter()
                     .flat_map(|(_, evs)| evs)
-                    .filter(|e| affine_lanes(e.mask, &e.canonical().addrs).is_none())
+                    .map(|e| e.canonical())
+                    .collect();
+                let affine = |e: &TraceEvent| affine_lanes(e.mask, &e.addrs).is_some();
+                let two_level = events
+                    .iter()
+                    .filter(|e| !affine(e) && TwoLevel::of(e.mask, &e.addrs).is_some())
                     .count();
+                let explicit = events.iter().filter(|e| !affine(e)).count() - two_level;
                 assert_eq!(dl.addrs.len(), explicit * WARP_SIZE, "seed {seed}");
-                let affine = dl.heads.iter().filter(|h| h.affine().is_some()).count();
-                assert_eq!(affine + explicit, dl.event_count(), "seed {seed}");
+                assert_eq!(dl.two_level.len(), two_level, "seed {seed}");
+                assert_eq!(dl.lane_priced_events(), two_level + explicit, "seed {seed}");
+                let heads_affine = dl.heads.iter().filter(|h| h.affine().is_some()).count();
+                assert_eq!(
+                    heads_affine + two_level + explicit,
+                    dl.event_count(),
+                    "seed {seed}"
+                );
             }
         }
+    }
+
+    /// `TwoLevel::of` recovers every period, partial masks that keep lanes
+    /// 0, 1 and `p`, and zero, negative and wrapping strides; it takes the
+    /// smallest period that fits, and a bent lane breaks the fit.
+    #[test]
+    fn two_level_of_inverts_addrs() {
+        let mut rng = Rng(0x2_1E7E1);
+        for p in TWO_LEVEL_PERIODS {
+            let needed = 0b11 | 1u32 << p;
+            for mask in [
+                u32::MAX,
+                needed,
+                needed | 0x00f0_0f00,
+                rng.next() as u32 | needed,
+            ] {
+                let mask = LaneMask(mask);
+                for (base, s1, s2) in [
+                    (0, 4, 64),
+                    (1 << 30, 0, 4096),
+                    (1 << 20, 8u64.wrapping_neg(), 128),
+                    (u64::MAX - 8, 4, (1u64 << 40).wrapping_neg()),
+                    (rng.next(), rng.next(), rng.next()),
+                ] {
+                    let form = TwoLevel { p, base, s1, s2 };
+                    let addrs = form.addrs(mask);
+                    if affine_lanes(mask, &addrs).is_some() {
+                        continue; // the writer would pick the affine form
+                    }
+                    let got = TwoLevel::of(mask, &addrs).expect("fits");
+                    assert!(got.p <= p, "{mask:?} p={p}");
+                    assert_eq!(got.addrs(mask), addrs, "{mask:?} p={p}");
+                    if got.p == p {
+                        assert_eq!(got, form, "{mask:?}");
+                    }
+                    let mut bent = addrs;
+                    bent[31 - mask.0.leading_zeros() as usize] ^= 1 << 7;
+                    if let Some(b) = TwoLevel::of(mask, &bent) {
+                        assert_eq!(b.addrs(mask), bent, "{mask:?} p={p}");
+                    }
+                }
+            }
+        }
+        // Lane 0, 1 or the period's lane inactive: no two-level form.
+        let form = TwoLevel {
+            p: 4,
+            base: 0,
+            s1: 4,
+            s2: 1024,
+        };
+        for off in [0, 1] {
+            let mask = LaneMask(!(1 << off));
+            assert_eq!(
+                TwoLevel::of(mask, &form.addrs(mask)),
+                None,
+                "lane {off} off"
+            );
+        }
+        // Lanes 0, 1, 2 and 8 of an 8-wide tile: period 2 is tried first
+        // and does not fit, period 4's lane is off, period 8 fits.
+        let mask = LaneMask(0b1_0000_0111);
+        let addrs = TwoLevel { p: 8, ..form }.addrs(mask);
+        assert_eq!(TwoLevel::of(mask, &addrs).map(|f| f.p), Some(8));
     }
 
     #[test]

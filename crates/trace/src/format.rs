@@ -1,7 +1,7 @@
 //! The compact binary trace format: the writer (a [`TraceSink`]) and the
 //! record decoders [`Trace::decode`](crate::Trace::decode) drives.
 //!
-//! # Layout (version 5)
+//! # Layout (version 6)
 //!
 //! A trace file is a 5-byte header (`"KTRC"` + version) followed by a
 //! stream of tagged records; all integers are LEB128 varints (see
@@ -23,22 +23,34 @@
 //!
 //! Each event is: op byte, warp, complemented lane mask (`!mask`, so a
 //! full warp costs one byte), bytes/lane, transactions, cycles — then the
-//! addresses of the **active lanes only**, in one of two forms chosen by
-//! the op byte's high bit ([`AFFINE`]; the low seven bits are the
-//! [`TraceOp`]):
+//! addresses of the **active lanes only**, in one of three forms chosen by
+//! the op byte's two high bits (the low six bits are the [`TraceOp`]):
 //!
-//! * **affine** (bit set): the active lanes, lowest first, read
-//!   `first + k·step` (wrapping) — stored as `first` and zigzag `step`.
-//!   This is the paper's strided warp access (Fig. 1, eq. 1) and the
-//!   shape of almost every convolution-kernel event: a 32-lane event
-//!   costs ≈8 bytes. The writer emits it exactly when at least two lanes
-//!   are active and every successive delta is equal, so each event has
-//!   one encoding and serial ≡ threaded traces stay byte-identical; the
-//!   reader rejects the flag on an event with fewer than two lanes.
-//! * **explicit** (bit clear): one absolute address followed by zigzag
-//!   deltas between successive active lanes.
+//! | op-byte flag | form | address fields | lane `l` (or `k`-th active lane) reads |
+//! |---|---|---|---|
+//! | [`AFFINE`] | affine | `first`, zigzag `step` | `first + k·step` |
+//! | [`TWO_LEVEL`] | two-level | `p` (u8), `base`, zigzag `s1`, zigzag `s2` | `base + (l mod p)·s1 + (l div p)·s2` |
+//! | neither | explicit | first active lane's address, then zigzag deltas between successive active lanes | — |
 //!
-//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 5
+//! All address arithmetic wraps. The writer tries the forms in that order
+//! and takes the first that fits, so each event has one encoding and
+//! serial ≡ threaded traces stay byte-identical:
+//!
+//! * **affine** exactly when at least two lanes are active and every
+//!   successive delta is equal. This is the paper's strided warp access
+//!   (Fig. 1, eq. 1) and the shape of almost every convolution-kernel
+//!   event: a 32-lane event costs ≈8 bytes. The reader rejects the flag on
+//!   an event with fewer than two active lanes.
+//! * **two-level** ([`TwoLevel`]) with the smallest `p ∈ {2, 4, 8, 16}`
+//!   that fits, and only when lanes 0, 1 and `p` are active: `base` is
+//!   lane 0's address and `s1`, `s2` the deltas from it to lanes 1 and `p`.
+//!   This is the shape of a 2-D register tile (§4.2), whose thread `t`
+//!   works at column `t mod p`, row `t div p`. The reader rejects any other
+//!   `p`, a flagged event with lane 0, 1 or `p` inactive, and an event
+//!   carrying both flags.
+//! * **explicit** otherwise.
+//!
+//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 6
 //! only; every other version byte is a typed [`TraceError::Malformed`].
 //!
 //! A `launch begin` arriving while a launch is open, or end-of-file inside
@@ -49,68 +61,137 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use kconv_sim::{
-    BankWidth, GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp,
-    TraceSink, WARP_SIZE,
+    BankWidth, EventEncoder, GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch,
+    TraceOp, TraceSink, WARP_SIZE,
 };
 
-use crate::decoded::{affine_lanes, DecodedLaunch, EventHead};
+use crate::decoded::{affine_lanes, DecodedLaunch, EventHead, Lanes, TwoLevel, TWO_LEVEL_PERIODS};
 use crate::varint::{write_u64, zigzag, Cursor};
 use crate::TraceError;
 
 /// File magic: the first four bytes of every trace.
 pub const MAGIC: [u8; 4] = *b"KTRC";
 /// The one format version the writer emits and the reader accepts.
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 /// Event op-byte flag: the active lanes' addresses are stored as an
 /// arithmetic progression (`first`, zigzag `step`).
 pub const AFFINE: u8 = 0x80;
+/// Event op-byte flag: the lane addresses are stored in the two-level
+/// form ([`TwoLevel`]: `p`, `base`, zigzag `s1`, zigzag `s2`).
+pub const TWO_LEVEL: u8 = 0x40;
 
 pub(crate) const TAG_LAUNCH_BEGIN: u8 = 1;
 pub(crate) const TAG_BLOCK: u8 = 2;
 pub(crate) const TAG_LAUNCH_END: u8 = 3;
 
-/// Encodes one event: the affine form exactly when at least two lanes
-/// are active and [`affine_lanes`] finds their progression, the explicit
-/// form otherwise.
-fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
-    let affine = affine_lanes(ev.mask, &ev.addrs).filter(|_| ev.mask.count() >= 2);
-    buf.push(ev.op as u8 | if affine.is_some() { AFFINE } else { 0 });
-    write_u64(buf, u64::from(ev.warp));
-    write_u64(buf, u64::from(!ev.mask.0));
-    write_u64(buf, u64::from(ev.lane_bytes));
-    write_u64(buf, u64::from(ev.transactions));
-    write_u64(buf, u64::from(ev.cycles));
-    if let Some((first, step)) = affine {
-        write_u64(buf, first);
-        write_u64(buf, zigzag(step as i64));
-        return;
-    }
-    let mut prev: Option<u64> = None;
-    let mut lanes = ev.mask.0;
-    while lanes != 0 {
-        let addr = ev.addrs[lanes.trailing_zeros() as usize];
-        match prev {
-            None => write_u64(buf, addr),
-            Some(p) => write_u64(buf, zigzag(addr.wrapping_sub(p) as i64)),
+/// The longest affine or two-level event encoding: the op byte, five
+/// `u32` head varints, the period byte and three `u64` varints.
+const COMPACT_BYTES_MAX: usize = 64;
+/// The longest event encoding: the op byte, five `u32` head varints and
+/// 32 explicit lane addresses of up to ten varint bytes each.
+const EXPLICIT_BYTES_MAX: usize = 1 + 5 * 5 + WARP_SIZE * 10;
+
+/// One event's bytes, assembled on the stack: byte pushes onto the
+/// block's `Vec` itself would reload its length after every store.
+struct EventBytes<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> EventBytes<N> {
+    /// The op byte (with its lane-form `flag`) and the five head fields.
+    #[inline]
+    fn head(ev: &TraceEvent, flag: u8) -> Self {
+        let mut out = EventBytes {
+            buf: [0; N],
+            len: 0,
+        };
+        out.byte(ev.op as u8 | flag);
+        for v in [
+            ev.warp,
+            !ev.mask.0,
+            ev.lane_bytes,
+            ev.transactions,
+            ev.cycles,
+        ] {
+            out.varint(u64::from(v));
         }
-        prev = Some(addr);
-        lanes &= lanes - 1;
+        out
+    }
+
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// [`write_u64`] into the stack buffer.
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
     }
 }
 
+/// Encodes one event in the first lane form that fits: affine (two or
+/// more active lanes in progression), two-level (see [`TwoLevel::of`]),
+/// explicit. The [`EventEncoder`] [`TraceWriter`] hands the simulator.
+fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
+    let compact = if let Some((first, step)) =
+        affine_lanes(ev.mask, &ev.addrs).filter(|_| ev.mask.count() >= 2)
+    {
+        let mut out = EventBytes::<COMPACT_BYTES_MAX>::head(ev, AFFINE);
+        out.varint(first);
+        out.varint(zigzag(step as i64));
+        out
+    } else if let Some(form) = TwoLevel::of(ev.mask, &ev.addrs) {
+        let mut out = EventBytes::<COMPACT_BYTES_MAX>::head(ev, TWO_LEVEL);
+        out.byte(form.p);
+        out.varint(form.base);
+        out.varint(zigzag(form.s1 as i64));
+        out.varint(zigzag(form.s2 as i64));
+        out
+    } else {
+        // The first active lane's address, then deltas between successive
+        // active lanes.
+        let mut out = EventBytes::<EXPLICIT_BYTES_MAX>::head(ev, 0);
+        let mut prev: Option<u64> = None;
+        for lane in ev.mask.iter() {
+            let addr = ev.addrs[lane];
+            out.varint(match prev {
+                None => addr,
+                Some(p) => zigzag(addr.wrapping_sub(p) as i64),
+            });
+            prev = Some(addr);
+        }
+        buf.extend_from_slice(&out.buf[..out.len]);
+        return;
+    };
+    // A fixed-size copy and a truncate instead of a variable-length
+    // `memcpy` call.
+    let len = buf.len() + compact.len;
+    buf.extend_from_slice(&compact.buf);
+    buf.truncate(len);
+}
+
 /// Decodes one event into the block `launch` is decoding: an affine event
-/// as its head alone, an explicit one with its canonical lane addresses
-/// (inactive lanes zeroed).
+/// as its head alone, a two-level one as its head and form, an explicit
+/// one with its canonical lane addresses (inactive lanes zeroed).
 #[inline]
 pub(crate) fn decode_event(
     cur: &mut Cursor<'_>,
     launch: &mut DecodedLaunch,
 ) -> Result<(), TraceError> {
     let op_byte = cur.read_u8("event op")?;
-    let op = TraceOp::from_u8(op_byte & !AFFINE).ok_or_else(|| TraceError::Malformed {
+    let malformed = |cur: &Cursor<'_>, reason: String| TraceError::Malformed {
         offset: cur.pos(),
-        reason: format!("unknown trace op tag {op_byte}"),
-    })?;
+        reason,
+    };
+    let op = TraceOp::from_u8(op_byte & !(AFFINE | TWO_LEVEL))
+        .ok_or_else(|| malformed(cur, format!("unknown trace op tag {op_byte}")))?;
     // The five head fields are one byte each in nearly every event.
     let [warp, mask, lane_bytes, transactions, cycles] = match cur.read_small::<5>() {
         Some(small) => small.map(u64::from),
@@ -129,22 +210,51 @@ pub(crate) fn decode_event(
         lane_bytes: lane_bytes as u32,
         transactions: transactions as u32,
         cycles: cycles as u32,
-        explicit: false,
+        lanes: Lanes::Affine,
         first: 0,
         step: 0,
     };
-    if op_byte & AFFINE != 0 {
-        let active = head.mask.count();
-        if active < 2 {
-            return Err(TraceError::Malformed {
-                offset: cur.pos(),
-                reason: format!("affine event with {active} active lane(s) (needs at least 2)"),
-            });
+    match op_byte & (AFFINE | TWO_LEVEL) {
+        AFFINE => {
+            let active = head.mask.count();
+            if active < 2 {
+                let reason =
+                    format!("affine event with {active} active lane(s) (needs at least 2)");
+                return Err(malformed(cur, reason));
+            }
+            head.first = cur.read_u64("event first address")?;
+            head.step = cur.read_i64("event address step")? as u64;
+            launch.push_affine(head);
+            return Ok(());
         }
-        head.first = cur.read_u64("event first address")?;
-        head.step = cur.read_i64("event address step")? as u64;
-        launch.push_event(head, None);
-        return Ok(());
+        TWO_LEVEL => {
+            let p = cur.read_u8("two-level period")?;
+            if !TWO_LEVEL_PERIODS.contains(&p) {
+                let reason = format!("two-level period {p} (expected 2, 4, 8 or 16)");
+                return Err(malformed(cur, reason));
+            }
+            let needed = 0b11 | 1u32 << p;
+            if head.mask.0 & needed != needed {
+                let reason = format!(
+                    "two-level event with lane 0, 1 or {p} inactive (mask {:#010x})",
+                    head.mask.0
+                );
+                return Err(malformed(cur, reason));
+            }
+            let form = TwoLevel {
+                p,
+                base: cur.read_u64("event base address")?,
+                s1: cur.read_i64("event lane step")? as u64,
+                s2: cur.read_i64("event row step")? as u64,
+            };
+            launch.push_two_level(head, form);
+            return Ok(());
+        }
+        0 => {}
+        _ => {
+            let reason = format!("event op byte {op_byte:#04x} sets both lane-form flags");
+            return Err(malformed(cur, reason));
+        }
     }
     // Walk only the active lanes, lowest first: the first carries an
     // absolute address, each later one a delta from its predecessor.
@@ -160,7 +270,7 @@ pub(crate) fn decode_event(
             lanes &= lanes - 1;
         }
     }
-    launch.push_event(head, Some(&addrs));
+    launch.push_explicit(head, &addrs);
     Ok(())
 }
 
@@ -417,6 +527,31 @@ impl<W: Write> TraceWriter<W> {
         self.scratch.clear();
     }
 
+    /// Writes one block record from events already in hand — for
+    /// synthetic traces and tests; the simulator encodes at the access
+    /// instead (see [`TraceSink::encoder`]). Same bytes as the simulator
+    /// would deliver for these events.
+    pub fn write_block(&mut self, block_id: usize, events: &[TraceEvent]) {
+        let mut bytes = Vec::new();
+        for ev in events {
+            encode_event(&mut bytes, ev);
+        }
+        self.block_record(block_id, events.len() as u64, &bytes);
+    }
+
+    /// The block record: its head, then the encoded events as they are.
+    fn block_record(&mut self, block_id: usize, events: u64, bytes: &[u8]) {
+        self.scratch.push(TAG_BLOCK);
+        write_u64(&mut self.scratch, block_id as u64);
+        write_u64(&mut self.scratch, events);
+        self.emit();
+        if self.err.is_none() {
+            if let Err(e) = self.out.write_all(bytes) {
+                self.err = Some(e);
+            }
+        }
+    }
+
     fn end_record(&mut self, aborted: bool, stats: &KernelStats) {
         self.scratch.push(TAG_LAUNCH_END);
         self.scratch.push(u8::from(aborted));
@@ -447,14 +582,12 @@ impl<W: Write + Send> TraceSink for TraceWriter<W> {
         self.emit();
     }
 
-    fn block_events(&mut self, block_id: usize, events: &[TraceEvent]) {
-        self.scratch.push(TAG_BLOCK);
-        write_u64(&mut self.scratch, block_id as u64);
-        write_u64(&mut self.scratch, events.len() as u64);
-        for ev in events {
-            encode_event(&mut self.scratch, ev);
-        }
-        self.emit();
+    fn encoder(&self) -> EventEncoder {
+        encode_event
+    }
+
+    fn block_encoded(&mut self, block_id: usize, events: u64, bytes: &[u8]) {
+        self.block_record(block_id, events, bytes);
     }
 
     fn launch_end(&mut self, stats: &KernelStats) {
@@ -627,7 +760,7 @@ pub(crate) mod tests {
         let mut w = TraceWriter::new(buf.clone());
         let spec = capture_spec();
         w.launch_begin(&launch("k", 1, &spec));
-        w.block_events(0, events);
+        w.write_block(0, events);
         w.launch_end(&KernelStats::default());
         buf.take()
     }
@@ -647,8 +780,8 @@ pub(crate) mod tests {
         let mut w = TraceWriter::new(buf.clone());
         let spec = capture_spec();
         w.launch_begin(&launch("k1", 2, &spec));
-        w.block_events(0, &events);
-        w.block_events(1, &events[..2]);
+        w.write_block(0, &events);
+        w.write_block(1, &events[..2]);
         let stats = KernelStats {
             fma_lane_ops: 4242,
             gm_ld_transactions: 17,
@@ -755,6 +888,139 @@ pub(crate) mod tests {
         assert!(!flagged(&bent), "last delta differs");
     }
 
+    /// The lane form the precedence rule gives `e`, from a brute-force
+    /// walk of its active lanes: the flag and, for a two-level event, `p`.
+    fn reference_form(e: &TraceEvent) -> (u8, Option<u8>) {
+        let active: Vec<usize> = e.mask.iter().collect();
+        let a = &e.addrs;
+        let step = |i: usize| a[active[i + 1]].wrapping_sub(a[active[i]]);
+        if active.len() >= 2 && (0..active.len() - 1).all(|i| step(i) == step(0)) {
+            return (AFFINE, None);
+        }
+        for p in TWO_LEVEL_PERIODS {
+            let pl = usize::from(p);
+            if !(e.mask.is_active(0) && e.mask.is_active(1) && e.mask.is_active(pl)) {
+                continue;
+            }
+            let (s1, s2) = (a[1].wrapping_sub(a[0]), a[pl].wrapping_sub(a[0]));
+            let fits = active.iter().all(|&l| {
+                let row = s2.wrapping_mul((l / pl) as u64);
+                a[l] == a[0]
+                    .wrapping_add(s1.wrapping_mul((l % pl) as u64))
+                    .wrapping_add(row)
+            });
+            if fits {
+                return (TWO_LEVEL, Some(p));
+            }
+        }
+        (0, None)
+    }
+
+    /// The form the writer gave `e`: its op-byte flag and, for a two-level
+    /// event, the period byte after the five head fields.
+    fn written_form(e: &TraceEvent) -> (u8, Option<u8>) {
+        let flag = op_byte_of(e) & (AFFINE | TWO_LEVEL);
+        if flag != TWO_LEVEL {
+            return (flag, None);
+        }
+        // Re-encode the event alone to find the period byte after its
+        // head.
+        let mut bytes = Vec::new();
+        encode_event(&mut bytes, e);
+        let mut cur = Cursor::new(&bytes[1..]);
+        for _ in 0..5 {
+            cur.read_u64("head").unwrap();
+        }
+        (flag, Some(cur.read_u8("period").unwrap()))
+    }
+
+    /// Seeded events built as two-level tiles of every period, under full,
+    /// minimal, gapped and lane-dropping masks, with zero, positive,
+    /// negative and wrapping strides, some bent: the decoded stream equals
+    /// the writer's input, and every event gets the form the precedence
+    /// rule gives it (affine, then two-level with the smallest period, then
+    /// explicit) — checked against a brute-force walk, so the writer's
+    /// closed-form full-warp checks are checked too.
+    #[test]
+    fn two_level_streams_round_trip_with_the_canonical_form() {
+        let mut rng = Rng(0x7E1E_0000);
+        let mut seen = [0usize; 3]; // affine, two-level, explicit
+        let mut periods = [0usize; 17];
+        let mut events = Vec::new();
+        for _ in 0..600 {
+            let p = TWO_LEVEL_PERIODS[(rng.next() % 4) as usize];
+            let needed = 0b11 | 1u32 << p;
+            let mask = LaneMask(match rng.next() % 4 {
+                0 => u32::MAX,
+                1 => needed,
+                2 => rng.next() as u32 | needed,
+                _ => rng.next() as u32, // may drop lane 0, 1 or p
+            });
+            let stride = |rng: &mut Rng| match rng.next() % 5 {
+                0 => 0,
+                1 => rng.next() % 512,
+                2 => (rng.next() % 512).wrapping_neg(),
+                3 => (1 << 63) + rng.next() % 8, // wraps
+                _ => rng.next(),
+            };
+            let base = match rng.next() % 3 {
+                0 => rng.next() % (1 << 40),
+                1 => u64::MAX - rng.next() % 64,
+                _ => rng.next(),
+            };
+            let s1 = stride(&mut rng);
+            let s2 = match rng.next() % 6 {
+                0 => s1.wrapping_mul(u64::from(p)), // one progression: affine
+                _ => stride(&mut rng),
+            };
+            let mut addrs = TwoLevel { p, base, s1, s2 }.addrs(mask);
+            if rng.next().is_multiple_of(4) {
+                let lane = (rng.next() % 32) as usize;
+                if mask.is_active(lane) {
+                    addrs[lane] ^= 1 << (rng.next() % 64);
+                }
+            }
+            events.push(TraceEvent {
+                op: TraceOp::ALL[(rng.next() % 6) as usize],
+                warp: (rng.next() % 64) as u32,
+                mask,
+                lane_bytes: 4,
+                transactions: (rng.next() % 4) as u32,
+                cycles: (rng.next() % 4) as u32,
+                addrs,
+            });
+        }
+        for e in &events {
+            let want = reference_form(e);
+            // The writer keeps the affine flag for two or more lanes and
+            // writes 0- and 1-lane events explicitly.
+            assert_eq!(written_form(e), want, "{e:?}");
+            match want {
+                (AFFINE, _) => seen[0] += 1,
+                (TWO_LEVEL, Some(p)) => {
+                    seen[1] += 1;
+                    periods[usize::from(p)] += 1;
+                }
+                _ => seen[2] += 1,
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 20), "forms {seen:?}");
+        for p in TWO_LEVEL_PERIODS {
+            assert!(periods[usize::from(p)] > 10, "p={p}: {periods:?}");
+        }
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        let spec = capture_spec();
+        w.launch_begin(&launch("tiles", 2, &spec));
+        w.write_block(0, &events[..300]);
+        w.write_block(1, &events[300..]);
+        w.launch_end(&KernelStats::default());
+        let got = decode(&buf.take()).unwrap();
+        let want: Vec<TraceEvent> = events.iter().map(|e| e.canonical()).collect();
+        assert_eq!(got[0].blocks[0].1, want[..300]);
+        assert_eq!(got[0].blocks[1].1, want[300..]);
+    }
+
     /// A hand-built stream: one launch, one block, then `event` verbatim.
     fn stream_with_event(event: &[u8]) -> Vec<u8> {
         let mut bytes = one_block(&[]);
@@ -815,15 +1081,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn only_version_5_is_accepted() {
+    fn only_version_6_is_accepted() {
         let good = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 0)]);
         assert!(decode(&good).is_ok());
-        for version in [0u8, 1, 2, 3, 4, 6] {
+        for version in [0u8, 1, 2, 3, 4, 5, 7] {
             let mut bytes = good.clone();
             bytes[MAGIC.len()] = version;
             assert_eq!(
                 malformed_reason(&bytes),
-                format!("unsupported trace version {version} (expected 5)")
+                format!("unsupported trace version {version} (expected 6)")
             );
         }
     }
@@ -834,10 +1100,10 @@ pub(crate) mod tests {
         let mut w = TraceWriter::new(buf.clone());
         let spec = capture_spec();
         w.launch_begin(&launch("faulty", 4, &spec));
-        w.block_events(0, &[ev(TraceOp::GmLd, 0, 0xff, 4, 0)]);
+        w.write_block(0, &[ev(TraceOp::GmLd, 0, 0xff, 4, 0)]);
         // No launch_end: the launch faulted. A new launch begins.
         w.launch_begin(&launch("clean", 1, &spec));
-        w.block_events(0, &[]);
+        w.write_block(0, &[]);
         w.launch_end(&KernelStats::default());
         let launches = decode(&buf.take()).unwrap();
         assert_eq!(launches.len(), 2);
@@ -853,7 +1119,7 @@ pub(crate) mod tests {
         let mut w = TraceWriter::new(buf.clone());
         let spec = capture_spec();
         w.launch_begin(&launch("cut", 4, &spec));
-        w.block_events(0, &[ev(TraceOp::SmLd, 0, 0xff, 8, 64)]);
+        w.write_block(0, &[ev(TraceOp::SmLd, 0, 0xff, 8, 64)]);
         drop(w);
         let launches = decode(&buf.take()).unwrap();
         assert_eq!(launches.len(), 1);
@@ -912,7 +1178,7 @@ pub(crate) mod tests {
         let buf = SharedBuffer::new();
         let mut w = TraceWriter::new(buf.clone());
         w.launch_begin(&launch("k", 1, &spec));
-        w.block_events(0, &[]);
+        w.write_block(0, &[]);
         w.launch_end(&KernelStats::default());
         let launches = decode(&buf.take()).unwrap();
         let got = &launches[0].header.spec;
@@ -943,7 +1209,7 @@ pub(crate) mod tests {
             addrs: [0; WARP_SIZE],
         };
         let events = vec![ev(TraceOp::SmLd, 0, u32::MAX, 4, 0), bar];
-        w.block_events(0, &events);
+        w.write_block(0, &events);
         let stats = KernelStats {
             barriers: 4,
             bar_syncs: 8,
@@ -1052,7 +1318,7 @@ pub(crate) mod tests {
                             e.mask.count() >= 2 && crate::affine_lanes(e.mask, &e.addrs).is_some()
                         })
                         .count();
-                    w.block_events(block_id as usize, &events);
+                    w.write_block(block_id as usize, &events);
                     blocks_want.push((block_id, events.iter().map(|e| e.canonical()).collect()));
                 }
                 let stats = KernelStats {

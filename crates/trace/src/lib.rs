@@ -4,9 +4,10 @@
 //! ([`TraceSink`](kconv_sim::TraceSink)). It ships three layers:
 //!
 //! * [`TraceWriter`] / [`Trace::decode`] — a compact binary format
-//!   (varints; lane addresses as an affine `first`/`step` pair or as
-//!   zigzag deltas, see [`format`](mod@format)) streaming every warp memory
-//!   instruction of a launch to any `Write` target, and its one reader,
+//!   (varints; lane addresses as an affine `first`/`step` pair, a
+//!   two-level `base`/`s1`/`s2` tile or zigzag deltas, see
+//!   [`format`](mod@format)) streaming every warp memory instruction of a
+//!   launch to any `Write` target, and its one reader,
 //!   which materializes the stream into flat slabs (see [`decoded`]) so
 //!   consumers decode once and walk or re-price many times.
 //!   [`capture`] attaches a writer to a `Gpu` around one closure and
@@ -61,8 +62,12 @@ pub mod summary;
 pub mod varint;
 
 pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
-pub use decoded::{affine_addrs, affine_lanes, BlockView, DecodedLaunch, EventHead, Trace};
-pub use format::{LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, VERSION};
+pub use decoded::{
+    affine_addrs, affine_lanes, BlockView, DecodedLaunch, EventHead, Trace, TwoLevel,
+};
+pub use format::{
+    LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, TWO_LEVEL, VERSION,
+};
 pub use summary::{OpTotals, TraceSummary};
 
 use kconv_sim::Gpu;

@@ -195,7 +195,7 @@ mod tests {
             overlap: OverlapMode::Prefetch,
             spec: &spec,
         });
-        w.block_events(
+        w.write_block(
             0,
             &[
                 ev(TraceOp::GmLd, 32, 0, 2),
@@ -203,7 +203,7 @@ mod tests {
                 ev(TraceOp::SmSt, 16, 4, 0),
             ],
         );
-        w.block_events(
+        w.write_block(
             1,
             &[ev(TraceOp::SmLd, 32, 32, 0), ev(TraceOp::CmLd, 8, 3, 0)],
         );
@@ -261,9 +261,9 @@ mod tests {
             spec: &spec,
         });
         // Blocks with 2, 4 and 0 barrier arrivals.
-        w.block_events(0, &[bar(), ev(TraceOp::GmLd, 32, 0, 2), bar()]);
-        w.block_events(1, &[bar(), bar(), bar(), bar()]);
-        w.block_events(2, &[ev(TraceOp::SmLd, 32, 1, 0)]);
+        w.write_block(0, &[bar(), ev(TraceOp::GmLd, 32, 0, 2), bar()]);
+        w.write_block(1, &[bar(), bar(), bar(), bar()]);
+        w.write_block(2, &[ev(TraceOp::SmLd, 32, 1, 0)]);
         w.launch_end(&KernelStats::default());
         let summaries = TraceSummary::from_bytes(&buf.take()).unwrap();
         let s = &summaries[0];
@@ -294,15 +294,15 @@ mod tests {
         };
         w.launch_begin(&launch("whole"));
         for block in 0..4 {
-            w.block_events(block, &[ev(TraceOp::GmLd, 32, 0, 1)]);
+            w.write_block(block, &[ev(TraceOp::GmLd, 32, 0, 1)]);
         }
         w.launch_end(&KernelStats {
             fma_lane_ops: 64,
             ..Default::default()
         });
         w.launch_begin(&launch("cut"));
-        w.block_events(0, &[ev(TraceOp::GmLd, 32, 0, 1), bar()]);
-        w.block_events(1, &[ev(TraceOp::SmLd, 16, 2, 0)]);
+        w.write_block(0, &[ev(TraceOp::GmLd, 32, 0, 1), bar()]);
+        w.write_block(1, &[ev(TraceOp::SmLd, 16, 2, 0)]);
         drop(w); // the stream stops before blocks 2 and 3
         let bytes = buf.take();
 

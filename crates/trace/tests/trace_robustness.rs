@@ -2,26 +2,28 @@
 //!
 //! The binary trace format crosses a trust boundary: `trace_report
 //! --trace` and the replay tools accept arbitrary files. These tests feed
-//! systematically corrupted KTRC v5 streams — every truncation prefix,
+//! systematically corrupted KTRC v6 streams — every truncation prefix,
 //! seeded bit flips, seeded byte splices and hostile header varints —
 //! through [`Trace::decode`], the one reader, and assert the contract: a
 //! typed [`TraceError`](kconv_trace::TraceError) or a well-formed result
 //! whose views and roll-ups can be walked, never a panic, never an
 //! abort-by-allocation, never a hang. The corpus comes from the real
-//! writer and mixes affine, explicit, partial-mask and zero-lane events.
+//! writer and mixes affine, two-level, explicit, partial-mask and
+//! zero-lane events; hand-built events put the two-level form's hostile
+//! values in front of the reader.
 
 use kconv_sim::{
     GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
     WARP_SIZE,
 };
 use kconv_tensor::rng::StdRng;
-use kconv_trace::varint::write_u64;
+use kconv_trace::varint::{write_u64, zigzag};
 use kconv_trace::{
-    affine_addrs, affine_lanes, LaunchEnd, LaunchHeader, SharedBuffer, Trace, TraceSummary,
-    TraceWriter, MAGIC, VERSION,
+    affine_addrs, affine_lanes, LaunchEnd, LaunchHeader, SharedBuffer, Trace, TraceError,
+    TraceSummary, TraceWriter, TwoLevel, AFFINE, MAGIC, TWO_LEVEL, VERSION,
 };
 
-// The KTRC v5 record tags.
+// The KTRC v6 record tags.
 const TAG_LAUNCH_BEGIN: u8 = 1;
 const TAG_BLOCK: u8 = 2;
 
@@ -46,7 +48,7 @@ fn masked(mut ev: TraceEvent, mask: u32) -> TraceEvent {
     ev.canonical()
 }
 
-/// One block of every event shape the v5 writer distinguishes.
+/// One block of every event shape the v6 writer distinguishes.
 fn mixed_events() -> Vec<TraceEvent> {
     let mut scattered = event(TraceOp::GmLdRo, 4, 4, 8192);
     scattered.addrs[5] = 3; // breaks the progression: explicit form
@@ -55,6 +57,17 @@ fn mixed_events() -> Vec<TraceEvent> {
     let mut gapped_affine = event(TraceOp::GmSt, 7, 0, 0);
     gapped_affine.mask = LaneMask(0x0f0f_f00f);
     gapped_affine.addrs = affine_addrs(gapped_affine.mask, 1 << 16, 16);
+    let tile = TwoLevel {
+        p: 8,
+        base: 1 << 12,
+        s1: 4,
+        s2: 264,
+    };
+    let mut full_tile = event(TraceOp::SmLd, 8, 0, 0);
+    full_tile.addrs = tile.addrs(LaneMask::ALL);
+    let mut gapped_tile = event(TraceOp::GmLd, 9, 0, 0);
+    gapped_tile.mask = LaneMask(0x0303_0303);
+    gapped_tile.addrs = TwoLevel { p: 2, ..tile }.addrs(gapped_tile.mask);
     vec![
         event(TraceOp::GmLd, 0, 4, 4096),                     // affine, full
         gapped_affine,                                        // affine, gapped
@@ -64,6 +77,8 @@ fn mixed_events() -> Vec<TraceEvent> {
         scattered,                                            // explicit
         masked(event(TraceOp::CmLd, 5, 0, 96), 1 << 17),      // one lane
         masked(event(TraceOp::Bar, 6, 0, 0), 0),              // zero lanes
+        full_tile,                                            // two-level, full
+        gapped_tile,                                          // two-level, gapped
     ]
 }
 
@@ -116,8 +131,8 @@ fn complete_stream() -> Vec<u8> {
     for kernel in ["alpha", "beta"] {
         w.launch_begin(&launch(kernel, &spec));
         let events = mixed_events();
-        w.block_events(0, &events);
-        w.block_events(1, &events[2..5]);
+        w.write_block(0, &events);
+        w.write_block(1, &events[2..5]);
         w.launch_end(&KernelStats::default());
     }
     buf.take()
@@ -130,9 +145,9 @@ fn aborted_stream() -> Vec<u8> {
     let buf = SharedBuffer::new();
     let mut w = TraceWriter::new(buf.clone());
     w.launch_begin(&launch("faulted", &spec));
-    w.block_events(0, &mixed_events()[..3]);
+    w.write_block(0, &mixed_events()[..3]);
     w.launch_begin(&launch("cut", &spec));
-    w.block_events(0, &mixed_events()[3..]);
+    w.write_block(0, &mixed_events()[3..]);
     drop(w);
     buf.take()
 }
@@ -176,7 +191,16 @@ fn corpus_mixes_every_event_form() {
     let affine = |e: &TraceEvent| e.mask.count() >= 2 && affine_lanes(e.mask, &e.addrs).is_some();
     assert!(events.iter().any(|e| affine(e) && e.mask == LaneMask::ALL));
     assert!(events.iter().any(|e| affine(e) && e.mask != LaneMask::ALL));
-    assert!(events.iter().any(|e| !affine(e) && e.mask.count() >= 2));
+    let two_level = |e: &TraceEvent| !affine(e) && TwoLevel::of(e.mask, &e.addrs).is_some();
+    assert!(events
+        .iter()
+        .any(|e| two_level(e) && e.mask == LaneMask::ALL));
+    assert!(events
+        .iter()
+        .any(|e| two_level(e) && e.mask != LaneMask::ALL));
+    assert!(events
+        .iter()
+        .any(|e| !affine(e) && !two_level(e) && e.mask.count() >= 2));
     assert!(events.iter().any(|e| e.mask.count() == 0));
     for (name, bytes, _) in corpus() {
         assert_eq!(bytes[MAGIC.len()], VERSION, "{name}");
@@ -319,5 +343,130 @@ fn intact_corpus_decodes_identically_across_paths() {
                 assert_eq!(&view.to_events(), events, "{name}: events agree");
             }
         }
+    }
+}
+
+/// A stream whose one launch holds one block of one hand-built event:
+/// the writer's launch-begin record, then the block header and `event`.
+fn stream_with_event(event: &[u8]) -> Vec<u8> {
+    let spec = GpuSpec::kepler_k40m();
+    let buf = SharedBuffer::new();
+    let mut w = TraceWriter::new(buf.clone());
+    w.launch_begin(&launch("hostile", &spec));
+    drop(w);
+    let mut bytes = buf.take();
+    bytes.push(TAG_BLOCK);
+    write_u64(&mut bytes, 0); // block id
+    write_u64(&mut bytes, 1); // event count
+    bytes.extend_from_slice(event);
+    bytes
+}
+
+/// A two-level event: `op_byte`, the head fields for `mask`, then `p` and
+/// the three address fields as already-encoded varint bytes.
+fn two_level_event(op_byte: u8, mask: u32, p: u8, fields: [&[u8]; 3]) -> Vec<u8> {
+    let mut e = vec![op_byte];
+    for v in [0, u64::from(!mask), 4, 0, 1] {
+        write_u64(&mut e, v);
+    }
+    e.push(p);
+    for f in fields {
+        e.extend_from_slice(f);
+    }
+    e
+}
+
+fn varint(v: u64) -> Vec<u8> {
+    let mut b = Vec::new();
+    write_u64(&mut b, v);
+    b
+}
+
+/// `bytes` must decode to a typed `Malformed` whose reason names `what`.
+fn assert_malformed(bytes: &[u8], what: &str) {
+    match Trace::decode(bytes) {
+        Err(TraceError::Malformed { reason, .. }) => {
+            assert!(reason.contains(what), "{reason:?} should name {what:?}")
+        }
+        other => panic!("expected Malformed naming {what:?}, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_two_level_events_are_malformed() {
+    let op = TraceOp::SmLd as u8 | TWO_LEVEL;
+    let (base, s1, s2) = (varint(4096), varint(zigzag(4)), varint(zigzag(264)));
+    let fields = [&base[..], &s1[..], &s2[..]];
+    // A well-formed event in the same frame decodes.
+    let good = stream_with_event(&two_level_event(op, u32::MAX, 8, fields));
+    let trace = Trace::decode(&good).expect("well-formed two-level event");
+    let got = trace.launches()[0].blocks().next().unwrap().to_events()[0].addrs;
+    assert_eq!(
+        (got[0], got[7], got[8], got[31]),
+        (4096, 4124, 4360, 4096 + 28 + 3 * 264)
+    );
+
+    // A period outside {2, 4, 8, 16}.
+    for p in [0u8, 1, 3, 32, 255] {
+        let e = two_level_event(op, u32::MAX, p, fields);
+        assert_malformed(&stream_with_event(&e), "two-level period");
+    }
+    // Lane 0, 1 or `p` inactive.
+    for off in [0u32, 1, 8] {
+        let e = two_level_event(op, !(1 << off), 8, fields);
+        assert_malformed(&stream_with_event(&e), "inactive");
+    }
+    assert_malformed(
+        &stream_with_event(&two_level_event(op, 0, 2, fields)),
+        "inactive",
+    );
+    // Both lane-form flags.
+    let e = two_level_event(op | AFFINE, u32::MAX, 8, fields);
+    assert_malformed(&stream_with_event(&e), "both lane-form flags");
+    // `s1` or `s2` wider than 64 bits: eleven varint bytes, or ten whose
+    // last carries more than the 64th bit.
+    let wide: Vec<Vec<u8>> = vec![
+        [vec![0xff; 10], vec![0x01]].concat(),
+        [vec![0xff; 9], vec![0x7f]].concat(),
+    ];
+    for w in &wide {
+        for at in [1, 2] {
+            let mut fields = fields;
+            fields[at] = w;
+            let e = two_level_event(op, u32::MAX, 8, fields);
+            assert_malformed(&stream_with_event(&e), "varint overflow");
+        }
+    }
+}
+
+/// Strides at the edges of `u64` are well-formed: the lanes wrap, and
+/// every walk of the decoded form survives them.
+#[test]
+fn wrapping_two_level_strides_decode() {
+    let op = TraceOp::GmLd as u8 | TWO_LEVEL;
+    for (base, s1, s2) in [
+        (u64::MAX, 1, u64::MAX),
+        (0, i64::MIN as u64, i64::MAX as u64),
+        (u64::MAX - 3, 1 << 63, 1),
+    ] {
+        let fields = [
+            varint(base),
+            varint(zigzag(s1 as i64)),
+            varint(zigzag(s2 as i64)),
+        ];
+        let e = two_level_event(op, u32::MAX, 16, [&fields[0], &fields[1], &fields[2]]);
+        let bytes = stream_with_event(&e);
+        assert!(decode_checked(&bytes));
+        let trace = Trace::decode(&bytes).unwrap();
+        let got = trace.launches()[0].blocks().next().unwrap().to_events()[0].addrs;
+        let want = TwoLevel {
+            p: 16,
+            base,
+            s1,
+            s2,
+        }
+        .addrs(LaneMask::ALL);
+        assert_eq!(got, want);
+        assert_eq!(got[17], base.wrapping_add(s1).wrapping_add(s2));
     }
 }

@@ -112,7 +112,7 @@ fn random_stream(seed: u64) -> (Vec<u8>, Vec<Written>) {
                     }
                 })
                 .collect();
-            w.block_events(block_id as usize, &events);
+            w.write_block(block_id as usize, &events);
             block_events.push((block_id, events));
         }
         let stats = KernelStats {

@@ -37,32 +37,32 @@ type Golden = (&'static str, Storage, usize, u64, &'static str, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    ("kepler", Storage::F32, 1, 0x2d74a6d27bcf3d32, "special (unmatched, n=1)", 0x46bd78de6111588e, 0x57e37a2015eff07c),
-    ("kepler", Storage::F32, 2, 0xeda9d36bdd422c9a, "special (matched, n=2)", 0x46bd78de6111588e, 0x03177b8ebb9b8f17),
-    ("kepler", Storage::F32, 4, 0x82ed8826dfb4cb77, "special (matched, n=4)", 0x46bd78de6111588e, 0x61f84d17248185f3),
-    ("kepler", Storage::F16, 1, 0x7d19b7deebf6387f, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
-    ("kepler", Storage::F16, 2, 0xb66e97410dc6a712, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x22a1c54270d7101d),
-    ("kepler", Storage::F16, 4, 0x2c89d38223fe847e, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x49167be1d9e094d5),
-    ("kepler", Storage::Half2, 1, 0x17b90f2d258efa37, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
-    ("kepler", Storage::Half2, 2, 0x3353351bf2a19cfa, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0x0566ae6dd5eff85e),
-    ("kepler", Storage::Half2, 4, 0xa3695f73e8afc60c, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0x9e5bfa294cc3d530),
-    ("kepler", Storage::I8, 1, 0xcdd0b58ac9535937, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
-    ("kepler", Storage::I8, 2, 0x6ec634e025238b12, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
-    ("kepler", Storage::I8, 4, 0x62603faf07acf5ca, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8a294beb51c7dbfa),
-    ("kepler", Storage::I8, 8, 0x801125500003c690, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0x1a910b9ca26cf857),
-    ("maxwell", Storage::F32, 1, 0x01c7463ccfb8e39c, "special (unmatched, n=1)", 0x46bd78de6111588e, 0xdd24a2c1b9dc6d52),
-    ("maxwell", Storage::F32, 2, 0x566b8c4588941c23, "special (matched, n=2)", 0x46bd78de6111588e, 0xbcd26143855457e1),
-    ("maxwell", Storage::F32, 4, 0xd024bbcf47969f49, "special (matched, n=4)", 0x46bd78de6111588e, 0x58a07c4e6967f0a3),
-    ("maxwell", Storage::F16, 1, 0x46a8dfba76da9319, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
-    ("maxwell", Storage::F16, 2, 0x77e7483280bb525a, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x76c277f82318ffc3),
-    ("maxwell", Storage::F16, 4, 0x692e5ef59df4c658, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x226ef0d45820e2ee),
-    ("maxwell", Storage::Half2, 1, 0xe8dbb1c36b492e69, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
-    ("maxwell", Storage::Half2, 2, 0xf4ea4ad65ce23a1e, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0xebff00d444874b24),
-    ("maxwell", Storage::Half2, 4, 0x5e7fbf66fffb4412, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0xe64beac569fee27d),
-    ("maxwell", Storage::I8, 1, 0x89f8de6c5f630b4b, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
-    ("maxwell", Storage::I8, 2, 0xceb216fde05deb74, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
-    ("maxwell", Storage::I8, 4, 0xf2ca4ab94180bc1a, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8fd72013db0107c5),
-    ("maxwell", Storage::I8, 8, 0xd09afe0134aeed9c, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0xf14ebca6e61c6da0),
+    ("kepler", Storage::F32, 1, 0x1704fd45de40579d, "special (unmatched, n=1)", 0x46bd78de6111588e, 0x57e37a2015eff07c),
+    ("kepler", Storage::F32, 2, 0xb2f8df2225e5b9f3, "special (matched, n=2)", 0x46bd78de6111588e, 0x03177b8ebb9b8f17),
+    ("kepler", Storage::F32, 4, 0xe61ae92980092aa0, "special (matched, n=4)", 0x46bd78de6111588e, 0x61f84d17248185f3),
+    ("kepler", Storage::F16, 1, 0x6a8328a1bf89c4ce, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
+    ("kepler", Storage::F16, 2, 0x76d62e3ae20c9e07, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x22a1c54270d7101d),
+    ("kepler", Storage::F16, 4, 0x02204cd10d323adb, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x49167be1d9e094d5),
+    ("kepler", Storage::Half2, 1, 0x4514e8659b9ecf74, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
+    ("kepler", Storage::Half2, 2, 0xe803c4393a661885, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0x0566ae6dd5eff85e),
+    ("kepler", Storage::Half2, 4, 0x4226edd9a258a30b, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0x9e5bfa294cc3d530),
+    ("kepler", Storage::I8, 1, 0x7c79abfcd0a86bbc, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
+    ("kepler", Storage::I8, 2, 0xec280eaa0691516d, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
+    ("kepler", Storage::I8, 4, 0x18c2489bc37a74c9, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8a294beb51c7dbfa),
+    ("kepler", Storage::I8, 8, 0x93b48c18296872d3, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0x1a910b9ca26cf857),
+    ("maxwell", Storage::F32, 1, 0xa99d918b2cd4717f, "special (unmatched, n=1)", 0x46bd78de6111588e, 0xdd24a2c1b9dc6d52),
+    ("maxwell", Storage::F32, 2, 0x02382a1928eeb872, "special (matched, n=2)", 0x46bd78de6111588e, 0xbcd26143855457e1),
+    ("maxwell", Storage::F32, 4, 0x329472fef50bc588, "special (matched, n=4)", 0x46bd78de6111588e, 0x58a07c4e6967f0a3),
+    ("maxwell", Storage::F16, 1, 0xd41dcbe650a39a02, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
+    ("maxwell", Storage::F16, 2, 0x753e1e2f98d73c93, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x76c277f82318ffc3),
+    ("maxwell", Storage::F16, 4, 0x8c4ac0280156d3b7, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x226ef0d45820e2ee),
+    ("maxwell", Storage::Half2, 1, 0x92534726a932e098, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
+    ("maxwell", Storage::Half2, 2, 0xb5be7f518d5f9a75, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0xebff00d444874b24),
+    ("maxwell", Storage::Half2, 4, 0xb6172dc6a657e253, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0xe64beac569fee27d),
+    ("maxwell", Storage::I8, 1, 0x8aed969e8bd2fb26, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
+    ("maxwell", Storage::I8, 2, 0xe7e154ca11504ae1, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
+    ("maxwell", Storage::I8, 4, 0x5f06dbfa2a6e3f49, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8fd72013db0107c5),
+    ("maxwell", Storage::I8, 8, 0xea7d97a71d06541d, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0xf14ebca6e61c6da0),
 ];
 
 fn spec_named(name: &str) -> GpuSpec {
@@ -143,7 +143,7 @@ fn fused_batch_is_pinned() {
     );
     assert_eq!(
         got,
-        (0x81175fa4e73ede09, 0xce6d4f7f8e78606b, 0x03f8c562384b7a9e),
+        (0x9c58f0ed459437e4, 0xce6d4f7f8e78606b, 0x03f8c562384b7a9e),
         "(KTRC bytes, output bits, KernelStats)"
     );
 }

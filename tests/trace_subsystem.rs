@@ -1,12 +1,15 @@
 //! Trace-subsystem integration: attaching a [`TraceSink`] must be a pure
 //! observer. Traced and untraced launches of a real kernel produce
 //! bit-identical `KernelStats` and outputs, under both serial and threaded
-//! execution — and the trace itself is identical however it was captured.
+//! execution — and the trace itself is identical however it was captured,
+//! also when a block faults.
 
 use kconv::core::{Convolution, GeneralConv, SpecialConv};
-use kconv::sim::{Gpu, GpuSpec, KernelStats, Parallelism, SimMode};
+use kconv::sim::{
+    lane_addrs_from, Gpu, GpuSpec, KernelStats, LaneMask, LaunchConfig, Parallelism, SimMode,
+};
 use kconv::tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
-use kconv::trace::{SharedBuffer, TraceSummary, TraceWriter};
+use kconv::trace::{affine_lanes, SharedBuffer, Trace, TraceSummary, TraceWriter, TwoLevel};
 
 /// Runs `conv`, optionally traced; returns stats, flat output and the
 /// trace bytes (empty when untraced).
@@ -90,4 +93,66 @@ fn tracing_is_a_pure_observer_on_the_general_kernel() {
 #[test]
 fn tracing_is_a_pure_observer_on_the_special_kernel() {
     check_observer_effect(&SpecialConv::default(), ConvProblem::special(130, 8, 3), 43);
+}
+
+/// Blocks encode their events on the worker that runs them, so the
+/// threaded trace is the serial one byte for byte — including a launch
+/// whose block 5 faults: both deliver blocks 0–4 and an aborted end, and
+/// the clean launch after it is framed the same way.
+#[test]
+fn faulting_launch_traces_identically_serial_and_threaded() {
+    let capture = |parallelism: Parallelism| {
+        let mut gpu = Gpu::new(GpuSpec::kepler_k40m()).with_parallelism(parallelism);
+        let len = 8 * 64;
+        let buf = gpu.alloc_f32(len).unwrap();
+        gpu.fill_f32(buf, 1.0).unwrap();
+        // Each warp reads an 8-wide tile, 4 rows of 8 floats with a
+        // 64-float pitch: the two-level lane form. Block 5 reads past the
+        // end of the buffer.
+        let kernel = move |blk: &mut kconv::sim::BlockCtx| {
+            let id = blk.dims.block_id as u64;
+            let start = if id == 5 { len - 8 } else { 8 * id };
+            blk.each_warp(|w| {
+                let row = 64 * w.warp_id() as u64;
+                let addrs =
+                    lane_addrs_from(|l| buf.f32_addr(start + row + (l % 8 + 64 * (l / 8)) as u64));
+                w.ld_global::<1>(&addrs, LaneMask::ALL);
+            });
+            blk.sync();
+        };
+        let (results, bytes) = kconv::trace::capture(&mut gpu, |gpu| {
+            let faulted = gpu.launch(&LaunchConfig::new("tile", 8, 64), SimMode::Full, kernel);
+            let clean = gpu.launch(&LaunchConfig::new("tile", 4, 64), SimMode::Full, kernel);
+            (faulted.map(|_| ()), clean.map(|r| r.stats))
+        });
+        assert_eq!(results.0.unwrap_err().device_fault().unwrap().block, 5);
+        (results.1.unwrap(), bytes)
+    };
+    let (serial_stats, serial) = capture(Parallelism::Serial);
+    let (threaded_stats, threaded) = capture(Parallelism::Threads(4));
+    assert_eq!(serial_stats, threaded_stats);
+    assert_eq!(serial, threaded, "serial and threaded KTRC bytes differ");
+
+    let trace = Trace::decode(&serial).unwrap();
+    let [faulted, clean] = trace.launches() else {
+        panic!("expected two launches");
+    };
+    assert!(faulted.end.aborted && !clean.end.aborted);
+    let ids: Vec<u64> = faulted.blocks().map(|b| b.block_id).collect();
+    assert_eq!(ids, [0, 1, 2, 3, 4], "only the clean prefix is delivered");
+    assert_eq!(clean.block_count(), 4);
+    // Every load is a two-level event with the tile's shape.
+    for launch in [faulted, clean] {
+        assert_eq!(launch.lane_priced_events(), 2 * launch.block_count());
+        for block in launch.blocks() {
+            block.for_each(|head, addrs| {
+                if head.mask.is_empty() {
+                    return; // a barrier arrival
+                }
+                assert!(affine_lanes(head.mask, addrs).is_none());
+                let form = TwoLevel::of(head.mask, addrs).expect("two-level");
+                assert_eq!((form.p, form.s1, form.s2), (8, 4, 256));
+            });
+        }
+    }
 }
