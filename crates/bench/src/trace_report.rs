@@ -1,6 +1,7 @@
 //! Trace-level verification of the paper's analytical traffic claims.
 //!
-//! Runs the paper kernels with a [`TraceWriter`] attached, rolls the binary
+//! Runs the paper kernels with a
+//! [`TraceWriter`](kconv_trace::TraceWriter) attached, rolls the binary
 //! traces into [`TraceSummary`]/[`EfficiencyReport`]s, and machine-checks
 //! the measured traffic against the closed-form model of
 //! `kconv_core::model`:

@@ -16,7 +16,7 @@
 
 use std::ops::Range;
 
-use kconv_sim::{GpuSpec, Parallelism};
+use kconv_sim::{GpuSpec, Parallelism, TraceOp};
 use kconv_trace::{DecodedLaunch, Trace};
 
 use crate::{price_launch, ReplayError, ReplayReport};
@@ -142,22 +142,29 @@ pub fn sweep_cells(
         .collect()
 }
 
-/// Pricing weight of one affine event, relative to [`LANE_PRICED_COST`].
-const AFFINE_COST: usize = 1;
-/// Pricing weight of one two-level or explicit event, whose pricing reads
-/// its lanes one by one. Fitted to the per-capture serial pricing times of
-/// kbench's `farm-sweep` (`replay.price_share` × `replay.price_s`, seed
-/// 1, 2-core host): about 650 ns per affine event and 4,200 ns per
-/// lane-priced event over the 16-spec grid, a ratio of 6.5.
-const LANE_PRICED_COST: usize = 6;
+/// Pricing weight of one event of each op, indexed by
+/// [`TraceOp::index`], in units of about 200 ns of serial pricing over
+/// the 16-spec grid. Fitted (non-negative least squares over the 15
+/// corpus captures) to the per-capture serial pricing times of kbench's
+/// `farm-sweep` (`replay.price_share` × `replay.price_s`, seed 1, 2-core
+/// host): about 400 ns per constant load, 700 per global load or store,
+/// 580 per shared-memory access and 6,400 per read-only load, which
+/// walks a FIFO per key; barriers fit no weight.
+const OP_COST: [usize; TraceOp::COUNT] = [4, 4, 32, 3, 3, 2, 0];
+/// Further weight of one explicit event, whose lanes the lane engine
+/// reads one by one under every key: about 6,600 ns in the same fit.
+const EXPLICIT_COST: usize = 33;
 
-/// A launch's estimated pricing cost, in [`AFFINE_COST`] units: the sweep
-/// schedules its units by it. Event count alone misorders them:
-/// `special-7x7`'s affine events price several times cheaper each than
-/// `general-7x7`'s two-level and explicit ones.
+/// A launch's estimated pricing cost: the sweep schedules its units by
+/// it. Event count alone misorders them: `special-7x7`'s warp-uniform
+/// constant loads price several times cheaper each than `general-7x7`'s
+/// shared-memory and explicit events.
 fn pricing_cost(launch: &DecodedLaunch) -> usize {
-    let lane_priced = launch.lane_priced_events();
-    (launch.event_count() - lane_priced) * AFFINE_COST + lane_priced * LANE_PRICED_COST
+    let by_op: usize = TraceOp::ALL
+        .into_iter()
+        .map(|op| launch.op_events(op) * OP_COST[op.index()])
+        .sum();
+    by_op + launch.explicit_events() * EXPLICIT_COST
 }
 
 /// The units of work the pool schedules: each (trace, launch) with the
@@ -265,10 +272,10 @@ mod tests {
         }
     }
 
-    /// A one-launch trace of `events` full-warp shared-memory loads, every
-    /// one affine or every one explicit.
-    fn synthetic(events: usize, affine: bool) -> Trace {
-        use kconv_sim::{KernelStats, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink};
+    /// A one-launch trace of `events` full-warp `op` events, every one
+    /// affine or every one explicit.
+    fn synthetic(op: TraceOp, events: usize, affine: bool) -> Trace {
+        use kconv_sim::{KernelStats, OverlapMode, TraceEvent, TraceLaunch, TraceSink};
         let spec = GpuSpec::kepler_k40m();
         let buf = kconv_trace::SharedBuffer::new();
         let mut w = kconv_trace::TraceWriter::new(buf.clone());
@@ -287,7 +294,7 @@ mod tests {
             addrs[31] = 0; // breaks the progression and any tile
         }
         let event = TraceEvent {
-            op: TraceOp::SmLd,
+            op,
             warp: 0,
             mask: LaneMask::ALL,
             lane_bytes: 4,
@@ -300,25 +307,25 @@ mod tests {
         Trace::decode(&buf.take()).unwrap()
     }
 
-    /// Units are ordered by pricing cost, not event count: 100 explicit
-    /// events (cost 600) tie with 600 affine ones and go first by trace
-    /// order, ahead of 500 affine ones (cost 500) and 80 explicit ones
-    /// (cost 480).
+    /// Units are ordered by pricing cost, not event count: by op and by
+    /// lane form. 700 affine shared-memory loads (cost 2,100) tie with
+    /// 1,050 constant loads and go first by trace order, ahead of 1,000
+    /// constant loads (2,000) and 55 explicit shared-memory loads
+    /// (1,980).
     #[test]
     fn units_run_costliest_first() {
         let traces = vec![
-            synthetic(500, true),
-            synthetic(100, false),
-            synthetic(80, false),
-            synthetic(600, true),
-            synthetic(500, true),
+            synthetic(TraceOp::CmLd, 1000, true),
+            synthetic(TraceOp::SmLd, 700, true),
+            synthetic(TraceOp::SmLd, 55, false),
+            synthetic(TraceOp::CmLd, 1050, true),
         ];
-        assert_eq!(traces[1].launches()[0].lane_priced_events(), 100);
-        assert_eq!(traces[0].launches()[0].lane_priced_events(), 0);
+        assert_eq!(traces[2].launches()[0].explicit_events(), 55);
+        assert_eq!(traces[1].launches()[0].explicit_events(), 0);
+        assert_eq!(traces[3].launches()[0].op_events(TraceOp::CmLd), 1050);
         let work: Vec<(usize, usize)> = (0..traces.len()).map(|t| (t, 0)).collect();
         let order: Vec<usize> = units(&traces, &work).iter().map(|u| u.0).collect();
-        // Costs: 500, 600, 480, 600, 500.
-        assert_eq!(order, vec![1, 3, 0, 4, 2]);
+        assert_eq!(order, vec![1, 3, 0, 2]);
     }
 
     #[test]

@@ -61,12 +61,14 @@
 //! | `SmLd`/`SmSt` | `(smem_banks, bank_width)` |
 //! | `CmLd` | `cm_line_bytes`, with a launch-scoped line set per key |
 //!
-//! Events reach the pricing core in their decoded form: an affine event
-//! (`first + k·step` over the active lanes) is expanded to lane
-//! addresses only where a price needs them. The warp-uniform constant
-//! load (`CmLd` with step 0, the dominant event of the paper's kernels)
-//! needs none: it touches `first / cm_line_bytes` once per key and
-//! serializes nothing.
+//! Events reach the pricing core in their decoded form, a
+//! [`WarpAccess`], readied once per event and priced per key by
+//! [`PreparedAccess`]: affine events (`first + k·step` over the active
+//! lanes) and most two-level ones in closed form from the stride and the
+//! unit, without expanding 32 lanes; explicit events and the other
+//! shapes by the lane engine. The warp-uniform constant load (`CmLd`
+//! with step 0, the dominant event of the paper's kernels) is one
+//! distinct address: one line per key, no serialization.
 //!
 //! Sampled scaling, the launch-end graft and the timing model then run
 //! per spec. [`replay_launch`] is the one-spec case of the same pricing.
@@ -102,12 +104,8 @@ pub mod farm;
 
 use std::collections::HashSet;
 
-use kconv_sim::pricing::{
-    bank_conflict_cycles, for_each_unit, ro_capacity_lines, segment_count, RoCache,
-};
-use kconv_sim::{
-    timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceOp, WarpAddrs,
-};
+use kconv_sim::pricing::{ro_capacity_lines, PreparedAccess, RoCache, WarpAccess};
+use kconv_sim::{timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceOp};
 use kconv_trace::{LaunchEnd, LaunchHeader};
 
 pub use farm::{sweep, sweep_cells, SweepCell};
@@ -274,6 +272,19 @@ struct CmPart {
 }
 
 impl CmPart {
+    /// Touches every line a load's distinct addresses fall in. The live
+    /// model dedups at byte (not lane-width) granularity, so the access
+    /// is priced with one-byte lanes; a power-of-two line is a unit of
+    /// its own, any other line size divides each distinct address.
+    fn load(&mut self, access: &PreparedAccess<'_>) {
+        if self.line_bytes.is_power_of_two() {
+            access.for_each_new_unit(self.line_bytes, |line| self.touch(line));
+        } else {
+            let line_bytes = self.line_bytes;
+            access.for_each_new_unit(1, |addr| self.touch(addr / line_bytes));
+        }
+    }
+
     fn touch(&mut self, line: u64) {
         if self.last == Some(line) {
             return;
@@ -411,25 +422,19 @@ impl LaunchAccum {
     fn block_begin(&mut self) {
         self.blocks_executed += 1;
         // The read-only cache is per-SM, per-block residency in the live
-        // model: fresh for every block.
+        // model: empty at every block.
         for p in &mut self.ro {
-            p.cache = RoCache::new(p.capacity);
+            p.cache.clear();
         }
     }
 
     /// Re-prices one event under every key, charging each part exactly
     /// the way the live memory models charge their counters (`GmPlane`,
-    /// `SharedMemory`, `CmPlane` in `kconv-sim`). `affine` is the event's
-    /// [`EventHead::affine`](kconv_trace::EventHead::affine) form, which
-    /// `addrs` expands.
-    fn event(
-        &mut self,
-        op: TraceOp,
-        mask: LaneMask,
-        lane_bytes: u32,
-        affine: Option<(u64, u64)>,
-        addrs: &WarpAddrs,
-    ) {
+    /// `SharedMemory`, `CmPlane` in `kconv-sim`). The event's lanes come
+    /// in their decoded form, which is readied for pricing once and then
+    /// priced per key: in closed form for the common affine and two-level
+    /// shapes, by the lane engine otherwise.
+    fn event(&mut self, op: TraceOp, mask: LaneMask, lane_bytes: u32, access: WarpAccess<'_>) {
         let width = u64::from(lane_bytes);
         let t = &mut self.common[op.index()];
         t.events += 1;
@@ -437,16 +442,19 @@ impl LaunchAccum {
         t.useful_bytes += u64::from(mask.count()) * width;
         match op {
             TraceOp::GmLd => {
+                let access = access.prepare(mask, width);
                 for p in &mut self.gm_ld {
-                    p.transactions += segment_count(addrs, width, mask, p.seg);
+                    p.transactions += access.segment_count(p.seg);
                 }
             }
             TraceOp::GmSt => {
+                let access = access.prepare(mask, width);
                 for p in &mut self.gm_st {
-                    p.transactions += segment_count(addrs, width, mask, p.seg);
+                    p.transactions += access.segment_count(p.seg);
                 }
             }
             TraceOp::GmLdRo => {
+                let access = access.prepare(mask, width);
                 for p in &mut self.ro {
                     let RoPart {
                         seg,
@@ -455,20 +463,19 @@ impl LaunchAccum {
                         misses,
                         ..
                     } = p;
-                    for_each_unit(addrs, width, mask, *seg, |line, first_visit| {
-                        if first_visit {
-                            if cache.touch(line) {
-                                *hits += 1;
-                            } else {
-                                *misses += 1;
-                            }
+                    access.for_each_new_unit(*seg, |line| {
+                        if cache.touch(line) {
+                            *hits += 1;
+                        } else {
+                            *misses += 1;
                         }
                     });
                 }
             }
             TraceOp::SmLd | TraceOp::SmSt => {
+                let access = access.prepare(mask, width);
                 for p in &mut self.sm {
-                    let out = bank_conflict_cycles(addrs, width, mask, p.banks, p.bank_width);
+                    let out = access.bank_conflict_cycles(p.banks, p.bank_width);
                     if op == TraceOp::SmLd {
                         p.ld_cycles += out.cycles;
                     } else {
@@ -479,13 +486,13 @@ impl LaunchAccum {
                 }
             }
             TraceOp::CmLd => {
-                let distinct = match affine {
-                    _ if mask.0 == 0 => 0,
-                    // A warp-uniform broadcast: one distinct address, one
-                    // line per key, no lane scan.
-                    Some((first, 0)) => self.cm_uniform(first),
-                    _ => self.cm_lanes(mask, addrs),
-                };
+                // Constant loads are priced at byte granularity; one
+                // distinct address past the first is one cycle.
+                let access = access.prepare(mask, 1);
+                for p in &mut self.cm {
+                    p.load(&access);
+                }
+                let distinct = access.segment_count(1);
                 self.common[op.index()].cycles += distinct.saturating_sub(1);
             }
             TraceOp::Bar => {
@@ -494,41 +501,6 @@ impl LaunchAccum {
                 // launch-end graft, so repricing charges nothing here.
             }
         }
-    }
-
-    /// Constant-memory pricing of a warp-uniform load of `addr`: its line
-    /// is touched under every key. Returns the distinct-address count, 1.
-    fn cm_uniform(&mut self, addr: u64) -> u64 {
-        for p in &mut self.cm {
-            p.touch(addr / p.line_bytes);
-        }
-        1
-    }
-
-    /// Constant-memory pricing from the lane addresses of a non-empty
-    /// mask. The live model dedups at word (not lane-width) granularity
-    /// and counts a first-touched line as a miss. Distinct counting runs
-    /// on the dispatched lane backend; line touching is an idempotent set
-    /// insert, deduped to distinct lines before probing the set. Returns
-    /// the distinct-address count.
-    fn cm_lanes(&mut self, mask: LaneMask, addrs: &WarpAddrs) -> u64 {
-        for p in &mut self.cm {
-            let line_bytes = p.line_bytes;
-            if line_bytes.is_power_of_two() {
-                for_each_unit(addrs, 1, mask, line_bytes, |line, first_visit| {
-                    if first_visit {
-                        p.touch(line);
-                    }
-                });
-            } else {
-                for_each_unit(addrs, 1, mask, 1, |a, first_visit| {
-                    if first_visit {
-                        p.touch(a / line_bytes);
-                    }
-                });
-            }
-        }
-        segment_count(addrs, 1, mask, 1)
     }
 
     /// One spec's unscaled counters and per-op table: the spec-independent
@@ -691,8 +663,8 @@ pub fn replay_decoded(
 }
 
 /// Re-prices one decoded launch under `target`: walks the flat slabs,
-/// expanding affine events only where a price reads lane addresses. This
-/// is the one-spec case of the pricing [`sweep`] runs.
+/// pricing each event from its decoded form. This is the one-spec case
+/// of the pricing [`sweep`] runs.
 ///
 /// # Errors
 ///
@@ -713,8 +685,8 @@ pub(crate) fn price_launch(launch: &DecodedLaunch, specs: Vec<GpuSpec>) -> Vec<R
     let mut accum = LaunchAccum::begin(launch.header.clone(), specs);
     for block in launch.blocks() {
         accum.block_begin();
-        block.for_each(|head, addrs| {
-            accum.event(head.op, head.mask, head.lane_bytes, head.affine(), addrs);
+        block.for_each(|head, access| {
+            accum.event(head.op, head.mask, head.lane_bytes, access);
         });
     }
     accum.finish(&launch.end)
@@ -727,7 +699,7 @@ mod tests {
         lane_addrs, lane_addrs_uniform, Gpu, KernelStats, LaneMask, LaunchConfig, LaunchReport,
         OverlapMode, Parallelism, SimMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
     };
-    use kconv_trace::{affine_addrs, affine_lanes, SharedBuffer, TraceWriter};
+    use kconv_trace::{affine_addrs, SharedBuffer, TraceWriter};
 
     /// A kernel exercising every traced op: plain/read-only/store global
     /// traffic, matched and mismatched shared-memory patterns, divergent
@@ -933,9 +905,11 @@ mod tests {
                         for events in blocks {
                             accum.block_begin();
                             for ev in events {
+                                // Explicit lanes: the lane engine prices
+                                // every written event.
                                 let addrs = ev.canonical().addrs;
-                                let affine = affine_lanes(ev.mask, &addrs);
-                                accum.event(ev.op, ev.mask, ev.lane_bytes, affine, &addrs);
+                                let access = WarpAccess::Explicit(&addrs);
+                                accum.event(ev.op, ev.mask, ev.lane_bytes, access);
                             }
                         }
                         accum.finish(end)
@@ -948,9 +922,9 @@ mod tests {
         }
     }
 
-    /// The warp-uniform `CmLd` direct path against the lane-engine path
-    /// (forced by withholding the affine form) on the same events, for
-    /// power-of-two and other constant line sizes.
+    /// The warp-uniform `CmLd` closed form against the lane engine
+    /// (forced by handing the lanes over explicitly) on the same events,
+    /// for power-of-two and other constant line sizes.
     #[test]
     fn uniform_constant_loads_price_the_same_on_both_paths() {
         let anchor = GpuSpec::kepler_k40m();
@@ -985,8 +959,12 @@ mod tests {
             // Revisit a few lines often, so hits and misses both occur.
             let addr = 4 * (rng.next() % 512);
             let addrs = affine_addrs(mask, addr, 0);
-            direct.event(TraceOp::CmLd, mask, 4, Some((addr, 0)), &addrs);
-            lanes.event(TraceOp::CmLd, mask, 4, None, &addrs);
+            let affine = WarpAccess::Affine {
+                first: addr,
+                step: 0,
+            };
+            direct.event(TraceOp::CmLd, mask, 4, affine);
+            lanes.event(TraceOp::CmLd, mask, 4, WarpAccess::Explicit(&addrs));
         }
         let end = LaunchEnd {
             aborted: false,

@@ -4,7 +4,7 @@
 //! Every counter the simulator charges — global-memory segments,
 //! shared-memory bank words, constant-cache lines — is an integer function
 //! of one warp's 32 lane addresses. PR 3 flattened those functions into
-//! branch-light scalar loops ([`super::dedup`], `bank_conflict_cycles`);
+//! branch-light scalar loops (`dedup`, `bank_conflict_cycles`);
 //! this module is the next step the ROADMAP named: the same computations
 //! expressed over whole 32-lane spans, in two interchangeable backends:
 //!
@@ -247,7 +247,8 @@ pub fn unit_bounds_on(
 /// spans — the transaction count for global memory, the distinct-address
 /// count for constant memory. Order-insensitive, so fully vectorizable;
 /// order-sensitive consumers (the read-only cache's FIFO) use
-/// [`super::dedup::for_each_unit`] instead. `unit` must be a power of two.
+/// [`pricing::for_each_unit`](crate::pricing::for_each_unit) instead.
+/// `unit` must be a power of two.
 #[inline]
 pub fn distinct_units(addrs: &WarpAddrs, width: u64, mask: LaneMask, unit: u64) -> u64 {
     distinct_units_on(active(), addrs, width, mask, unit)

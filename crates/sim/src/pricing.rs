@@ -17,6 +17,14 @@
 //!
 //! What lives here:
 //!
+//! * [`WarpAccess`] — one access's lane addresses in the form they were
+//!   recorded in: affine ([`affine_lanes`], [`affine_addrs`]), two-level
+//!   ([`TwoLevel`]) or explicit, with [`WarpAccess::addrs`] expanding it;
+//! * [`PreparedAccess`] ([`WarpAccess::prepare`]) — form-taking pricing:
+//!   segments, distinct units in first-visit order and bank conflicts of
+//!   the common affine and two-level shapes in closed form, the lane
+//!   engine below for the rest (DESIGN.md §12 lists which shapes take
+//!   which path);
 //! * [`for_each_unit`] — the distinct-unit scan under all dedup-based
 //!   counters (segments, cache lines, distinct constant addresses);
 //! * [`segment_count`] — global-memory transactions for one warp access;
@@ -38,7 +46,12 @@ use std::hash::BuildHasherDefault;
 use crate::mem::{dedup, lanes};
 use crate::warp::{LaneMask, WarpAddrs};
 
+mod closed;
+mod form;
+
 pub use crate::mem::{bank_conflict_cycles, BankAccessOutcome};
+pub use closed::PreparedAccess;
+pub use form::{affine_addrs, affine_lanes, TwoLevel, WarpAccess, TWO_LEVEL_PERIODS};
 
 /// Size of the per-SM read-only (texture) cache modeled by [`RoCache`]:
 /// Kepler's 48 KiB.
@@ -147,6 +160,12 @@ impl RoCache {
             fifo: VecDeque::new(),
             capacity: capacity_lines,
         }
+    }
+
+    /// Empties the cache, keeping its allocations for the next block.
+    pub fn clear(&mut self) {
+        self.lines.clear();
+        self.fifo.clear();
     }
 
     /// Returns whether `line` was resident, inserting it (with FIFO

@@ -155,8 +155,8 @@ impl PipelineConfig {
         (img + flt) * 4
     }
 
-    /// Distance between ping and pong buffers: [`round_bytes`]
-    /// (Self::round_bytes) rounded up to [`BUF_ALIGN`].
+    /// Distance between ping and pong buffers:
+    /// [`round_bytes`](Self::round_bytes) rounded up to [`BUF_ALIGN`].
     pub fn buf_stride(&self, problem: &ConvProblem) -> usize {
         round_up(self.round_bytes(problem), BUF_ALIGN)
     }

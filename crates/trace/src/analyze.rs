@@ -74,8 +74,9 @@ impl EfficiencyReport {
         let mut word_reads: HashMap<u64, u64> = HashMap::new();
         let (mut sm_image, mut sm_filter) = (0, 0);
         for block in launch.blocks() {
-            block.for_each(|head, addrs| match head.op {
+            block.for_each(|head, access| match head.op {
                 TraceOp::GmLd | TraceOp::GmLdRo => {
+                    let addrs = access.addrs(head.mask);
                     for lane in head.mask.iter() {
                         let a = addrs[lane];
                         let first = a / WORD_BYTES;
@@ -90,6 +91,7 @@ impl EfficiencyReport {
                 }
                 TraceOp::SmLd => {
                     if let Some(split) = meta.sm_image_split {
+                        let addrs = access.addrs(head.mask);
                         for lane in head.mask.iter() {
                             if addrs[lane] < split {
                                 sm_image += 1;

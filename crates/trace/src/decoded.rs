@@ -10,9 +10,9 @@
 //!
 //! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane, recorded
 //!   transactions/cycles) that also carry the lane addresses of every
-//!   **affine** event compactly, as `first` and `step`
-//!   ([`EventHead::affine`]) — the form nearly every convolution-kernel
-//!   warp access takes, and every 0- or 1-lane event,
+//!   **affine** event compactly, as `first` and `step` — the form nearly
+//!   every convolution-kernel warp access takes, and every 0- or 1-lane
+//!   event,
 //! * one `[base, s1, s2]` row (24 bytes) per **two-level** event
 //!   ([`TwoLevel`]), its period riding in the head,
 //! * one `u64` address slab holding [`WARP_SIZE`] canonical addresses
@@ -20,17 +20,18 @@
 //! * block spans (`block_id` + event range)
 //!
 //! — no per-event `Vec`, no pointer chasing. Consumers walk a block with
-//! [`BlockView::for_each`], which lends each event's addresses as a
-//! [`&WarpAddrs`](kconv_sim::WarpAddrs), exactly the type the shared
-//! pricing functions take: borrowed from the slab for explicit events,
-//! expanded on the stack for affine and two-level ones. Consumers that
-//! need no addresses read [`BlockView::heads`].
+//! [`BlockView::for_each`], which lends each event's lanes in their
+//! decoded form, a [`WarpAccess`]: the form-taking pricing of
+//! [`kconv_sim::pricing`] prices it without expanding the lanes, and
+//! [`WarpAccess::addrs`] expands it for consumers that read addresses one
+//! by one. Consumers that need no addresses read [`BlockView::heads`].
 //!
 //! The decoded form is *lossless*: every header, end record and event
 //! field the writer was given is recoverable (see
 //! [`BlockView::to_events`]), which the round-trip property tests pin
 //! against the writer's input.
 
+use kconv_sim::pricing::{affine_lanes, TwoLevel, WarpAccess};
 use kconv_sim::{LaneMask, TraceEvent, TraceOp, WarpAddrs, WARP_SIZE};
 
 use crate::format::{
@@ -39,176 +40,6 @@ use crate::format::{
 };
 use crate::varint::Cursor;
 use crate::{TraceError, RESERVE_EVENTS_MAX};
-
-/// The `(first, step)` of an event's active-lane addresses when they form
-/// an arithmetic progression — the `k`-th active lane (lowest first)
-/// reads `first + k·step`, wrapping — or `None`. Every 0- and 1-lane
-/// event qualifies, with step 0 (and `first` 0 when no lane is active).
-pub fn affine_lanes(mask: LaneMask, addrs: &WarpAddrs) -> Option<(u64, u64)> {
-    if mask.is_all() {
-        // Closed form over all 32 lanes: every successive delta equals
-        // lane 1's. Branch-free, so it vectorizes.
-        let (first, step) = (addrs[0], addrs[1].wrapping_sub(addrs[0]));
-        let diff = (1..WARP_SIZE).fold(0, |d, l| d | (addrs[l].wrapping_sub(addrs[l - 1]) ^ step));
-        return (diff == 0).then_some((first, step));
-    }
-    let mut lanes = mask.0;
-    if lanes == 0 {
-        return Some((0, 0));
-    }
-    let first = addrs[lanes.trailing_zeros() as usize];
-    lanes &= lanes - 1;
-    if lanes == 0 {
-        return Some((first, 0));
-    }
-    let step = addrs[lanes.trailing_zeros() as usize].wrapping_sub(first);
-    let mut prev = first.wrapping_add(step);
-    lanes &= lanes - 1;
-    while lanes != 0 {
-        let addr = addrs[lanes.trailing_zeros() as usize];
-        if addr.wrapping_sub(prev) != step {
-            return None;
-        }
-        prev = addr;
-        lanes &= lanes - 1;
-    }
-    Some((first, step))
-}
-
-/// The canonical lane addresses of an affine event: the `k`-th active
-/// lane (lowest first) reads `first + k·step`, wrapping; inactive lanes
-/// are zero. The inverse of [`affine_lanes`].
-pub fn affine_addrs(mask: LaneMask, first: u64, step: u64) -> WarpAddrs {
-    // A full warp needs no mask walk, and its fill vectorizes.
-    if mask == LaneMask::ALL {
-        return std::array::from_fn(|k| first.wrapping_add(step.wrapping_mul(k as u64)));
-    }
-    let mut addrs = [0u64; WARP_SIZE];
-    let (mut lanes, mut addr) = (mask.0, first);
-    while lanes != 0 {
-        addrs[lanes.trailing_zeros() as usize] = addr;
-        addr = addr.wrapping_add(step);
-        lanes &= lanes - 1;
-    }
-    addrs
-}
-
-/// The periods a [`TwoLevel`] event may have, smallest first.
-pub(crate) const TWO_LEVEL_PERIODS: [u8; 4] = [2, 4, 8, 16];
-
-/// The two-level lane form: lane `l` reads `base + (l mod p)·s1 +
-/// (l div p)·s2`, wrapping — the shape a 2-D thread tile of `p` columns
-/// gives a warp (the general kernel's `t % tx_count`, `t / tx_count`).
-/// Unlike the affine form it is indexed by lane, not by active-lane rank.
-///
-/// The form is canonical: `p` is 2, 4, 8 or 16, lanes 0, 1 and `p` are
-/// active, and `base`, `s1` and `s2` are lane 0's address and
-/// the deltas from it to lanes 1 and `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TwoLevel {
-    /// Lanes per row.
-    pub p: u8,
-    /// Lane 0's address.
-    pub base: u64,
-    /// Step between neighbouring lanes of a row.
-    pub s1: u64,
-    /// Step between rows.
-    pub s2: u64,
-}
-
-impl TwoLevel {
-    /// The canonical two-level form of an event's addresses with the
-    /// smallest period that fits, or `None`. It does not try the affine
-    /// form first: the writer does (see [`crate::format`]).
-    pub fn of(mask: LaneMask, addrs: &WarpAddrs) -> Option<TwoLevel> {
-        if mask.0 & 0b11 != 0b11 {
-            return None;
-        }
-        let (base, s1) = (addrs[0], addrs[1].wrapping_sub(addrs[0]));
-        let form = |p: u8| TwoLevel {
-            p,
-            base,
-            s1,
-            s2: addrs[usize::from(p)].wrapping_sub(base),
-        };
-        if mask.is_all() {
-            // Row 0 steps by `s1` up to the first lane that breaks the
-            // step. A tile of period `p` breaks it first at lane `p` unless
-            // it is affine (then period 2 fits), so that lane is the only
-            // period to check, and lanes `1..p` already fit.
-            let pl = (2..WARP_SIZE)
-                .find(|&l| addrs[l].wrapping_sub(addrs[l - 1]) != s1)
-                .unwrap_or(2);
-            let p = pl as u8;
-            if !TWO_LEVEL_PERIODS.contains(&p) {
-                return None;
-            }
-            let form = form(p);
-            let diff = (pl..WARP_SIZE).fold(0, |d, l| {
-                d | (addrs[l].wrapping_sub(addrs[l - pl]) ^ form.s2)
-            });
-            return (diff == 0).then_some(form);
-        }
-        TWO_LEVEL_PERIODS
-            .into_iter()
-            .filter(|&p| mask.is_active(usize::from(p)))
-            .map(form)
-            .find(|form| form.fits(mask, addrs))
-    }
-
-    /// Whether every active lane of `addrs` reads what this form gives it:
-    /// a closed-form compare over all 32 lanes, branch-free.
-    fn fits(&self, mask: LaneMask, addrs: &WarpAddrs) -> bool {
-        let want = self.fill();
-        let diff = (0..WARP_SIZE).fold(0, |d, l| d | ((addrs[l] ^ want[l]) & lane_bits(mask, l)));
-        diff == 0
-    }
-
-    /// Every lane's address, active or not: row 0 steps by `s1`, and each
-    /// later lane sits `s2` past the lane a row above. A literal period
-    /// per arm lets each copy unroll and vectorize.
-    fn fill(&self) -> WarpAddrs {
-        match self.p {
-            2 => self.fill_rows(2),
-            4 => self.fill_rows(4),
-            8 => self.fill_rows(8),
-            16 => self.fill_rows(16),
-            p => self.fill_rows(usize::from(p).clamp(1, WARP_SIZE)),
-        }
-    }
-
-    #[inline(always)]
-    fn fill_rows(&self, p: usize) -> WarpAddrs {
-        let mut out = [0u64; WARP_SIZE];
-        let mut a = self.base;
-        for slot in &mut out[..p] {
-            *slot = a;
-            a = a.wrapping_add(self.s1);
-        }
-        for l in p..WARP_SIZE {
-            out[l] = out[l - p].wrapping_add(self.s2);
-        }
-        out
-    }
-
-    /// The canonical lane addresses under `mask`: inactive lanes are zero.
-    /// The inverse of [`TwoLevel::of`].
-    pub fn addrs(&self, mask: LaneMask) -> WarpAddrs {
-        let mut out = self.fill();
-        if !mask.is_all() {
-            for (l, a) in out.iter_mut().enumerate() {
-                *a &= lane_bits(mask, l);
-            }
-        }
-        out
-    }
-}
-
-/// All ones when `lane` is active in `mask`, zero otherwise.
-#[inline]
-fn lane_bits(mask: LaneMask, lane: usize) -> u64 {
-    0u64.wrapping_sub(u64::from(mask.0 >> lane & 1))
-}
 
 /// How one event's lane addresses are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,15 +80,6 @@ pub struct EventHead {
     pub(crate) step: u64,
 }
 
-impl EventHead {
-    /// `Some((first, step))` when the event's `k`-th active lane (lowest
-    /// first) reads `first + k·step` (see [`affine_lanes`]); `None` when
-    /// its addresses are stored in two-level or explicit form.
-    pub fn affine(&self) -> Option<(u64, u64)> {
-        (self.lanes == Lanes::Affine).then_some((self.first, self.step))
-    }
-}
-
 /// One block's event range inside a [`DecodedLaunch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockSpan {
@@ -281,6 +103,8 @@ pub struct DecodedLaunch {
     /// Lane addresses of the explicit events, `WARP_SIZE` per event,
     /// inactive lanes zeroed.
     addrs: Vec<u64>,
+    /// Events per op, indexed by [`TraceOp::index`].
+    op_events: [usize; TraceOp::COUNT],
 }
 
 impl DecodedLaunch {
@@ -296,6 +120,7 @@ impl DecodedLaunch {
             heads: Vec::new(),
             two_level: Vec::new(),
             addrs: Vec::new(),
+            op_events: [0; TraceOp::COUNT],
         }
     }
 
@@ -309,10 +134,16 @@ impl DecodedLaunch {
         self.blocks.len()
     }
 
-    /// Number of events whose pricing reads lane addresses one by one:
-    /// the two-level and explicit ones. The rest are affine.
-    pub fn lane_priced_events(&self) -> usize {
-        self.two_level.len() + self.addrs.len() / WARP_SIZE
+    /// Number of events of one op.
+    pub fn op_events(&self, op: TraceOp) -> usize {
+        self.op_events[op.index()]
+    }
+
+    /// Number of events stored as explicit lane addresses: the ones whose
+    /// pricing always reads their lanes one by one. The rest are affine
+    /// or two-level.
+    pub fn explicit_events(&self) -> usize {
+        self.addrs.len() / WARP_SIZE
     }
 
     /// The blocks in delivery order, each a borrowed view into the slabs.
@@ -329,7 +160,7 @@ impl DecodedLaunch {
     /// `head`) to the block being decoded.
     #[inline]
     pub(crate) fn push_affine(&mut self, head: EventHead) {
-        self.heads.push(head);
+        self.push(head);
     }
 
     /// Appends one two-level event to the block being decoded.
@@ -338,7 +169,7 @@ impl DecodedLaunch {
         head.lanes = Lanes::TwoLevel { p: form.p };
         head.first = self.two_level.len() as u64;
         self.two_level.push([form.base, form.s1, form.s2]);
-        self.heads.push(head);
+        self.push(head);
     }
 
     /// Appends one explicit event to the block being decoded, given its
@@ -357,6 +188,12 @@ impl DecodedLaunch {
                 self.addrs.extend_from_slice(addrs);
             }
         }
+        self.push(head);
+    }
+
+    #[inline]
+    fn push(&mut self, head: EventHead) {
+        self.op_events[head.op.index()] += 1;
         self.heads.push(head);
     }
 }
@@ -391,23 +228,27 @@ impl BlockView<'_> {
     }
 
     /// Calls `f` on the block's events in issue order, each head paired
-    /// with its canonical lane addresses: a borrow of the slab for an
-    /// explicit event, expanded on the stack for an affine or two-level
-    /// one.
-    pub fn for_each(&self, mut f: impl FnMut(&EventHead, &WarpAddrs)) {
+    /// with its lanes in decoded form: affine and two-level events as
+    /// their form, explicit ones as a borrow of the slab.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(&EventHead, WarpAccess<'_>)) {
         for head in self.heads {
             let i = head.first as usize;
-            match head.lanes {
-                Lanes::Affine => f(head, &affine_addrs(head.mask, head.first, head.step)),
+            let access = match head.lanes {
+                Lanes::Affine => WarpAccess::Affine {
+                    first: head.first,
+                    step: head.step,
+                },
                 Lanes::TwoLevel { p } => {
                     let [base, s1, s2] = self.two_level[i];
-                    f(head, &TwoLevel { p, base, s1, s2 }.addrs(head.mask));
+                    WarpAccess::TwoLevel(TwoLevel { p, base, s1, s2 })
                 }
                 Lanes::Explicit => {
                     let slice = &self.addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
-                    f(head, <&WarpAddrs>::try_from(slice).expect("slab stride"));
+                    WarpAccess::Explicit(<&WarpAddrs>::try_from(slice).expect("slab stride"))
                 }
-            }
+            };
+            f(head, access);
         }
     }
 
@@ -415,7 +256,7 @@ impl BlockView<'_> {
     /// for comparison against the events a writer was given.
     pub fn to_events(&self) -> Vec<TraceEvent> {
         let mut events = Vec::with_capacity(self.len());
-        self.for_each(|head, addrs| {
+        self.for_each(|head, access| {
             events.push(TraceEvent {
                 op: head.op,
                 warp: head.warp,
@@ -423,7 +264,7 @@ impl BlockView<'_> {
                 lane_bytes: head.lane_bytes,
                 transactions: head.transactions,
                 cycles: head.cycles,
-                addrs: *addrs,
+                addrs: access.addrs(head.mask),
             });
         });
         events
@@ -528,6 +369,7 @@ mod tests {
     use super::*;
     use crate::format::tests::{decode, Written};
     use crate::format::{SharedBuffer, TraceWriter};
+    use kconv_sim::pricing::{affine_addrs, TWO_LEVEL_PERIODS};
     use kconv_sim::{GpuSpec, KernelStats, OverlapMode, TraceLaunch, TraceSink};
 
     /// splitmix64, as in the format round-trip property test.
@@ -689,8 +531,12 @@ mod tests {
                 let explicit = events.iter().filter(|e| !affine(e)).count() - two_level;
                 assert_eq!(dl.addrs.len(), explicit * WARP_SIZE, "seed {seed}");
                 assert_eq!(dl.two_level.len(), two_level, "seed {seed}");
-                assert_eq!(dl.lane_priced_events(), two_level + explicit, "seed {seed}");
-                let heads_affine = dl.heads.iter().filter(|h| h.affine().is_some()).count();
+                assert_eq!(dl.explicit_events(), explicit, "seed {seed}");
+                for op in TraceOp::ALL {
+                    let n = events.iter().filter(|e| e.op == op).count();
+                    assert_eq!(dl.op_events(op), n, "seed {seed}");
+                }
+                let heads_affine = dl.heads.iter().filter(|h| h.lanes == Lanes::Affine).count();
                 assert_eq!(
                     heads_affine + two_level + explicit,
                     dl.event_count(),

@@ -60,12 +60,13 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
+use kconv_sim::pricing::{affine_lanes, TwoLevel, TWO_LEVEL_PERIODS};
 use kconv_sim::{
     BankWidth, EventEncoder, GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch,
     TraceOp, TraceSink, WARP_SIZE,
 };
 
-use crate::decoded::{affine_lanes, DecodedLaunch, EventHead, Lanes, TwoLevel, TWO_LEVEL_PERIODS};
+use crate::decoded::{DecodedLaunch, EventHead, Lanes};
 use crate::varint::{write_u64, zigzag, Cursor};
 use crate::TraceError;
 

@@ -62,12 +62,12 @@ pub mod summary;
 pub mod varint;
 
 pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
-pub use decoded::{
-    affine_addrs, affine_lanes, BlockView, DecodedLaunch, EventHead, Trace, TwoLevel,
-};
+pub use decoded::{BlockView, DecodedLaunch, EventHead, Trace};
 pub use format::{
     LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, TWO_LEVEL, VERSION,
 };
+/// The lane forms KTRC stores, defined beside the pricing that reads them.
+pub use kconv_sim::pricing::{affine_addrs, affine_lanes, TwoLevel, WarpAccess};
 pub use summary::{OpTotals, TraceSummary};
 
 use kconv_sim::Gpu;

@@ -84,18 +84,34 @@ impl<'a> Cursor<'a> {
 
     /// Reads one unsigned LEB128 varint.
     ///
-    /// Most trace fields fit in one byte, so that case is inlined; longer
-    /// values and every error take the out-of-line loop, which starts from
-    /// the same position and so reports the same offsets and messages.
+    /// Most trace fields fit in one byte, so that case is inlined. A
+    /// longer value of up to nine bytes (63 bits: every address below
+    /// 2^63) decodes with one bounds check when ten bytes remain. A
+    /// ten-byte value, the buffer's last bytes and every error take the
+    /// out-of-line loop, which starts from the same position and so
+    /// reports the same offsets and messages.
     #[inline]
     pub fn read_u64(&mut self, what: &str) -> Result<u64, TraceError> {
         match self.buf.get(self.pos) {
             Some(&byte) if byte & 0x80 == 0 => {
                 self.pos += 1;
-                Ok(u64::from(byte))
+                return Ok(u64::from(byte));
             }
-            _ => self.read_u64_multi(what),
+            None => return self.read_u64_multi(what),
+            Some(_) => {}
         }
+        if let Some(bytes) = self.buf.get(self.pos..self.pos + 10) {
+            // Nine payloads of seven bits cannot overflow.
+            let mut v = 0u64;
+            for (i, &byte) in bytes[..9].iter().enumerate() {
+                v |= u64::from(byte & 0x7f) << (7 * i);
+                if byte & 0x80 == 0 {
+                    self.pos += i + 1;
+                    return Ok(v);
+                }
+            }
+        }
+        self.read_u64_multi(what)
     }
 
     #[inline(never)]
@@ -253,6 +269,26 @@ mod tests {
             malformed_after(&buf, 0),
             (10, "varint overflow in x".into())
         );
+    }
+
+    /// Every varint length decodes to the same value and end position
+    /// whether ten bytes remain (the fast path) or fewer (the loop).
+    #[test]
+    fn fast_path_and_loop_agree_on_every_length() {
+        for bits in 0..64 {
+            for v in [1u64 << bits, (1u64 << bits) - 1, u64::MAX >> (63 - bits)] {
+                let mut buf = Vec::new();
+                write_u64(&mut buf, v);
+                let len = buf.len();
+                let mut cur = Cursor::new(&buf);
+                assert_eq!(cur.read_u64("x").unwrap(), v);
+                assert_eq!(cur.pos(), len);
+                buf.extend_from_slice(&[0xff; 10]);
+                let mut cur = Cursor::new(&buf);
+                assert_eq!(cur.read_u64("x").unwrap(), v);
+                assert_eq!(cur.pos(), len);
+            }
+        }
     }
 
     #[test]

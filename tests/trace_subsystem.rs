@@ -9,7 +9,9 @@ use kconv::sim::{
     lane_addrs_from, Gpu, GpuSpec, KernelStats, LaneMask, LaunchConfig, Parallelism, SimMode,
 };
 use kconv::tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
-use kconv::trace::{affine_lanes, SharedBuffer, Trace, TraceSummary, TraceWriter, TwoLevel};
+use kconv::trace::{
+    affine_lanes, SharedBuffer, Trace, TraceSummary, TraceWriter, TwoLevel, WarpAccess,
+};
 
 /// Runs `conv`, optionally traced; returns stats, flat output and the
 /// trace bytes (empty when untraced).
@@ -143,16 +145,20 @@ fn faulting_launch_traces_identically_serial_and_threaded() {
     assert_eq!(clean.block_count(), 4);
     // Every load is a two-level event with the tile's shape.
     for launch in [faulted, clean] {
-        assert_eq!(launch.lane_priced_events(), 2 * launch.block_count());
+        let mut tiles = 0;
         for block in launch.blocks() {
-            block.for_each(|head, addrs| {
+            block.for_each(|head, access| {
                 if head.mask.is_empty() {
                     return; // a barrier arrival
                 }
+                let addrs = &access.addrs(head.mask);
                 assert!(affine_lanes(head.mask, addrs).is_none());
                 let form = TwoLevel::of(head.mask, addrs).expect("two-level");
+                assert_eq!(access, WarpAccess::TwoLevel(form));
                 assert_eq!((form.p, form.s1, form.s2), (8, 4, 256));
+                tiles += 1;
             });
         }
+        assert_eq!(tiles, 2 * launch.block_count());
     }
 }
