@@ -25,8 +25,10 @@
 //!   and leaves it unoptimized, as do we — the simulator charges the real
 //!   scattered-transaction cost.
 
+use kconv_sim::pricing::{affine_lanes, TwoLevel, WarpAccess};
 use kconv_sim::{
-    lane_addrs_from, BlockCtx, GmBuf, Gpu, LaneMask, LaunchConfig, OverlapMode, SimMode, WARP_SIZE,
+    lane_addrs_from, BlockCtx, GmBuf, Gpu, LaneMask, LaunchConfig, OverlapMode, SimMode, WarpAddrs,
+    WARP_SIZE,
 };
 use kconv_tensor::{ConvProblem, FeatureMaps, FilterSet};
 
@@ -219,12 +221,22 @@ fn run_general_inner<const N: usize>(
     .with_regs(cfg.regs_per_thread(k))
     .with_overlap(OverlapMode::Prefetch);
 
+    // The register tile runs at compile-time width for the `W_T` values
+    // the presets, the tuner and the serving engine use; any other width
+    // runs the same body at run-time width.
+    let block: BlockFn = match cfg.w_t {
+        2 => general_block::<N, 2>,
+        4 => general_block::<N, 4>,
+        8 => general_block::<N, 8>,
+        16 => general_block::<N, 16>,
+        _ => general_block::<N, 0>,
+    };
     let cfg_copy = *cfg;
     let report = gpu.launch(&launch, mode, |blk| {
         if strided {
             general_block_strided(blk, &cfg_copy, &geom, d_in, d_flt, d_out);
         } else {
-            general_block::<N>(blk, &cfg_copy, &geom, d_in, d_flt, d_out);
+            block(blk, &cfg_copy, &geom, d_in, d_flt, d_out);
         }
     })?;
 
@@ -249,10 +261,73 @@ fn run_general_inner<const N: usize>(
     })
 }
 
+/// One thread block of the general kernel.
+type BlockFn = fn(&mut BlockCtx<'_>, &GeneralConfig, &Geom, GmBuf, GmBuf, GmBuf);
+
+/// Most warps in a block: [`GeneralConfig::validate`] caps a block at
+/// 1024 threads.
+const MAX_WARPS: usize = 1024 / WARP_SIZE;
+
+/// The lane form of one warp's per-lane byte offsets: an access adds its
+/// warp-uniform base, so the memory models price it in closed form
+/// instead of re-deriving its shape from 32 addresses. An explicit warp
+/// rebuilds its lanes from the offsets.
+#[derive(Debug, Clone, Copy)]
+enum LaneForm {
+    Affine { first: u64, step: u64 },
+    TwoLevel(TwoLevel),
+    Explicit,
+}
+
+impl LaneForm {
+    /// The form of the offsets `offset(lane)` over the whole warp:
+    /// affine, two-level, or explicit when neither fits. The kernel's
+    /// masks are the warp's population, a prefix of its lanes, under
+    /// which an affine form's `k`-th active lane is lane `k` and a
+    /// two-level form (indexed by lane) reads what it reads under the
+    /// full mask.
+    fn of(offset: impl Fn(usize) -> u64) -> Self {
+        let offsets = lane_addrs_from(offset);
+        if let Some((first, step)) = affine_lanes(LaneMask::ALL, &offsets) {
+            LaneForm::Affine { first, step }
+        } else if let Some(form) = TwoLevel::of(LaneMask::ALL, &offsets) {
+            LaneForm::TwoLevel(form)
+        } else {
+            LaneForm::Explicit
+        }
+    }
+
+    /// The access at `base` plus the offsets `offset(lane)` this form was
+    /// derived from; an explicit one is written into `buf`.
+    #[inline]
+    fn at<'a>(
+        self,
+        base: u64,
+        buf: &'a mut WarpAddrs,
+        offset: impl Fn(usize) -> u64,
+    ) -> WarpAccess<'a> {
+        match self {
+            LaneForm::Affine { first, step } => WarpAccess::Affine {
+                first: base + first,
+                step,
+            },
+            LaneForm::TwoLevel(form) => WarpAccess::TwoLevel(TwoLevel {
+                base: base + form.base,
+                ..form
+            }),
+            LaneForm::Explicit => {
+                *buf = lane_addrs_from(|lane| base + offset(lane));
+                WarpAccess::Explicit(buf)
+            }
+        }
+    }
+}
+
 /// Algorithm 2 of the paper, executed by one thread block. The vector
-/// factor comes from the geometry's [`KernelShape`] at run time; `N` only
-/// sizes the simulator's per-lane value arrays and must agree with it.
-fn general_block<const N: usize>(
+/// factor comes from the geometry's [`KernelShape`] at run time; `N` sizes
+/// the per-lane value arrays and the register copies and must agree with
+/// it. `WT` is `W_T` at compile time, or 0 to take it from `cfg`.
+fn general_block<const N: usize, const WT: usize>(
     blk: &mut BlockCtx<'_>,
     cfg: &GeneralConfig,
     g: &Geom,
@@ -262,14 +337,15 @@ fn general_block<const N: usize>(
 ) {
     let k = g.k;
     let kk = k * k;
-    let n = g.shape.vec_width;
     debug_assert_eq!(
-        n, N,
+        g.shape.vec_width, N,
         "shape vec_width must match the instantiated lane width"
     );
+    debug_assert!(WT == 0 || WT == cfg.w_t, "W_T must match the instance");
+    let w_t = if WT == 0 { cfg.w_t } else { WT };
     let threads = cfg.threads();
     let tx_count = cfg.threads_x();
-    let (w_t, f_t, c_sh) = (cfg.w_t, cfg.f_t, cfg.c_sh);
+    let (f_t, c_sh) = (cfg.f_t, cfg.c_sh);
     let cols_per_row = cfg.width / w_t;
 
     let fx = blk.dims.block_id % g.tbx;
@@ -286,7 +362,7 @@ fn general_block<const N: usize>(
     // rAcc[F_T][W_T] per thread, flat.
     let mut acc = vec![0.0f32; threads * f_t * w_t];
     // rImg: the W_T + K - 1 row window per thread.
-    let win_w = round_up(w_t + k - 1, n);
+    let win_w = round_up(w_t + k - 1, N);
     let mut rimg = vec![0.0f32; threads * win_w];
     // rFlt fragments per lane; fully overwritten before every use, so one
     // buffer serves the whole block instead of being zeroed per access.
@@ -297,7 +373,8 @@ fn general_block<const N: usize>(
     // access and were the hottest instructions of the whole launch.
     // Trailing slots past `threads` use the same formulas, so dead lanes
     // see exactly the addresses they always did.
-    let lanes = threads.div_ceil(WARP_SIZE) * WARP_SIZE;
+    let warps = threads.div_ceil(WARP_SIZE);
+    let lanes = warps * WARP_SIZE;
     let mut t_tx = vec![0usize; lanes];
     let mut t_r = vec![0usize; lanes];
     let mut t_col = vec![0usize; lanes];
@@ -311,6 +388,19 @@ fn general_block<const N: usize>(
         t_col[t] = col_t;
         img_off[t] = r_t * g.img_pitch + col_t;
     }
+    // Each warp's image-window offsets (its threads' rows and columns of
+    // the slab) and filter-fragment offsets (their T_X groups' F_T
+    // filters), in bytes, and their lane forms.
+    let (img_off, t_tx) = (&img_off, &t_tx);
+    let img_at = |wid: usize| move |lane: usize| (img_off[wid * WARP_SIZE + lane] * 4) as u64;
+    let flt_at = |wid: usize| move |lane: usize| (t_tx[wid * WARP_SIZE + lane] * f_t * 4) as u64;
+    let mut img_forms = [LaneForm::Explicit; MAX_WARPS];
+    let mut flt_forms = [LaneForm::Explicit; MAX_WARPS];
+    for wid in 0..warps {
+        img_forms[wid] = LaneForm::of(img_at(wid));
+        flt_forms[wid] = LaneForm::of(flt_at(wid));
+    }
+    let mut buf = [0u64; WARP_SIZE];
 
     let mut c0 = 0usize;
     while c0 < g.channels {
@@ -324,17 +414,15 @@ fn general_block<const N: usize>(
                 // Line 12: each thread refills its image-row window
                 // (W_T + K - 1 pixels, n at a time). Threads sharing a
                 // T_Y row read identical addresses: broadcast.
-                for gv in 0..win_w / n {
-                    let base = (i * slab_rows + j) * g.img_pitch + gv * n;
+                for gv in 0..win_w / N {
+                    let base = (((i * slab_rows + j) * g.img_pitch + gv * N) * 4) as u64;
                     blk.each_warp(|w| {
-                        let lane0 = w.warp_id() * WARP_SIZE;
-                        let addrs =
-                            lane_addrs_from(|lane| ((base + img_off[lane0 + lane]) * 4) as u64);
-                        let vals = w.ld_shared::<N>(&addrs, LaneMask::ALL);
+                        let wid = w.warp_id();
+                        let access = img_forms[wid].at(base, &mut buf, img_at(wid));
+                        let vals = w.ld_shared::<N>(access, LaneMask::ALL);
                         for lane in w.population().iter() {
-                            let t = w.thread_id(lane);
-                            rimg[t * win_w + gv * n..t * win_w + gv * n + n]
-                                .copy_from_slice(&vals[lane][..n]);
+                            let at = w.thread_id(lane) * win_w + gv * N;
+                            rimg[at..at + N].copy_from_slice(&vals[lane]);
                         }
                     });
                 }
@@ -343,14 +431,13 @@ fn general_block<const N: usize>(
                     // across T_X threads: conflict-free.
                     let row = (i * kk + j * k + kc) * g.flt_pitch;
                     blk.each_warp(|w| {
-                        let lane0 = w.warp_id() * WARP_SIZE;
-                        for gv in 0..f_t / n {
-                            let addrs = lane_addrs_from(|lane| {
-                                flt_base + ((row + t_tx[lane0 + lane] * f_t + gv * n) * 4) as u64
-                            });
-                            let vals = w.ld_shared::<N>(&addrs, LaneMask::ALL);
-                            for lane in 0..WARP_SIZE {
-                                rflt[lane][gv * n..gv * n + n].copy_from_slice(&vals[lane][..n]);
+                        let wid = w.warp_id();
+                        for gv in 0..f_t / N {
+                            let base = flt_base + ((row + gv * N) * 4) as u64;
+                            let access = flt_forms[wid].at(base, &mut buf, flt_at(wid));
+                            let vals = w.ld_shared::<N>(access, LaneMask::ALL);
+                            for (frag, v) in rflt.iter_mut().zip(&vals) {
+                                frag[gv * N..gv * N + N].copy_from_slice(v);
                             }
                         }
                         // Line 15: the rank-1 update
@@ -363,9 +450,9 @@ fn general_block<const N: usize>(
                             let abase = t * f_t * w_t;
                             let arow = &mut acc[abase..abase + f_t * w_t];
                             let img = &rimg[t * win_w + kc..t * win_w + kc + w_t];
-                            for ff in 0..f_t {
-                                let fv = rflt[lane][ff];
-                                for (a, &x) in arow[ff * w_t..ff * w_t + w_t].iter_mut().zip(img) {
+                            for (acc_ff, &fv) in arow.chunks_exact_mut(w_t).zip(&rflt[lane][..f_t])
+                            {
+                                for (a, &x) in acc_ff.iter_mut().zip(img) {
                                     *a += fv * x;
                                 }
                             }
@@ -383,14 +470,14 @@ fn general_block<const N: usize>(
     // output maps, so this is uncoalesced by design (measured, not
     // optimized — matching the paper).
     for ff in 0..f_t {
-        for gv in 0..w_t / n {
+        for gv in 0..w_t / N {
             blk.each_warp(|w| {
                 let wid = w.warp_id();
                 let addrs = lane_addrs_from(|lane| {
                     let t = wid * WARP_SIZE + lane;
                     let f = f0 + t_tx[t] * f_t + ff;
                     d_out.f32_addr(
-                        ((f * g.out_rows + gy + t_r[t]) * g.out_pitch + gx + t_col[t] + gv * n)
+                        ((f * g.out_rows + gy + t_r[t]) * g.out_pitch + gx + t_col[t] + gv * N)
                             as u64,
                     )
                 });
@@ -398,10 +485,8 @@ fn general_block<const N: usize>(
                 for (lane, v) in vals.iter_mut().enumerate() {
                     let t = wid * WARP_SIZE + lane;
                     if t < threads {
-                        v[..n].copy_from_slice(
-                            &acc[t * f_t * w_t + ff * w_t + gv * n
-                                ..t * f_t * w_t + ff * w_t + gv * n + n],
-                        );
+                        let at = t * f_t * w_t + ff * w_t + gv * N;
+                        v.copy_from_slice(&acc[at..at + N]);
                     }
                 }
                 w.st_global::<N>(&addrs, &vals, LaneMask::ALL);

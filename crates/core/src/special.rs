@@ -35,9 +35,10 @@
 //! by 2 (fp16) or 4 (int8) — and the `F`-map write stream is what bounds
 //! the f32 kernel at large `F`.
 
+use kconv_sim::pricing::WarpAccess;
 use kconv_sim::{
-    lane_addrs_from, lane_addrs_uniform, BlockCtx, GmBuf, Gpu, GpuSpec, LaneMask, LaunchConfig,
-    LaunchReport, OverlapMode, SimMode, WARP_SIZE,
+    lane_addrs_from, BlockCtx, GmBuf, Gpu, GpuSpec, LaneMask, LaunchConfig, LaunchReport,
+    OverlapMode, SimMode, WARP_SIZE,
 };
 use kconv_tensor::{
     f16_bits_to_f32, f16_roundtrip, f32_to_f16_bits, pack_f16x2, unpack_f16x2, ConvProblem,
@@ -916,14 +917,21 @@ fn special_block<C: Codec, const B: usize>(
         for f in 0..g.f {
             blk.each_warp(|w| {
                 // All lanes read each tap at the same address: the constant
-                // memory broadcast fast path.
+                // memory broadcast, passed as its affine form (step 0) so
+                // the model prices it in closed form.
                 let mut taps = [0.0f32; MAX_K * MAX_K];
                 if g.packed_taps {
                     // One broadcast read yields two binary16 taps.
                     let words = (k * k).div_ceil(2);
                     for i in 0..words {
                         let addr = ((f * words + i) * 4) as u64;
-                        let word = w.ld_const(&lane_addrs_uniform(addr), LaneMask::ALL)[0];
+                        let word = w.ld_const(
+                            WarpAccess::Affine {
+                                first: addr,
+                                step: 0,
+                            },
+                            LaneMask::ALL,
+                        )[0];
                         let (lo, hi) = unpack_f16x2(word.to_bits());
                         taps[2 * i] = lo;
                         if 2 * i + 1 < k * k {
@@ -933,7 +941,13 @@ fn special_block<C: Codec, const B: usize>(
                 } else {
                     for (i, tap) in taps[..k * k].iter_mut().enumerate() {
                         let addr = ((f * k * k + i) * 4) as u64;
-                        *tap = w.ld_const(&lane_addrs_uniform(addr), LaneMask::ALL)[0];
+                        *tap = w.ld_const(
+                            WarpAccess::Affine {
+                                first: addr,
+                                step: 0,
+                            },
+                            LaneMask::ALL,
+                        )[0];
                     }
                 }
                 let pop = w.population();

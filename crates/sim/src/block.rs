@@ -32,8 +32,8 @@
 
 use crate::fault::{self, FaultKind, Site};
 use crate::mem::plane::{CmPlane, GmPlane};
-use crate::mem::SharedMemory;
-use crate::pricing::RoCache;
+use crate::mem::{Lanes, SharedMemory};
+use crate::pricing::{RoCache, WarpAccess};
 use crate::spec::WARP_SIZE;
 use crate::stats::KernelStats;
 use crate::trace::{cost_counters, BlockTrace, EventEncoder, TraceEvent, TraceOp};
@@ -279,9 +279,13 @@ impl<'a> BlockCtx<'a> {
 
 /// Warp-level operations for one warp of a block.
 ///
-/// Every memory method takes per-lane byte addresses and an active-lane
-/// mask; the mask is automatically intersected with the warp's population
-/// (the last warp of a block may be partial).
+/// Every memory method takes the access's lane addresses as a
+/// [`WarpAccess`] — an affine or two-level lane form, or explicit
+/// addresses (`&WarpAddrs` converts) — and an active-lane mask; the mask
+/// is automatically intersected with the warp's population (the last warp
+/// of a block may be partial). The memory models price a form in closed
+/// form where it has one (see [`WarpAccess::prepare`]), so a kernel that
+/// knows its access's shape passes the form.
 pub struct WarpCtx<'b, 'a> {
     block: &'b mut BlockCtx<'a>,
     wid: usize,
@@ -325,48 +329,60 @@ impl WarpCtx<'_, '_> {
         }
     }
 
-    /// Watchdog tick + injection for one memory op: returns the (possibly
-    /// patched) addresses to use.
-    fn pre_op(&mut self, addrs: &WarpAddrs) -> Option<WarpAddrs> {
-        self.block.step(self.wid);
-        self.block.inject(addrs)
-    }
-
     /// Shared prologue/epilogue for every warp memory instruction: watchdog
-    /// tick, fault injection, population masking — and, when the launcher
-    /// armed tracing, a [`TraceEvent`] capturing the cost delta the memory
-    /// model charged for this access (the `op`-specific counter pair from
-    /// [`cost_counters`]), encoded on the spot by the sink's
-    /// [`EventEncoder`]. With tracing off the extra work is a single
-    /// `Option` discriminant check; `access` inlines into the same code the
-    /// ops previously open-coded.
+    /// tick, population masking, lane expansion, fault injection — and,
+    /// when the launcher armed tracing, a [`TraceEvent`] capturing the
+    /// cost delta the memory model charged for this access (the
+    /// `op`-specific counter pair from [`cost_counters`]), encoded on the
+    /// spot by the sink's [`EventEncoder`].
+    ///
+    /// The models price the access from its lane form and move data
+    /// through its lanes, so a form is expanded here once; an explicit
+    /// access is borrowed as given. An injected fault patches the
+    /// expanded lanes, and the patched access is explicit. With tracing
+    /// off the extra work is a single `Option` discriminant check.
     #[inline(always)]
     fn mem_op<R>(
         &mut self,
-        addrs: &WarpAddrs,
+        form: WarpAccess<'_>,
         mask: LaneMask,
         op: TraceOp,
         lane_bytes: u32,
-        access: impl FnOnce(&mut BlockCtx<'_>, Site, &WarpAddrs, LaneMask) -> R,
+        access: impl FnOnce(&mut BlockCtx<'_>, Site, Lanes<'_>) -> R,
     ) -> R {
-        let patched = self.pre_op(addrs);
-        let addrs = patched.as_ref().unwrap_or(addrs);
-        let m = self.live(mask);
+        self.block.step(self.wid);
+        let mask = self.live(mask);
         let site = self.site();
+        let expanded;
+        let addrs = match form {
+            WarpAccess::Explicit(addrs) => addrs,
+            form => {
+                expanded = form.addrs(mask);
+                &expanded
+            }
+        };
+        let patched;
+        let lanes = match self.block.inject(addrs) {
+            Some(p) => {
+                patched = p;
+                Lanes::explicit(&patched, mask)
+            }
+            None => Lanes { form, addrs, mask },
+        };
         if self.block.trace.is_none() {
-            return access(self.block, site, addrs, m);
+            return access(self.block, site, lanes);
         }
         let (t0, c0) = cost_counters(&self.block.stats, op);
-        let out = access(self.block, site, addrs, m);
+        let out = access(self.block, site, lanes);
         let (t1, c1) = cost_counters(&self.block.stats, op);
         let ev = TraceEvent {
             op,
             warp: self.wid as u32,
-            mask: m,
+            mask,
             lane_bytes,
             transactions: (t1 - t0) as u32,
             cycles: (c1 - c0) as u32,
-            addrs: *addrs,
+            addrs: *lanes.addrs,
         };
         self.block.trace.as_mut().expect("tracing armed").push(&ev);
         out
@@ -383,119 +399,155 @@ impl WarpCtx<'_, '_> {
     }
 
     /// Global-memory warp load of `V` consecutive `f32`s per lane.
-    pub fn ld_global<const V: usize>(
+    pub fn ld_global<'x, const V: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         mask: LaneMask,
     ) -> [[f32; V]; WARP_SIZE] {
-        self.mem_op(addrs, mask, TraceOp::GmLd, 4 * V as u32, |b, site, a, m| {
-            b.gm.warp_ld::<V>(&mut b.stats, site, a, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::GmLd,
+            4 * V as u32,
+            |b, site, l| b.gm.warp_ld::<V>(&mut b.stats, site, l),
+        )
     }
 
     /// Global-memory warp store of `V` consecutive `f32`s per lane.
-    pub fn st_global<const V: usize>(
+    pub fn st_global<'x, const V: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         values: &[[f32; V]; WARP_SIZE],
         mask: LaneMask,
     ) {
-        self.mem_op(addrs, mask, TraceOp::GmSt, 4 * V as u32, |b, site, a, m| {
-            b.gm.warp_st::<V>(&mut b.stats, site, a, values, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::GmSt,
+            4 * V as u32,
+            |b, site, l| b.gm.warp_st::<V>(&mut b.stats, site, l, values),
+        )
     }
 
     /// Shared-memory warp load of `V` consecutive `f32`s per lane
     /// (block-local byte offsets).
-    pub fn ld_shared<const V: usize>(
+    pub fn ld_shared<'x, const V: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         mask: LaneMask,
     ) -> [[f32; V]; WARP_SIZE] {
-        self.mem_op(addrs, mask, TraceOp::SmLd, 4 * V as u32, |b, site, a, m| {
-            b.smem.warp_ld::<V>(&mut b.stats, site, a, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::SmLd,
+            4 * V as u32,
+            |b, site, l| b.smem.warp_ld::<V>(&mut b.stats, site, l),
+        )
     }
 
     /// Shared-memory warp store of `V` consecutive `f32`s per lane.
-    pub fn st_shared<const V: usize>(
+    pub fn st_shared<'x, const V: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         values: &[[f32; V]; WARP_SIZE],
         mask: LaneMask,
     ) {
-        self.mem_op(addrs, mask, TraceOp::SmSt, 4 * V as u32, |b, site, a, m| {
-            b.smem.warp_st::<V>(&mut b.stats, site, a, values, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::SmSt,
+            4 * V as u32,
+            |b, site, l| b.smem.warp_st::<V>(&mut b.stats, site, l, values),
+        )
     }
 
     /// Global-memory warp load through the read-only (texture) cache path:
     /// lines this block already touched are served without bus traffic.
-    pub fn ld_global_ro<const V: usize>(
+    pub fn ld_global_ro<'x, const V: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         mask: LaneMask,
     ) -> [[f32; V]; WARP_SIZE] {
         self.mem_op(
-            addrs,
+            access.into(),
             mask,
             TraceOp::GmLdRo,
             4 * V as u32,
-            |b, site, a, m| b.gm.warp_ld_ro::<V>(&mut b.stats, &mut b.ro, site, a, m),
+            |b, site, l| b.gm.warp_ld_ro::<V>(&mut b.stats, &mut b.ro, site, l),
         )
     }
 
     /// Constant-memory warp load of one `f32` per lane (broadcast-optimized).
-    pub fn ld_const(&mut self, addrs: &WarpAddrs, mask: LaneMask) -> [f32; WARP_SIZE] {
-        self.mem_op(addrs, mask, TraceOp::CmLd, 4, |b, site, a, m| {
-            b.cm.warp_ld_f32(&mut b.stats, site, a, m)
+    pub fn ld_const<'x>(
+        &mut self,
+        access: impl Into<WarpAccess<'x>>,
+        mask: LaneMask,
+    ) -> [f32; WARP_SIZE] {
+        self.mem_op(access.into(), mask, TraceOp::CmLd, 4, |b, site, l| {
+            b.cm.warp_ld_f32(&mut b.stats, site, l)
         })
     }
 
     /// Global-memory warp load of `W` raw bytes per lane (short data types).
-    pub fn ld_global_bytes<const W: usize>(
+    pub fn ld_global_bytes<'x, const W: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         mask: LaneMask,
     ) -> [[u8; W]; WARP_SIZE] {
-        self.mem_op(addrs, mask, TraceOp::GmLd, W as u32, |b, site, a, m| {
-            b.gm.warp_ld_bytes::<W>(&mut b.stats, site, a, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::GmLd,
+            W as u32,
+            |b, site, l| b.gm.warp_ld_bytes::<W>(&mut b.stats, site, l),
+        )
     }
 
     /// Global-memory warp store of `W` raw bytes per lane.
-    pub fn st_global_bytes<const W: usize>(
+    pub fn st_global_bytes<'x, const W: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         values: &[[u8; W]; WARP_SIZE],
         mask: LaneMask,
     ) {
-        self.mem_op(addrs, mask, TraceOp::GmSt, W as u32, |b, site, a, m| {
-            b.gm.warp_st_bytes::<W>(&mut b.stats, site, a, values, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::GmSt,
+            W as u32,
+            |b, site, l| b.gm.warp_st_bytes::<W>(&mut b.stats, site, l, values),
+        )
     }
 
     /// Shared-memory warp load of `W` raw bytes per lane (short data types).
-    pub fn ld_shared_bytes<const W: usize>(
+    pub fn ld_shared_bytes<'x, const W: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         mask: LaneMask,
     ) -> [[u8; W]; WARP_SIZE] {
-        self.mem_op(addrs, mask, TraceOp::SmLd, W as u32, |b, site, a, m| {
-            b.smem.warp_ld_bytes::<W>(&mut b.stats, site, a, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::SmLd,
+            W as u32,
+            |b, site, l| b.smem.warp_ld_bytes::<W>(&mut b.stats, site, l),
+        )
     }
 
     /// Shared-memory warp store of `W` raw bytes per lane.
-    pub fn st_shared_bytes<const W: usize>(
+    pub fn st_shared_bytes<'x, const W: usize>(
         &mut self,
-        addrs: &WarpAddrs,
+        access: impl Into<WarpAccess<'x>>,
         values: &[[u8; W]; WARP_SIZE],
         mask: LaneMask,
     ) {
-        self.mem_op(addrs, mask, TraceOp::SmSt, W as u32, |b, site, a, m| {
-            b.smem.warp_st_bytes::<W>(&mut b.stats, site, a, values, m)
-        })
+        self.mem_op(
+            access.into(),
+            mask,
+            TraceOp::SmSt,
+            W as u32,
+            |b, site, l| b.smem.warp_st_bytes::<W>(&mut b.stats, site, l, values),
+        )
     }
 
     /// Records `lane_ops` fused multiply-adds (the arithmetic itself is done

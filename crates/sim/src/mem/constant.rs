@@ -231,6 +231,7 @@ mod tests {
     use super::*;
     use crate::fault::{install_quiet_hook, FaultPayload};
     use crate::mem::plane::CmPlane;
+    use crate::mem::Lanes;
     use crate::stats::KernelStats;
     use crate::warp::{lane_addrs, lane_addrs_uniform, LaneMask};
 
@@ -256,8 +257,7 @@ mod tests {
         let out = plane.warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(4 * 4),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(4 * 4), LaneMask::ALL),
         );
         assert!(out.iter().all(|&v| v == 1.5));
         // Uniform cached read is free apart from the request count.
@@ -275,14 +275,12 @@ mod tests {
         plane.warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(0),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(0), LaneMask::ALL),
         );
         plane.warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(0),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(0), LaneMask::ALL),
         );
         assert_eq!(stats.cm_misses, 1);
         assert_eq!(stats.cm_requests, 2);
@@ -295,7 +293,11 @@ mod tests {
         m.write_f32s(0, &vals).unwrap();
         let mut stats = KernelStats::default();
         let mut plane = CmPlane::Direct(&mut m);
-        let out = plane.warp_ld_f32(&mut stats, Site::ZERO, &lane_addrs(0, 4), LaneMask::ALL);
+        let out = plane.warp_ld_f32(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&lane_addrs(0, 4), LaneMask::ALL),
+        );
         assert_eq!(out[7], 7.0);
         // 32 distinct addresses: 31 serialization cycles.
         assert_eq!(stats.cm_cycles, 31);
@@ -312,8 +314,7 @@ mod tests {
         plane.warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs(0, 4),
-            LaneMask::first(2),
+            Lanes::explicit(&lane_addrs(0, 4), LaneMask::first(2)),
         );
         assert_eq!(stats.cm_cycles, 1);
     }
@@ -326,15 +327,13 @@ mod tests {
         CmPlane::Direct(&mut m).warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(0),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(0), LaneMask::ALL),
         );
         m.reset_cache();
         CmPlane::Direct(&mut m).warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(0),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(0), LaneMask::ALL),
         );
         assert_eq!(stats.cm_misses, 2);
     }
@@ -353,8 +352,7 @@ mod tests {
             CmPlane::Direct(&mut m).warp_ld_f32(
                 &mut stats,
                 Site { warp: 2, phase: 0 },
-                &lane_addrs_uniform(16),
-                LaneMask::ALL,
+                Lanes::explicit(&lane_addrs_uniform(16), LaneMask::ALL),
             );
         });
         assert_eq!(p.warp, 2);
@@ -388,8 +386,7 @@ mod tests {
             CmPlane::Direct(&mut m).warp_ld_f32(
                 &mut stats,
                 Site::ZERO,
-                &lane_addrs_uniform(4),
-                LaneMask::ALL,
+                Lanes::explicit(&lane_addrs_uniform(4), LaneMask::ALL),
             );
         });
         match p.kind {
@@ -440,8 +437,7 @@ mod tests {
         let out = CmPlane::Direct(&mut m).warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(128),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(128), LaneMask::ALL),
         );
         assert_eq!(out[0], 0.0);
     }

@@ -346,6 +346,7 @@ mod tests {
     use super::*;
     use crate::fault::{AccessKind, FaultKind, MemSpace, Site};
     use crate::mem::plane::GmPlane;
+    use crate::mem::Lanes;
     use crate::spec::WARP_SIZE;
     use crate::stats::KernelStats;
     use crate::warp::{lane_addrs, lane_addrs_from, lane_addrs_uniform, LaneMask};
@@ -437,7 +438,11 @@ mod tests {
         // 32 lanes x 4 B contiguous from a 128 B-aligned base = 1 segment.
         let addrs = lane_addrs(buf.f32_addr(0), 4);
         let plane = GmPlane::Direct(&mut m);
-        let out = plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        let out = plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(out[5][0], 5.0);
         assert_eq!(stats.gm_ld_transactions, 1);
         assert_eq!(stats.gm_ld_bytes_bus, 128);
@@ -452,7 +457,11 @@ mod tests {
         // Stride of 256 B: every lane in its own segment.
         let addrs = lane_addrs(buf.f32_addr(0), 256);
         let plane = GmPlane::Direct(&mut m);
-        plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(stats.gm_ld_transactions, 32);
         assert!(
             (KernelStats {
@@ -473,7 +482,11 @@ mod tests {
         // 32 lanes x float2 contiguous = 256 B = 2 segments.
         let addrs = lane_addrs(buf.f32_addr(0), 8);
         let plane = GmPlane::Direct(&mut m);
-        plane.warp_ld::<2>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_ld::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(stats.gm_ld_transactions, 2);
         assert_eq!(stats.gm_ld_bytes_useful, 256);
     }
@@ -485,7 +498,11 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(buf.f32_addr(0), 4);
         let plane = GmPlane::Direct(&mut m);
-        plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::first(8));
+        plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::first(8)),
+        );
         assert_eq!(stats.gm_ld_transactions, 1);
         assert_eq!(stats.gm_ld_bytes_useful, 32);
     }
@@ -497,7 +514,11 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs_uniform(buf.f32_addr(3));
         let plane = GmPlane::Direct(&mut m);
-        plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(stats.gm_ld_transactions, 1);
     }
 
@@ -509,7 +530,12 @@ mod tests {
         let addrs = lane_addrs(buf.f32_addr(0), 4);
         let vals: [[f32; 1]; WARP_SIZE] = std::array::from_fn(|l| [l as f32]);
         let mut plane = GmPlane::Direct(&mut m);
-        plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
+        plane.warp_st::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
         // 128 contiguous bytes through 32-byte store sectors.
         assert_eq!(stats.gm_st_transactions, 4);
         assert_eq!(stats.gm_st_bytes_bus, 128);
@@ -524,7 +550,11 @@ mod tests {
         // Start 16 bytes into a segment: contiguous 128 B now straddles two.
         let addrs = lane_addrs(buf.f32_addr(4), 4);
         let plane = GmPlane::Direct(&mut m);
-        plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(stats.gm_ld_transactions, 2);
     }
 
@@ -546,7 +576,11 @@ mod tests {
             let mut stats = KernelStats::default();
             let addrs = lane_addrs(buf.f32_addr(0), 4);
             let plane = GmPlane::Direct(&mut m);
-            plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL); // lanes 4..32 OOB
+            plane.warp_ld::<1>(
+                &mut stats,
+                Site::ZERO,
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            ); // lanes 4..32 OOB
         });
         match kind {
             FaultKind::OutOfBounds {
@@ -569,7 +603,11 @@ mod tests {
             let mut stats = KernelStats::default();
             let addrs = lane_addrs(buf.f32_addr(0), 4);
             let plane = GmPlane::Direct(&mut m);
-            plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+            plane.warp_ld::<1>(
+                &mut stats,
+                Site::ZERO,
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            );
         });
         match kind {
             FaultKind::UninitializedRead {
@@ -590,9 +628,18 @@ mod tests {
         let addrs = lane_addrs(buf.f32_addr(0), 4);
         let vals: [[f32; 1]; WARP_SIZE] = std::array::from_fn(|l| [l as f32]);
         let mut plane = GmPlane::Direct(&mut m);
-        plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
+        plane.warp_st::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
         // Reading back what the device just wrote is clean.
-        let out = plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        let out = plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(out[3][0], 3.0);
     }
 
@@ -605,7 +652,11 @@ mod tests {
         let addrs = lane_addrs(buf.f32_addr(0), 4);
         let plane = GmPlane::Direct(&mut m);
         // No fault: pre-existing allocation presumed initialized.
-        plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::first(8));
+        plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::first(8)),
+        );
     }
 
     #[test]
@@ -616,8 +667,17 @@ mod tests {
         let addrs = lane_addrs(buf.offset(), 2);
         let vals: [[u8; 2]; WARP_SIZE] = std::array::from_fn(|l| [l as u8, 0xAB]);
         let mut plane = GmPlane::Direct(&mut m);
-        plane.warp_st_bytes::<2>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
-        let back = plane.warp_ld_bytes::<2>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_st_bytes::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        let back = plane.warp_ld_bytes::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(back[7], [7, 0xAB]);
         // 64 B contiguous: two 32-byte store sectors, one 128-byte load
         // segment.
@@ -640,7 +700,11 @@ mod tests {
             }
         });
         let plane = GmPlane::Direct(&mut m);
-        plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(stats.gm_ld_transactions, 2);
     }
 }

@@ -34,8 +34,9 @@
 //! journal is a short sorted vector of 4 KiB pages (data + a 1-bit-per-byte
 //! written mask) with an `[lo, hi)` range reject so reads that never touch
 //! journaled bytes cost two compares; constant-line tracking is a bitmap
-//! over the constant segment's ≤ 256 lines; and the distinct-unit scans all
-//! share [`dedup::for_each_unit`]'s stack bitmap instead of O(n²) scans.
+//! over the constant segment's ≤ 256 lines; and every distinct-unit count
+//! prices through [`PreparedAccess`]: in closed form for affine and
+//! two-level accesses, by the lane engine's stack bitmaps for the rest.
 //!
 //! Every access is bounds-checked against the owning memory; violations
 //! raise a typed [`DeviceFault`](crate::DeviceFault) that unwinds to the
@@ -51,11 +52,10 @@
 use crate::fault::{self, AccessKind, FaultKind, MemSpace, Site};
 use crate::mem::constant::{ConstantMemory, LineBitmap};
 use crate::mem::global::GlobalMemory;
-use crate::mem::{dedup, lanes};
-use crate::pricing::{segment_count, RoCache};
+use crate::mem::Lanes;
+use crate::pricing::{PreparedAccess, RoCache};
 use crate::spec::WARP_SIZE;
 use crate::stats::KernelStats;
-use crate::warp::{LaneMask, WarpAddrs};
 
 /// Widest single-lane access in the ISA modeled here: a `float4` load/store
 /// (the byte paths use at most 8 bytes per lane).
@@ -310,17 +310,17 @@ impl<'a> GmPlane<'a> {
     /// lane's `[addr, addr + width)` fits device memory — the precondition
     /// for the check-free copy loops in the warp accessors. Journaled
     /// planes always take the general path (loads must consult the store
-    /// overlay). The warp-level bound uses `saturating_add` so a wrapping
-    /// address still fails into the faulting path.
+    /// overlay). The warp-level bound saturates, so a wrapping address
+    /// still fails into the faulting path.
     #[inline]
-    fn plain_in_bounds(&self, addrs: &WarpAddrs, width: u64, mask: LaneMask) -> bool {
+    fn plain_in_bounds(&self, access: &PreparedAccess<'_>) -> bool {
         let GmPlane::Direct(gm) = self else {
             return false;
         };
         if gm.shadow().is_some() {
             return false;
         }
-        lanes::max_end(addrs, width, mask) <= gm.device_limit()
+        access.max_end() <= gm.device_limit()
     }
 
     fn read_into(&self, addr: u64, out: &mut [u8], site: Site, lane: usize) {
@@ -367,6 +367,65 @@ impl<'a> GmPlane<'a> {
         }
     }
 
+    /// Reads `V` consecutive `f32`s per active lane.
+    #[inline]
+    fn load_f32s<const V: usize>(
+        &self,
+        site: Site,
+        lanes: &Lanes<'_>,
+        access: &PreparedAccess<'_>,
+    ) -> [[f32; V]; WARP_SIZE] {
+        let mut out = [[0.0f32; V]; WARP_SIZE];
+        if self.plain_in_bounds(access) {
+            let base = self.base();
+            for lane in lanes.mask.iter() {
+                let raw = base.bytes(lanes.addrs[lane], V * 4);
+                for (v, slot) in out[lane].iter_mut().enumerate() {
+                    *slot = f32::from_le_bytes(raw[v * 4..v * 4 + 4].try_into().unwrap());
+                }
+            }
+        } else {
+            let mut raw = [0u8; MAX_LANE_BYTES];
+            for lane in lanes.mask.iter() {
+                self.read_into(lanes.addrs[lane], &mut raw[..V * 4], site, lane);
+                for (v, slot) in out[lane].iter_mut().enumerate() {
+                    *slot = f32::from_le_bytes(raw[v * 4..v * 4 + 4].try_into().unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    /// Charges one load request of `transactions` segments of `seg` bytes.
+    fn charge_ld(
+        stats: &mut KernelStats,
+        lanes: &Lanes<'_>,
+        width: u64,
+        transactions: u64,
+        seg: u64,
+    ) {
+        stats.gm_ld_requests += 1;
+        stats.gm_ld_transactions += transactions;
+        stats.gm_ld_bytes_bus += transactions * seg;
+        stats.gm_ld_bytes_useful += u64::from(lanes.mask.count()) * width;
+    }
+
+    /// Charges one store request: its coalesced segments.
+    fn charge_st(
+        &self,
+        stats: &mut KernelStats,
+        lanes: &Lanes<'_>,
+        access: &PreparedAccess<'_>,
+        width: u64,
+    ) {
+        let seg = self.base().st_transaction_bytes();
+        let segs = access.segment_count(seg);
+        stats.gm_st_requests += 1;
+        stats.gm_st_transactions += segs;
+        stats.gm_st_bytes_bus += segs * seg;
+        stats.gm_st_bytes_useful += u64::from(lanes.mask.count()) * width;
+    }
+
     /// Device warp load of `V` consecutive `f32`s per lane (a
     /// `float`/`float2`/`float4` load for `V` = 1/2/4). Records one request
     /// and the coalesced transaction count.
@@ -378,34 +437,13 @@ impl<'a> GmPlane<'a> {
         &self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
-        mask: LaneMask,
+        lanes: Lanes<'_>,
     ) -> [[f32; V]; WARP_SIZE] {
         let width = (V * 4) as u64;
-        let mut out = [[0.0f32; V]; WARP_SIZE];
-        if self.plain_in_bounds(addrs, width, mask) {
-            let base = self.base();
-            for lane in mask.iter() {
-                let raw = base.bytes(addrs[lane], V * 4);
-                for (v, slot) in out[lane].iter_mut().enumerate() {
-                    *slot = f32::from_le_bytes(raw[v * 4..v * 4 + 4].try_into().unwrap());
-                }
-            }
-        } else {
-            let mut raw = [0u8; MAX_LANE_BYTES];
-            for lane in mask.iter() {
-                self.read_into(addrs[lane], &mut raw[..V * 4], site, lane);
-                for (v, slot) in out[lane].iter_mut().enumerate() {
-                    *slot = f32::from_le_bytes(raw[v * 4..v * 4 + 4].try_into().unwrap());
-                }
-            }
-        }
+        let access = lanes.prepare(width);
+        let out = self.load_f32s::<V>(site, &lanes, &access);
         let seg = self.base().ld_transaction_bytes();
-        let segs = segment_count(addrs, width, mask, seg);
-        stats.gm_ld_requests += 1;
-        stats.gm_ld_transactions += segs;
-        stats.gm_ld_bytes_bus += segs * seg;
-        stats.gm_ld_bytes_useful += mask.count() as u64 * width;
+        Self::charge_ld(stats, &lanes, width, access.segment_count(seg), seg);
         out
     }
 
@@ -421,46 +459,24 @@ impl<'a> GmPlane<'a> {
         stats: &mut KernelStats,
         ro: &mut RoCache,
         site: Site,
-        addrs: &WarpAddrs,
-        mask: LaneMask,
+        lanes: Lanes<'_>,
     ) -> [[f32; V]; WARP_SIZE] {
         let width = (V * 4) as u64;
-        let mut out = [[0.0f32; V]; WARP_SIZE];
-        if self.plain_in_bounds(addrs, width, mask) {
-            let base = self.base();
-            for lane in mask.iter() {
-                let raw = base.bytes(addrs[lane], V * 4);
-                for (v, slot) in out[lane].iter_mut().enumerate() {
-                    *slot = f32::from_le_bytes(raw[v * 4..v * 4 + 4].try_into().unwrap());
-                }
-            }
-        } else {
-            let mut raw = [0u8; MAX_LANE_BYTES];
-            for lane in mask.iter() {
-                self.read_into(addrs[lane], &mut raw[..V * 4], site, lane);
-                for (v, slot) in out[lane].iter_mut().enumerate() {
-                    *slot = f32::from_le_bytes(raw[v * 4..v * 4 + 4].try_into().unwrap());
-                }
-            }
-        }
+        let access = lanes.prepare(width);
+        let out = self.load_f32s::<V>(site, &lanes, &access);
         // Count transactions only for lines missing from the block cache;
-        // lines are touched in first-occurrence order, preserving the FIFO's
+        // lines are touched in first-visit order, preserving the FIFO's
         // insertion order.
         let seg = self.base().ld_transaction_bytes();
         let mut misses = 0u64;
-        dedup::for_each_unit(addrs, width, mask, seg, |line, first_visit| {
-            if first_visit {
-                if ro.touch(line) {
-                    stats.gm_ro_hits += 1;
-                } else {
-                    misses += 1;
-                }
+        access.for_each_new_unit(seg, |line| {
+            if ro.touch(line) {
+                stats.gm_ro_hits += 1;
+            } else {
+                misses += 1;
             }
         });
-        stats.gm_ld_requests += 1;
-        stats.gm_ld_transactions += misses;
-        stats.gm_ld_bytes_bus += misses * seg;
-        stats.gm_ld_bytes_useful += mask.count() as u64 * width;
+        Self::charge_ld(stats, &lanes, width, misses, seg);
         out
     }
 
@@ -472,13 +488,14 @@ impl<'a> GmPlane<'a> {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
+        lanes: Lanes<'_>,
         values: &[[f32; V]; WARP_SIZE],
-        mask: LaneMask,
     ) {
         let width = (V * 4) as u64;
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
         let mut raw = [0u8; MAX_LANE_BYTES];
-        if self.plain_in_bounds(addrs, width, mask) {
+        if self.plain_in_bounds(&access) {
             let GmPlane::Direct(gm) = self else {
                 unreachable!("plain_in_bounds only holds for direct planes")
             };
@@ -497,12 +514,7 @@ impl<'a> GmPlane<'a> {
                 self.write(addrs[lane], &raw[..V * 4], site, lane);
             }
         }
-        let seg = self.base().st_transaction_bytes();
-        let segs = segment_count(addrs, width, mask, seg);
-        stats.gm_st_requests += 1;
-        stats.gm_st_transactions += segs;
-        stats.gm_st_bytes_bus += segs * seg;
-        stats.gm_st_bytes_useful += mask.count() as u64 * width;
+        self.charge_st(stats, &lanes, &access, width);
     }
 
     /// Device warp load of `W` raw bytes per lane (used by the short-data-
@@ -513,12 +525,13 @@ impl<'a> GmPlane<'a> {
         &self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
-        mask: LaneMask,
+        lanes: Lanes<'_>,
     ) -> [[u8; W]; WARP_SIZE] {
         let width = W as u64;
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
         let mut out = [[0u8; W]; WARP_SIZE];
-        if self.plain_in_bounds(addrs, width, mask) {
+        if self.plain_in_bounds(&access) {
             let base = self.base();
             for lane in mask.iter() {
                 out[lane].copy_from_slice(base.bytes(addrs[lane], W));
@@ -529,11 +542,7 @@ impl<'a> GmPlane<'a> {
             }
         }
         let seg = self.base().ld_transaction_bytes();
-        let segs = segment_count(addrs, width, mask, seg);
-        stats.gm_ld_requests += 1;
-        stats.gm_ld_transactions += segs;
-        stats.gm_ld_bytes_bus += segs * seg;
-        stats.gm_ld_bytes_useful += mask.count() as u64 * width;
+        Self::charge_ld(stats, &lanes, width, access.segment_count(seg), seg);
         out
     }
 
@@ -544,12 +553,13 @@ impl<'a> GmPlane<'a> {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
+        lanes: Lanes<'_>,
         values: &[[u8; W]; WARP_SIZE],
-        mask: LaneMask,
     ) {
         let width = W as u64;
-        if self.plain_in_bounds(addrs, width, mask) {
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
+        if self.plain_in_bounds(&access) {
             let GmPlane::Direct(gm) = self else {
                 unreachable!("plain_in_bounds only holds for direct planes")
             };
@@ -561,12 +571,7 @@ impl<'a> GmPlane<'a> {
                 self.write(addrs[lane], &values[lane], site, lane);
             }
         }
-        let seg = self.base().st_transaction_bytes();
-        let segs = segment_count(addrs, width, mask, seg);
-        stats.gm_st_requests += 1;
-        stats.gm_st_transactions += segs;
-        stats.gm_st_bytes_bus += segs * seg;
-        stats.gm_st_bytes_useful += mask.count() as u64 * width;
+        self.charge_st(stats, &lanes, &access, width);
     }
 }
 
@@ -625,61 +630,37 @@ impl<'a> CmPlane<'a> {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
-        mask: LaneMask,
+        lanes: Lanes<'_>,
     ) -> [f32; WARP_SIZE] {
         let mut out = [0.0f32; WARP_SIZE];
-        let line_bytes = self.base().line_bytes();
-        for lane in mask.iter() {
-            out[lane] = self.base().read_f32(addrs[lane], site, lane);
+        for lane in lanes.mask.iter() {
+            out[lane] = self.base().read_f32(lanes.addrs[lane], site, lane);
         }
-        // Serialization counts distinct addresses — order-insensitive, so it
-        // runs on the dispatched lane backend. Line touching is idempotent
-        // (`touch_line` / `LineBitmap::set` only report the first touch), so
-        // any dedup that visits every covered line at least once charges the
-        // same misses. The dominant pattern by far is a fully-uniform
-        // broadcast (all lanes on one filter element): one lane-engine
-        // bounds pass resolves it to one distinct address and one touch.
-        let mut touch = |line: u64, cm_misses: &mut u64| match self {
+        // Constant loads are priced at byte granularity: one distinct
+        // address past the first is one cycle. Line touching is
+        // idempotent (`touch_line` / `LineBitmap::set` only report the
+        // first touch), so the first visits of each line charge the
+        // misses; a power-of-two line is a unit of its own, any other
+        // line size divides each distinct address.
+        let access = lanes.prepare(1);
+        let line_bytes = self.base().line_bytes();
+        let mut touch = |line: u64| match self {
             CmPlane::Direct(cm) => {
                 if cm.touch_line(line) {
-                    *cm_misses += 1;
+                    stats.cm_misses += 1;
                 }
             }
             CmPlane::Shared { touched, .. } => {
                 touched.set(line);
             }
         };
-        let distinct = match lanes::unit_bounds(addrs, 1, mask, 1) {
-            None => 0,
-            Some((lo, hi)) if lo == hi => {
-                touch(lo / line_bytes, &mut stats.cm_misses);
-                1
-            }
-            Some(_) => {
-                let distinct = lanes::distinct_units(addrs, 1, mask, 1);
-                if line_bytes.is_power_of_two() {
-                    dedup::for_each_unit(addrs, 1, mask, line_bytes, |line, first_visit| {
-                        if first_visit {
-                            touch(line, &mut stats.cm_misses);
-                        }
-                    });
-                } else {
-                    // Hand-built non-power-of-two line size: the engine's
-                    // shift-based units don't apply; dedup distinct
-                    // addresses and divide per first visit, as the
-                    // pre-engine code did.
-                    dedup::for_each_unit(addrs, 1, mask, 1, |a, first_visit| {
-                        if first_visit {
-                            touch(a / line_bytes, &mut stats.cm_misses);
-                        }
-                    });
-                }
-                distinct
-            }
-        };
+        if line_bytes.is_power_of_two() {
+            access.for_each_new_unit(line_bytes, touch);
+        } else {
+            access.for_each_new_unit(1, |addr| touch(addr / line_bytes));
+        }
         stats.cm_requests += 1;
-        stats.cm_cycles += distinct.saturating_sub(1);
+        stats.cm_cycles += access.segment_count(1).saturating_sub(1);
         out
     }
 }
@@ -689,6 +670,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPayload;
     use crate::testrng::Xoshiro;
+    use crate::warp::LaneMask;
     use crate::warp::{lane_addrs, lane_addrs_uniform};
     use std::collections::HashMap;
 
@@ -715,8 +697,7 @@ mod tests {
         let out = plane.warp_ld::<1>(
             &mut stats,
             Site::ZERO,
-            &lane_addrs(buf.f32_addr(0), 4),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs(buf.f32_addr(0), 4), LaneMask::ALL),
         );
         assert_eq!(out[5][0], 5.0);
         assert_eq!(stats.gm_ld_transactions, 1);
@@ -733,8 +714,17 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(buf.f32_addr(0), 4);
         let vals: [[f32; 1]; WARP_SIZE] = std::array::from_fn(|l| [l as f32 + 100.0]);
-        plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
-        let back = plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_st::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        let back = plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(back[7][0], 107.0);
         // The base is untouched until the journal is replayed.
         assert_eq!(m.read_f32s(buf, 7, 1).unwrap()[0], 7.0);
@@ -756,14 +746,34 @@ mod tests {
                     base: &m,
                     journal: WriteJournal::new(),
                 };
-                plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &v1, LaneMask::ALL);
-                plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &v2, LaneMask::first(8));
+                plane.warp_st::<1>(
+                    &mut stats,
+                    Site::ZERO,
+                    Lanes::explicit(&addrs, LaneMask::ALL),
+                    &v1,
+                );
+                plane.warp_st::<1>(
+                    &mut stats,
+                    Site::ZERO,
+                    Lanes::explicit(&addrs, LaneMask::first(8)),
+                    &v2,
+                );
                 let journal = plane.into_journal().unwrap();
                 m.apply_journal(&journal);
             } else {
                 let mut plane = GmPlane::Direct(&mut m);
-                plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &v1, LaneMask::ALL);
-                plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &v2, LaneMask::first(8));
+                plane.warp_st::<1>(
+                    &mut stats,
+                    Site::ZERO,
+                    Lanes::explicit(&addrs, LaneMask::ALL),
+                    &v1,
+                );
+                plane.warp_st::<1>(
+                    &mut stats,
+                    Site::ZERO,
+                    Lanes::explicit(&addrs, LaneMask::first(8)),
+                    &v2,
+                );
             }
             (m.read_f32s(buf, 0, 64).unwrap(), stats)
         };
@@ -787,8 +797,17 @@ mod tests {
         let vals: [[f32; 1]; WARP_SIZE] = std::array::from_fn(|l| [l as f32]);
         // Nothing in the base shadow, but the block's own journal covers
         // the bytes: the read-back is clean.
-        plane.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
-        let back = plane.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_st::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        let back = plane.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(back[9][0], 9.0);
     }
 
@@ -807,8 +826,7 @@ mod tests {
             plane.warp_ld::<1>(
                 &mut stats,
                 Site::ZERO,
-                &lane_addrs(buf.f32_addr(0), 4),
-                LaneMask::ALL,
+                Lanes::explicit(&lane_addrs(buf.f32_addr(0), 4), LaneMask::ALL),
             );
         })
         .unwrap_err();
@@ -887,8 +905,18 @@ mod tests {
         let mut ro = RoCache::new(16);
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(buf.f32_addr(0), 4);
-        plane.warp_ld_ro::<1>(&mut stats, &mut ro, Site::ZERO, &addrs, LaneMask::ALL);
-        plane.warp_ld_ro::<1>(&mut stats, &mut ro, Site::ZERO, &addrs, LaneMask::ALL);
+        plane.warp_ld_ro::<1>(
+            &mut stats,
+            &mut ro,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
+        plane.warp_ld_ro::<1>(
+            &mut stats,
+            &mut ro,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(stats.gm_ld_transactions, 1); // second read fully cached
         assert_eq!(stats.gm_ro_hits, 1);
     }
@@ -902,14 +930,12 @@ mod tests {
         plane.warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(0),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(0), LaneMask::ALL),
         );
         plane.warp_ld_f32(
             &mut stats,
             Site::ZERO,
-            &lane_addrs_uniform(4),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs_uniform(4), LaneMask::ALL),
         );
         assert_eq!(stats.cm_misses, 0); // deferred
         assert_eq!(stats.cm_requests, 2);

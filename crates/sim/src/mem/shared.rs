@@ -43,7 +43,8 @@
 
 use crate::fault::{self, AccessKind, FaultKind, Hazard, MemSpace, Site};
 use crate::mem::shadow::Shadow;
-use crate::mem::{dedup, lanes};
+use crate::mem::{dedup, lanes, Lanes};
+use crate::pricing::PreparedAccess;
 use crate::spec::{BankWidth, WARP_SIZE};
 use crate::stats::KernelStats;
 use crate::warp::{LaneMask, WarpAddrs};
@@ -75,7 +76,7 @@ pub struct BankAccessOutcome {
 /// assert_eq!(out.cycles, 1);
 /// assert!(out.broadcast); // lane pairs share an 8-byte word
 ///
-/// // Two-way conflict: lanes stride by a full row of 32 words.
+/// // 32-way conflict: lanes stride by a full row of 32 words.
 /// let out = bank_conflict_cycles(
 ///     &lane_addrs(0, 32 * 8), 4, LaneMask::ALL, 32, BankWidth::B8);
 /// assert_eq!(out.cycles, 32); // every lane in bank 0, distinct words
@@ -353,14 +354,38 @@ impl SharedMemory {
     /// (sanitizer attached, or some lane out of bounds) takes the original
     /// per-lane path, which raises faults at exactly the same lane, in the
     /// same order, with the same partially-applied stores as before. The
-    /// warp-level bound uses `saturating_add` so a wrapping address still
-    /// fails into the faulting path.
+    /// warp-level bound saturates, so a wrapping address still fails into
+    /// the faulting path.
     #[inline]
-    fn plain_in_bounds(&self, addrs: &WarpAddrs, width: u64, mask: LaneMask) -> bool {
+    fn plain_in_bounds(&self, access: &PreparedAccess<'_>) -> bool {
         if self.shadow.is_some() || self.races.is_some() {
             return false;
         }
-        lanes::max_end(addrs, width, mask) <= self.data.len() as u64
+        access.max_end() <= self.data.len() as u64
+    }
+
+    /// Charges one warp access of `width`-byte lanes: its bank-conflict
+    /// cycles and broadcast, priced from its lane form.
+    #[inline]
+    fn charge(
+        &self,
+        stats: &mut KernelStats,
+        access: &PreparedAccess<'_>,
+        mask: LaneMask,
+        width: u64,
+        load: bool,
+    ) {
+        let outcome = access.bank_conflict_cycles(self.banks, self.bank_width);
+        if load {
+            stats.sm_ld_requests += 1;
+            stats.sm_ld_cycles += outcome.cycles;
+        } else {
+            stats.sm_st_requests += 1;
+            stats.sm_st_cycles += outcome.cycles;
+        }
+        stats.sm_bytes_useful += u64::from(mask.count()) * width;
+        stats.sm_broadcasts += u64::from(outcome.broadcast);
+        stats.sm_conflict_histogram[KernelStats::conflict_bucket(outcome.cycles)] += 1;
     }
 
     /// Warp load of `V` consecutive `f32`s per lane from block-local byte
@@ -373,12 +398,13 @@ impl SharedMemory {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
-        mask: LaneMask,
+        lanes: Lanes<'_>,
     ) -> [[f32; V]; WARP_SIZE] {
         let width = (V * 4) as u64;
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
         let mut out = [[0.0f32; V]; WARP_SIZE];
-        if self.plain_in_bounds(addrs, width, mask) {
+        if self.plain_in_bounds(&access) {
             if mask.is_all() {
                 for lane in 0..WARP_SIZE {
                     let a = addrs[lane] as usize;
@@ -406,12 +432,7 @@ impl SharedMemory {
                 }
             }
         }
-        let outcome = bank_conflict_cycles(addrs, width, mask, self.banks, self.bank_width);
-        stats.sm_ld_requests += 1;
-        stats.sm_ld_cycles += outcome.cycles;
-        stats.sm_bytes_useful += mask.count() as u64 * width;
-        stats.sm_broadcasts += u64::from(outcome.broadcast);
-        stats.sm_conflict_histogram[KernelStats::conflict_bucket(outcome.cycles)] += 1;
+        self.charge(stats, &access, mask, width, true);
         out
     }
 
@@ -422,12 +443,13 @@ impl SharedMemory {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
+        lanes: Lanes<'_>,
         values: &[[f32; V]; WARP_SIZE],
-        mask: LaneMask,
     ) {
         let width = (V * 4) as u64;
-        if self.plain_in_bounds(addrs, width, mask) {
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
+        if self.plain_in_bounds(&access) {
             if mask.is_all() {
                 for lane in 0..WARP_SIZE {
                     let a = addrs[lane] as usize;
@@ -455,12 +477,7 @@ impl SharedMemory {
                 }
             }
         }
-        let outcome = bank_conflict_cycles(addrs, width, mask, self.banks, self.bank_width);
-        stats.sm_st_requests += 1;
-        stats.sm_st_cycles += outcome.cycles;
-        stats.sm_bytes_useful += mask.count() as u64 * width;
-        stats.sm_broadcasts += u64::from(outcome.broadcast);
-        stats.sm_conflict_histogram[KernelStats::conflict_bucket(outcome.cycles)] += 1;
+        self.charge(stats, &access, mask, width, false);
     }
 
     /// Warp load of `W` raw bytes per lane (short-data-type extension).
@@ -470,12 +487,13 @@ impl SharedMemory {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
-        mask: LaneMask,
+        lanes: Lanes<'_>,
     ) -> [[u8; W]; WARP_SIZE] {
         let width = W as u64;
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
         let mut out = [[0u8; W]; WARP_SIZE];
-        if self.plain_in_bounds(addrs, width, mask) {
+        if self.plain_in_bounds(&access) {
             for lane in mask.iter() {
                 let a = addrs[lane] as usize;
                 out[lane].copy_from_slice(&self.data[a..a + W]);
@@ -487,12 +505,7 @@ impl SharedMemory {
                 out[lane].copy_from_slice(&self.data[a as usize..a as usize + W]);
             }
         }
-        let outcome = bank_conflict_cycles(addrs, width, mask, self.banks, self.bank_width);
-        stats.sm_ld_requests += 1;
-        stats.sm_ld_cycles += outcome.cycles;
-        stats.sm_bytes_useful += mask.count() as u64 * width;
-        stats.sm_broadcasts += u64::from(outcome.broadcast);
-        stats.sm_conflict_histogram[KernelStats::conflict_bucket(outcome.cycles)] += 1;
+        self.charge(stats, &access, mask, width, true);
         out
     }
 
@@ -503,12 +516,13 @@ impl SharedMemory {
         &mut self,
         stats: &mut KernelStats,
         site: Site,
-        addrs: &WarpAddrs,
+        lanes: Lanes<'_>,
         values: &[[u8; W]; WARP_SIZE],
-        mask: LaneMask,
     ) {
         let width = W as u64;
-        if self.plain_in_bounds(addrs, width, mask) {
+        let access = lanes.prepare(width);
+        let (addrs, mask) = (lanes.addrs, lanes.mask);
+        if self.plain_in_bounds(&access) {
             for lane in mask.iter() {
                 let a = addrs[lane] as usize;
                 self.data[a..a + W].copy_from_slice(&values[lane]);
@@ -520,12 +534,7 @@ impl SharedMemory {
                 self.data[a as usize..a as usize + W].copy_from_slice(&values[lane]);
             }
         }
-        let outcome = bank_conflict_cycles(addrs, width, mask, self.banks, self.bank_width);
-        stats.sm_st_requests += 1;
-        stats.sm_st_cycles += outcome.cycles;
-        stats.sm_bytes_useful += mask.count() as u64 * width;
-        stats.sm_broadcasts += u64::from(outcome.broadcast);
-        stats.sm_conflict_histogram[KernelStats::conflict_bucket(outcome.cycles)] += 1;
+        self.charge(stats, &access, mask, width, false);
     }
 }
 
@@ -644,8 +653,17 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(0, 8);
         let vals: [[f32; 2]; WARP_SIZE] = std::array::from_fn(|l| [l as f32, -(l as f32)]);
-        sm.warp_st::<2>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
-        let back = sm.warp_ld::<2>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        sm.warp_st::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        let back = sm.warp_ld::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(back[9], [9.0, -9.0]);
         assert_eq!(stats.sm_st_requests, 1);
         assert_eq!(stats.sm_ld_requests, 1);
@@ -664,12 +682,20 @@ mod tests {
         let mut unmatched = KernelStats::default();
         for i in 0..8u64 {
             let addrs = lane_addrs(i * 128, 4);
-            sm.warp_ld::<1>(&mut unmatched, Site::ZERO, &addrs, LaneMask::ALL);
+            sm.warp_ld::<1>(
+                &mut unmatched,
+                Site::ZERO,
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            );
         }
         let mut matched = KernelStats::default();
         for i in 0..4u64 {
             let addrs = lane_addrs(i * 256, 8);
-            sm.warp_ld::<2>(&mut matched, Site::ZERO, &addrs, LaneMask::ALL);
+            sm.warp_ld::<2>(
+                &mut matched,
+                Site::ZERO,
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            );
         }
         assert_eq!(unmatched.sm_bytes_useful, matched.sm_bytes_useful);
         let u_un = unmatched.sm_bandwidth_utilization(spec_bw);
@@ -684,8 +710,17 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(0, 2);
         let vals: [[u8; 2]; WARP_SIZE] = std::array::from_fn(|l| [l as u8, 0xCD]);
-        sm.warp_st_bytes::<2>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
-        let back = sm.warp_ld_bytes::<2>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        sm.warp_st_bytes::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        let back = sm.warp_ld_bytes::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(back[31], [31, 0xCD]);
         // fp16-style mismatch on 4-byte banks: lanes pair up in words.
         assert_eq!(stats.sm_ld_cycles, 1);
@@ -697,13 +732,16 @@ mod tests {
         let mut sm = SharedMemory::new(32 * 8 * 32, B, BankWidth::B8);
         let mut stats = KernelStats::default();
         // Conflict-free float2 load.
-        sm.warp_ld::<2>(&mut stats, Site::ZERO, &lane_addrs(0, 8), LaneMask::ALL);
+        sm.warp_ld::<2>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&lane_addrs(0, 8), LaneMask::ALL),
+        );
         // 32-way conflicted column access.
         sm.warp_ld::<1>(
             &mut stats,
             Site::ZERO,
-            &lane_addrs(0, 32 * 8),
-            LaneMask::ALL,
+            Lanes::explicit(&lane_addrs(0, 32 * 8), LaneMask::ALL),
         );
         assert_eq!(stats.sm_conflict_histogram[0], 1);
         assert_eq!(stats.sm_conflict_histogram[5], 1);
@@ -715,7 +753,11 @@ mod tests {
         let p = trap(|| {
             let mut sm = SharedMemory::new(64, B, BankWidth::B8);
             let mut stats = KernelStats::default();
-            sm.warp_ld::<1>(&mut stats, site(1, 0), &lane_addrs(0, 4), LaneMask::ALL);
+            sm.warp_ld::<1>(
+                &mut stats,
+                site(1, 0),
+                Lanes::explicit(&lane_addrs(0, 4), LaneMask::ALL),
+            );
         });
         // Lane 16 is the first whose 4-byte read at offset 64 overflows.
         assert_eq!(p.warp, 1);
@@ -742,7 +784,11 @@ mod tests {
         let p = trap(|| {
             let mut sm = SharedMemory::new(256, B, BankWidth::B8).with_sanitizer(true, false);
             let mut stats = KernelStats::default();
-            sm.warp_ld::<1>(&mut stats, Site::ZERO, &lane_addrs(0, 4), LaneMask::ALL);
+            sm.warp_ld::<1>(
+                &mut stats,
+                Site::ZERO,
+                Lanes::explicit(&lane_addrs(0, 4), LaneMask::ALL),
+            );
         });
         assert!(matches!(
             p.kind,
@@ -760,8 +806,17 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(0, 4);
         let vals: [[f32; 1]; WARP_SIZE] = std::array::from_fn(|l| [l as f32]);
-        sm.warp_st::<1>(&mut stats, Site::ZERO, &addrs, &vals, LaneMask::ALL);
-        let back = sm.warp_ld::<1>(&mut stats, Site::ZERO, &addrs, LaneMask::ALL);
+        sm.warp_st::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        let back = sm.warp_ld::<1>(
+            &mut stats,
+            Site::ZERO,
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
         assert_eq!(back[3][0], 3.0);
     }
 
@@ -773,8 +828,18 @@ mod tests {
             let addrs = lane_addrs(0, 4);
             let vals: [[f32; 1]; WARP_SIZE] = [[0.0]; WARP_SIZE];
             // Two warps store to the same bytes in the same phase.
-            sm.warp_st::<1>(&mut stats, site(0, 0), &addrs, &vals, LaneMask::ALL);
-            sm.warp_st::<1>(&mut stats, site(1, 0), &addrs, &vals, LaneMask::ALL);
+            sm.warp_st::<1>(
+                &mut stats,
+                site(0, 0),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+                &vals,
+            );
+            sm.warp_st::<1>(
+                &mut stats,
+                site(1, 0),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+                &vals,
+            );
         });
         assert_eq!(p.warp, 1);
         match p.kind {
@@ -798,8 +863,17 @@ mod tests {
             let mut stats = KernelStats::default();
             let addrs = lane_addrs(0, 4);
             let vals: [[f32; 1]; WARP_SIZE] = [[1.0]; WARP_SIZE];
-            sm.warp_st::<1>(&mut stats, site(0, 0), &addrs, &vals, LaneMask::ALL);
-            sm.warp_ld::<1>(&mut stats, site(1, 0), &addrs, LaneMask::ALL);
+            sm.warp_st::<1>(
+                &mut stats,
+                site(0, 0),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+                &vals,
+            );
+            sm.warp_ld::<1>(
+                &mut stats,
+                site(1, 0),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            );
         });
         assert!(matches!(
             p.kind,
@@ -820,9 +894,23 @@ mod tests {
             let vals: [[f32; 1]; WARP_SIZE] = [[1.0]; WARP_SIZE];
             // Warp 0 writes and reads in phase 0; barrier; warp 2 reads in
             // phase 1, then warp 5 overwrites in the same phase.
-            sm.warp_st::<1>(&mut stats, site(0, 0), &addrs, &vals, LaneMask::ALL);
-            sm.warp_ld::<1>(&mut stats, site(2, 1), &addrs, LaneMask::ALL);
-            sm.warp_st::<1>(&mut stats, site(5, 1), &addrs, &vals, LaneMask::ALL);
+            sm.warp_st::<1>(
+                &mut stats,
+                site(0, 0),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+                &vals,
+            );
+            sm.warp_ld::<1>(
+                &mut stats,
+                site(2, 1),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            );
+            sm.warp_st::<1>(
+                &mut stats,
+                site(5, 1),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+                &vals,
+            );
         });
         assert_eq!(p.warp, 5);
         assert!(matches!(
@@ -842,9 +930,18 @@ mod tests {
         let addrs = lane_addrs(0, 4);
         let vals: [[f32; 1]; WARP_SIZE] = std::array::from_fn(|l| [l as f32]);
         // Warp 0 writes in phase 0; after a barrier every warp may read.
-        sm.warp_st::<1>(&mut stats, site(0, 0), &addrs, &vals, LaneMask::ALL);
+        sm.warp_st::<1>(
+            &mut stats,
+            site(0, 0),
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
         for w in 0..4 {
-            let back = sm.warp_ld::<1>(&mut stats, site(w, 1), &addrs, LaneMask::ALL);
+            let back = sm.warp_ld::<1>(
+                &mut stats,
+                site(w, 1),
+                Lanes::explicit(&addrs, LaneMask::ALL),
+            );
             assert_eq!(back[11][0], 11.0);
         }
     }
@@ -856,9 +953,23 @@ mod tests {
         let mut stats = KernelStats::default();
         let addrs = lane_addrs(0, 4);
         let vals: [[f32; 1]; WARP_SIZE] = [[2.0]; WARP_SIZE];
-        sm.warp_st::<1>(&mut stats, site(3, 0), &addrs, &vals, LaneMask::ALL);
-        sm.warp_st::<1>(&mut stats, site(3, 0), &addrs, &vals, LaneMask::ALL);
-        sm.warp_ld::<1>(&mut stats, site(3, 0), &addrs, LaneMask::ALL);
+        sm.warp_st::<1>(
+            &mut stats,
+            site(3, 0),
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        sm.warp_st::<1>(
+            &mut stats,
+            site(3, 0),
+            Lanes::explicit(&addrs, LaneMask::ALL),
+            &vals,
+        );
+        sm.warp_ld::<1>(
+            &mut stats,
+            site(3, 0),
+            Lanes::explicit(&addrs, LaneMask::ALL),
+        );
     }
 
     #[test]
@@ -871,9 +982,8 @@ mod tests {
             sm.warp_st::<1>(
                 &mut stats,
                 site(w as usize, 0),
-                &addrs,
+                Lanes::explicit(&addrs, LaneMask::ALL),
                 &vals,
-                LaneMask::ALL,
             );
         }
     }

@@ -55,7 +55,7 @@
 
 use super::form::{TwoLevel, WarpAccess, TWO_LEVEL_PERIODS};
 use super::{for_each_unit, segment_count};
-use crate::mem::{bank_conflict_cycles, BankAccessOutcome};
+use crate::mem::{bank_conflict_cycles, lanes, BankAccessOutcome};
 use crate::spec::{BankWidth, WARP_SIZE};
 use crate::warp::{LaneMask, WarpAddrs};
 
@@ -114,7 +114,7 @@ enum Shape {
     Lanes,
 }
 
-impl PreparedAccess<'_> {
+impl<'a> PreparedAccess<'a> {
     /// Distinct aligned `unit`s covered by the active lanes — what
     /// [`segment_count`] returns: global-memory transactions for a
     /// segment size, distinct constant addresses for unit 1 and width 1.
@@ -159,6 +159,33 @@ impl PreparedAccess<'_> {
             Shape::Lanes => None,
         };
         closed.unwrap_or_else(|| self.lanes_bank_conflict_cycles(banks, bank_width))
+    }
+
+    /// The maximum over active lanes of `addr.saturating_add(width)`, 0
+    /// when no lane is active — what [`lanes::max_end`] returns: the
+    /// live models' warp-level bounds predicate.
+    #[inline]
+    pub(crate) fn max_end(&self) -> u64 {
+        match &self.shape {
+            Shape::Empty => 0,
+            Shape::Run(run) => (run.lo + run.d * (run.n - 1)).saturating_add(self.width),
+            Shape::Tile(tile) => tile.last().saturating_add(self.width),
+            Shape::Lanes => self.with_lanes(|addrs| lanes::max_end(addrs, self.width, self.mask)),
+        }
+    }
+
+    /// This access, priced by the lane engine on `addrs` — the access
+    /// expanded under its mask — when it has no closed form, so a caller
+    /// that already expanded it does not expand it again.
+    #[inline]
+    pub(crate) fn or_lanes(self, addrs: &'a WarpAddrs) -> Self {
+        match self.shape {
+            Shape::Lanes => PreparedAccess {
+                access: WarpAccess::Explicit(addrs),
+                ..self
+            },
+            _ => self,
+        }
     }
 
     // The lane-engine paths stay out of line: the engine's kilobytes of
@@ -446,6 +473,13 @@ impl Tile {
             inner_n,
             lane_order,
         })
+    }
+
+    /// The last lane's address: the highest, since the walk never steps
+    /// down.
+    #[inline]
+    fn last(&self) -> u64 {
+        self.base + self.outer * (self.outer_n - 1) + self.inner * (self.inner_n - 1)
     }
 
     // The tile walks stay out of line, keeping the run forms' callers

@@ -54,6 +54,12 @@ fn check(access: WarpAccess<'_>, mask: LaneMask, width: u64, banks: &[(u32, Bank
     let addrs = access.addrs(mask);
     let prepared = access.prepare(mask, width);
     let ctx = || format!("{access:?} mask {:#010x} width {width}", mask.0);
+    assert_eq!(
+        prepared.max_end(),
+        lanes::max_end(&addrs, width, mask),
+        "bounds: {}",
+        ctx()
+    );
     for unit in UNITS {
         assert_eq!(
             prepared.segment_count(unit),
@@ -209,6 +215,35 @@ fn two_level_closed_forms_equal_the_lane_engine() {
     }
     assert!(runs > cases / 4, "{runs} of {cases} priced as runs");
     assert!(tiles > cases / 20, "{tiles} of {cases} priced as tiles");
+}
+
+/// Two-level accesses under masks that need not keep lanes 0, 1 and `p`:
+/// the live models price a kernel's form under the warp's population,
+/// which a partial last warp cuts short.
+#[test]
+fn two_level_forms_under_any_mask_equal_the_lane_engine() {
+    let banks = bank_keys();
+    let mut rng = Xoshiro::seeded(0x0FF_CA40_0CA1);
+    let mut runs = 0;
+    let cases = 2000;
+    for _ in 0..cases {
+        let p = TWO_LEVEL_PERIODS[(rng.next() % 4) as usize];
+        let (s1, s2) = match rng.next() % 3 {
+            0 => (0, step(&mut rng)),
+            1 => (step(&mut rng), 0),
+            _ => (step(&mut rng), step(&mut rng)),
+        };
+        let form = TwoLevel {
+            p,
+            base: address(&mut rng),
+            s1,
+            s2,
+        };
+        let width = 1 + rng.next() % 16;
+        let shape = check(WarpAccess::TwoLevel(form), mask(&mut rng), width, &banks);
+        runs += usize::from(matches!(shape, Shape::Run(_)));
+    }
+    assert!(runs > cases / 4, "{runs} of {cases} priced as runs");
 }
 
 /// The shapes the module docs name, one by one, each on the closed path.

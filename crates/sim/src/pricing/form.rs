@@ -26,9 +26,15 @@ pub enum WarpAccess<'a> {
     },
     /// The two-level tile form (see [`TwoLevel`]).
     TwoLevel(TwoLevel),
-    /// Any other shape: the canonical lane addresses (inactive lanes
-    /// zero).
+    /// Any other shape: the lane addresses, of which only the active
+    /// lanes' are read (a decoded trace zeroes the inactive ones).
     Explicit(&'a WarpAddrs),
+}
+
+impl<'a> From<&'a WarpAddrs> for WarpAccess<'a> {
+    fn from(addrs: &'a WarpAddrs) -> Self {
+        WarpAccess::Explicit(addrs)
+    }
 }
 
 impl WarpAccess<'_> {

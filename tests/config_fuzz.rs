@@ -50,48 +50,61 @@ fn special_config_fuzz() {
 }
 
 /// Random valid general-case configurations compute the reference.
+/// `W_T` ∈ {2, 4, 8} runs the kernel's compile-time register tiles; the
+/// second loop draws `W_T` ∈ {6, 12}, which have none and run the same
+/// kernel body at run-time width.
 #[test]
 fn general_config_fuzz() {
     let mut rng = StdRng::seed_from_u64(0x6E4E);
-    let mut ran = 0;
-    for _ in 0..16 {
-        let width = *rng.choose(&[8usize, 16, 32]);
-        let height = *rng.choose(&[2usize, 4]);
-        let w_t = *rng.choose(&[2usize, 4, 8]);
-        let f_t = *rng.choose(&[2usize, 4]);
-        let f_groups = rng.gen_range(1..3);
-        let c_sh = *rng.choose(&[1usize, 2]);
-        let c_mult = rng.gen_range(1..3);
-        let k = *rng.choose(&[1usize, 3, 5]);
-        let f_tb = f_t * 2;
-        let cfg = GeneralConfig {
-            width,
-            height,
-            f_tb,
-            w_t,
-            f_t,
-            c_sh,
-            vec_width: 2,
-        };
-        let spec = GpuSpec::kepler_k40m();
-        if cfg.validate(&spec, k).is_err() || !width.is_multiple_of(w_t) {
-            continue;
-        }
-        let c = c_sh * c_mult;
-        let f = f_tb * f_groups;
-        let n = width + k + 3; // ragged tiles on purpose
-        let problem = ConvProblem::general(n, c, f, k);
-        let input = random_maps(c, n, n, (width * 7 + k) as u64);
-        let filters = random_filters(f, c, k, 73);
-        let mut gpu = Gpu::new(spec);
-        let run = GeneralConv::new(cfg)
-            .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
-            .unwrap();
-        run.verify_executed(&problem, &input, &filters, CONV_TOL)
-            .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
-        ran += 1;
-    }
+    let ran = (0..16)
+        .filter(|_| general_draw(&mut rng, &[8, 16, 32], &[2, 4, 8]))
+        .count();
     assert!(ran >= 4, "too few valid draws: {ran}");
+    let ran = (0..8)
+        .filter(|_| general_draw(&mut rng, &[12, 24, 36], &[6, 12]))
+        .count();
+    assert!(ran >= 2, "too few valid run-time-width draws: {ran}");
+}
+
+/// Draws a general-case configuration with its width from `widths` and
+/// its `W_T` from `w_ts` and, when it validates, checks one ragged
+/// problem against the reference. Returns whether it ran.
+fn general_draw(rng: &mut StdRng, widths: &[usize], w_ts: &[usize]) -> bool {
+    let width = *rng.choose(widths);
+    let height = *rng.choose(&[2usize, 4]);
+    let w_t = *rng.choose(w_ts);
+    let f_t = *rng.choose(&[2usize, 4]);
+    let f_groups = rng.gen_range(1..3);
+    let c_sh = *rng.choose(&[1usize, 2]);
+    let c_mult = rng.gen_range(1..3);
+    let k = *rng.choose(&[1usize, 3, 5]);
+    let f_tb = f_t * 2;
+    let cfg = GeneralConfig {
+        width,
+        height,
+        f_tb,
+        w_t,
+        f_t,
+        c_sh,
+        vec_width: 2,
+    };
+    let spec = GpuSpec::kepler_k40m();
+    if cfg.validate(&spec, k).is_err() || !width.is_multiple_of(w_t) {
+        return false;
+    }
+    let c = c_sh * c_mult;
+    let f = f_tb * f_groups;
+    let n = width + k + 3; // ragged tiles on purpose
+    let problem = ConvProblem::general(n, c, f, k);
+    let input = random_maps(c, n, n, (width * 7 + k) as u64);
+    let filters = random_filters(f, c, k, 73);
+    let mut gpu = Gpu::new(spec);
+    let run = GeneralConv::new(cfg)
+        .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
+        .unwrap();
+    run.verify_executed(&problem, &input, &filters, CONV_TOL)
+        .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+    true
 }
 
 /// Random narrow-storage configurations compute the quantized
