@@ -485,37 +485,6 @@ pub fn run(args: &Args) -> ExitCode {
         &format!("{} replays compared", byte_reports.len()),
     );
 
-    // --- Lane backends: the same serial sweep under each engine ---
-    // The engine's bit-exactness contract makes in-process backend
-    // switching safe; the assert restates it per sweep (the full gate is
-    // the CI lanes matrix plus the sim crate's differential suite).
-    let lane_auto = lanes::active();
-    let mut lane_sweeps: Vec<(lanes::Backend, f64)> = Vec::new();
-    println!(
-        "\n[lanes] serial sweep per lane backend (dispatched: {})",
-        lane_auto.name()
-    );
-    for backend in lanes::Backend::available() {
-        lanes::force(backend);
-        let mut lane_s = f64::INFINITY;
-        for _ in 0..ITERS {
-            let t0 = Instant::now();
-            let lane_cells = sweep(&traces, &specs, Parallelism::Serial);
-            lane_s = lane_s.min(t0.elapsed().as_secs_f64());
-            assert!(
-                sweeps_identical(&cells, &lane_cells),
-                "lane backend {backend:?} diverged from the dispatched sweep"
-            );
-        }
-        println!(
-            "  {:<7} {lane_s:.3} s  ({:.0} cells/s)",
-            backend.name(),
-            cells_per_s(cells.len(), lane_s)
-        );
-        lane_sweeps.push((backend, lane_s));
-    }
-    lanes::force(lane_auto);
-
     // --- JSON artifact ---
     let mut corpus_json = String::new();
     for (i, cap) in captures.iter().enumerate() {
@@ -532,16 +501,11 @@ pub fn run(args: &Args) -> ExitCode {
     for (i, cell) in cells.iter().enumerate() {
         cells_json.push_str(&cell_json(&captures, &specs, cell, i + 1 == cells.len()));
     }
-    let lane_json = lane_sweeps
-        .iter()
-        .map(|(b, s)| format!("\"{}\": {s:.6}", b.name()))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"per_spec_serial_seconds\": {per_spec_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {ITERS},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"per_spec_serial_seconds\": {per_spec_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {ITERS},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         specs.len(),
         sweeps_identical(&cells, &threaded),
-        lane_auto.name(),
+        lanes::active().name(),
         c.checks,
         c.failures,
     );
@@ -574,6 +538,29 @@ mod tests {
         ] {
             let first = f(&specs[0]);
             assert!(specs.iter().any(|s| f(s) != first));
+        }
+    }
+
+    #[test]
+    fn grid_specs_survive_a_trace_round_trip() {
+        use kconv_sim::TraceSink;
+        for spec in spec_grid() {
+            let buf = kconv_trace::SharedBuffer::new();
+            let mut w = kconv_trace::TraceWriter::new(buf.clone());
+            w.launch_begin(&kconv_sim::TraceLaunch {
+                kernel: "grid",
+                grid_blocks: 1,
+                executed_blocks: 1,
+                threads_per_block: 32,
+                smem_bytes: 0,
+                regs_per_thread: 16,
+                overlap: kconv_sim::OverlapMode::Prefetch,
+                spec: &spec,
+            });
+            w.launch_end(&kconv_sim::KernelStats::default());
+            drop(w);
+            let trace = Trace::decode(&buf.take()).expect("grid spec decodes");
+            assert_eq!(trace.launches()[0].header.spec, spec);
         }
     }
 

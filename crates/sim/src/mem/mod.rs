@@ -6,7 +6,6 @@
 //! [`KernelStats`](crate::KernelStats)).
 
 pub(crate) mod constant;
-pub(crate) mod dedup;
 mod global;
 pub mod lanes;
 pub(crate) mod plane;

@@ -43,7 +43,7 @@
 
 use crate::fault::{self, AccessKind, FaultKind, Hazard, MemSpace, Site};
 use crate::mem::shadow::Shadow;
-use crate::mem::{dedup, lanes, Lanes};
+use crate::mem::{lanes, Lanes};
 use crate::pricing::PreparedAccess;
 use crate::spec::{BankWidth, WARP_SIZE};
 use crate::stats::KernelStats;
@@ -132,7 +132,7 @@ pub fn bank_conflict_cycles(
     let mut per_bank = [0u32; 64];
     let mut max_words = 1u32;
     let mut broadcast = false;
-    dedup::for_each_unit(addrs, width, mask, bw, |w, first_visit| {
+    lanes::for_each_unit(addrs, width, mask, bw, |w, first_visit| {
         if first_visit {
             let b = if pow2 { w & (nb - 1) } else { w % nb } as usize;
             per_bank[b] += 1;

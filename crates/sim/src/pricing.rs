@@ -43,12 +43,13 @@
 use std::collections::{HashSet, VecDeque};
 use std::hash::BuildHasherDefault;
 
-use crate::mem::{dedup, lanes};
+use crate::mem::lanes;
 use crate::warp::{LaneMask, WarpAddrs};
 
 mod closed;
 mod form;
 
+pub use crate::mem::lanes::for_each_unit;
 pub use crate::mem::{bank_conflict_cycles, BankAccessOutcome};
 pub use closed::PreparedAccess;
 pub use form::{affine_addrs, affine_lanes, TwoLevel, WarpAccess, TWO_LEVEL_PERIODS};
@@ -56,25 +57,6 @@ pub use form::{affine_addrs, affine_lanes, TwoLevel, WarpAccess, TWO_LEVEL_PERIO
 /// Size of the per-SM read-only (texture) cache modeled by [`RoCache`]:
 /// Kepler's 48 KiB.
 pub const RO_CACHE_BYTES: u64 = 48 * 1024;
-
-/// Visits every `unit`-sized aligned index covered by the active lanes'
-/// `[addr, addr + width)` byte ranges, in lane order (ascending within one
-/// lane's span), calling `visit(unit_index, first_occurrence)` for each.
-/// `unit` must be a power of two.
-///
-/// This is the one distinct-unit scan behind every dedup-based counter:
-/// global-memory segments, read-only/constant cache lines, distinct
-/// constant addresses. Visit order is part of the contract — the read-only
-/// cache's FIFO inserts lines in first-visit order.
-pub fn for_each_unit(
-    addrs: &WarpAddrs,
-    width: u64,
-    mask: LaneMask,
-    unit: u64,
-    visit: impl FnMut(u64, bool),
-) {
-    dedup::for_each_unit(addrs, width, mask, unit, visit);
-}
 
 /// Number of distinct aligned segments of `seg` bytes covered by the active
 /// lanes' `[addr, addr + width)` ranges — the global-memory transaction
@@ -90,9 +72,6 @@ pub fn for_each_unit(
 /// assert_eq!(pricing::segment_count(&lane_addrs(0, 4), 4, LaneMask::ALL, 32), 4);
 /// ```
 pub fn segment_count(addrs: &WarpAddrs, width: u64, mask: LaneMask, seg: u64) -> u64 {
-    // Distinct-unit counting is order-insensitive, so it runs on the
-    // dispatched lane backend ([`crate::mem::lanes`]) rather than the
-    // ordered visitor above.
     lanes::distinct_units(addrs, width, mask, seg)
 }
 

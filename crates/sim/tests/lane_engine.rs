@@ -1,7 +1,9 @@
-//! Differential gate for the 32-lane pricing engine: every backend in
-//! `kconv_sim::mem::lanes` must be bit-identical to the scalar reference
-//! for every kernel, on every input — including hostile ones no real
-//! kernel produces.
+//! The 32-lane pricing engine against a plain set model: every kernel in
+//! `kconv_sim::mem::lanes` — unit bounds, the ordered distinct-unit walk
+//! and its count, the bounds predicate and the bank-model occupancy —
+//! must equal what a naive walk over every covered unit says, on every
+//! input, including hostile ones no real kernel produces. The AVX2
+//! `occupancy` body must equal the scalar one.
 //!
 //! The random-warp generator sweeps mask densities (empty, single-lane,
 //! sparse, dense, full), widths 1/2/4/8/16, and address regimes from
@@ -11,11 +13,12 @@
 //! Seeds are fixed, so a divergence is a reproducible failure, not a
 //! flake.
 
+use std::collections::{HashMap, HashSet};
+
 use kconv_sim::mem::lanes::{
-    self, distinct_units_on, expand_mask_on, max_end_on, occupancy_on, unit_bounds_on,
-    word_span_on, Backend,
+    distinct_units, max_end, occupancy_on, unit_bounds, Backend, Occupancy,
 };
-use kconv_sim::pricing::{bank_conflict_cycles, segment_count};
+use kconv_sim::pricing::{bank_conflict_cycles, for_each_unit, segment_count, BankAccessOutcome};
 use kconv_sim::{lane_addrs_from, BankWidth, LaneMask, WarpAddrs};
 
 /// xoshiro256++ seeded by splitmix64 — a copy of the sim crate's
@@ -111,67 +114,68 @@ fn random_warp(rng: &mut Xoshiro) -> (WarpAddrs, LaneMask) {
     (addrs, mask)
 }
 
-/// Asserts every kernel agrees with the scalar reference on `warp` for one
-/// (width, unit) combination, on every backend this host supports.
-fn assert_backends_agree(addrs: &WarpAddrs, mask: LaneMask, width: u64, unit: u64) {
-    let bounds = unit_bounds_on(Backend::Scalar, addrs, width, mask, unit);
-    let distinct = distinct_units_on(Backend::Scalar, addrs, width, mask, unit);
-    let occ = occupancy_on(Backend::Scalar, addrs, width, mask, unit);
-    let span = word_span_on(Backend::Scalar, addrs, width, mask, unit);
-    // Cross-kernel invariants the scalar reference itself must satisfy:
-    // the occupancy bitmap exists exactly for the bank fast-path shape
-    // (non-empty mask, single-unit lanes, span under 128 units), is
-    // anchored at the bounds minimum, and its population is the distinct
-    // count.
-    match (occ, bounds, span) {
-        (Some(o), Some((lo, hi)), Some(s)) => {
-            assert!(s.single && hi - lo < 128);
-            assert_eq!(o.lo, lo);
-            assert_eq!(
-                u64::from(o.words[0].count_ones() + o.words[1].count_ones()),
-                distinct
-            );
+/// The set model: every unit each active lane covers, in lane order
+/// (ascending within a lane), with whether it is the unit's first visit.
+/// Spans end at `addr + width - 1`, saturating at `u64::MAX`.
+fn set_model(addrs: &WarpAddrs, width: u64, mask: LaneMask, unit: u64) -> Vec<(u64, bool)> {
+    let mut seen = HashSet::new();
+    let mut visits = Vec::new();
+    for lane in (0..32).filter(|&l| mask.is_active(l)) {
+        let a = addrs[lane];
+        for u in a / unit..=a.saturating_add(width - 1) / unit {
+            visits.push((u, seen.insert(u)));
         }
-        (None, Some((lo, hi)), Some(s)) => assert!(!s.single || hi - lo >= 128),
-        (None, None, None) => {}
-        _ => panic!("kernel Some/None shapes diverged on one warp"),
     }
-    let end = max_end_on(Backend::Scalar, addrs, width, mask);
-    let expanded = expand_mask_on(Backend::Scalar, mask);
-    for backend in lanes::Backend::available() {
-        let ctx = format!(
-            "backend {backend:?}, width {width}, unit {unit}, mask {:#x}",
-            mask.0
-        );
-        assert_eq!(
-            unit_bounds_on(backend, addrs, width, mask, unit),
-            bounds,
-            "unit_bounds diverged: {ctx}"
-        );
-        assert_eq!(
-            distinct_units_on(backend, addrs, width, mask, unit),
-            distinct,
-            "distinct_units diverged: {ctx}"
-        );
+    visits
+}
+
+/// Asserts every kernel equals the set model on one warp for one
+/// (width, unit) combination, and both `occupancy` bodies agree.
+fn assert_engine_matches_model(addrs: &WarpAddrs, mask: LaneMask, width: u64, unit: u64) {
+    let ctx = format!("width {width}, unit {unit}, mask {:#x}", mask.0);
+    let visits = set_model(addrs, width, mask, unit);
+    let units = || visits.iter().map(|&(u, _)| u);
+    let bounds = units().min().zip(units().max());
+    let distinct = visits.iter().filter(|&&(_, new)| new).count() as u64;
+    let active: Vec<usize> = (0..32).filter(|&l| mask.is_active(l)).collect();
+    let single = active
+        .iter()
+        .all(|&l| addrs[l] / unit == addrs[l].saturating_add(width - 1) / unit);
+    let occ = bounds
+        .filter(|&(lo, hi)| single && hi - lo < 128)
+        .map(|(lo, _)| {
+            let mut words = [0u64; 2];
+            for u in units() {
+                let idx = u - lo;
+                words[(idx / 64) as usize] |= 1 << (idx % 64);
+            }
+            Occupancy { lo, words }
+        });
+    let end = active
+        .iter()
+        .map(|&l| addrs[l].saturating_add(width))
+        .max()
+        .unwrap_or(0);
+
+    let mut walked = Vec::new();
+    for_each_unit(addrs, width, mask, unit, |u, new| walked.push((u, new)));
+    assert_eq!(walked, visits, "for_each_unit: {ctx}");
+    assert_eq!(
+        unit_bounds(addrs, width, mask, unit),
+        bounds,
+        "unit_bounds: {ctx}"
+    );
+    assert_eq!(
+        distinct_units(addrs, width, mask, unit),
+        distinct,
+        "distinct_units: {ctx}"
+    );
+    assert_eq!(max_end(addrs, width, mask), end, "max_end: {ctx}");
+    for backend in [Backend::Scalar, Backend::Simd] {
         assert_eq!(
             occupancy_on(backend, addrs, width, mask, unit),
             occ,
-            "occupancy diverged: {ctx}"
-        );
-        assert_eq!(
-            word_span_on(backend, addrs, width, mask, unit),
-            span,
-            "word_span diverged: {ctx}"
-        );
-        assert_eq!(
-            max_end_on(backend, addrs, width, mask),
-            end,
-            "max_end diverged: {ctx}"
-        );
-        assert_eq!(
-            expand_mask_on(backend, mask),
-            expanded,
-            "expand_mask diverged: {ctx}"
+            "occupancy on {backend:?}: {ctx}"
         );
     }
 }
@@ -183,12 +187,12 @@ fn backends_agree_on_ten_thousand_random_warps() {
         let (addrs, mask) = random_warp(&mut rng);
         let width = WIDTHS[(rng.next() % WIDTHS.len() as u64) as usize];
         let unit = UNITS[(rng.next() % UNITS.len() as u64) as usize];
-        assert_backends_agree(&addrs, mask, width, unit);
+        assert_engine_matches_model(&addrs, mask, width, unit);
         // Spot-extra: every width for a slice of the stream, to cover
         // width × regime combinations densely without 5×-ing the runtime.
         if i % 16 == 0 {
             for w in WIDTHS {
-                assert_backends_agree(&addrs, mask, w, unit);
+                assert_engine_matches_model(&addrs, mask, w, unit);
             }
         }
     }
@@ -214,48 +218,62 @@ fn backends_agree_on_edge_cases() {
         for mask in masks {
             for width in WIDTHS {
                 for unit in UNITS {
-                    assert_backends_agree(addrs, mask, width, unit);
+                    assert_engine_matches_model(addrs, mask, width, unit);
                 }
             }
         }
     }
 }
 
-/// The dispatched public pricing functions — `segment_count` and
-/// `bank_conflict_cycles`, the two every live model and the replayer call —
-/// must price identical counters under every forced backend. Runs all
-/// backends inside one test body (forcing is process-global) and restores
-/// auto dispatch afterwards.
+/// The bank model from the set model: distinct words counted per bank,
+/// the worst bank's count in cycles (at least one), and a broadcast when
+/// some word is visited twice.
+fn bank_model(
+    addrs: &WarpAddrs,
+    width: u64,
+    mask: LaneMask,
+    banks: u32,
+    bw: u64,
+) -> BankAccessOutcome {
+    let visits = set_model(addrs, width, mask, bw);
+    let mut per_bank: HashMap<u64, u64> = HashMap::new();
+    for &(w, _) in visits.iter().filter(|&&(_, new)| new) {
+        *per_bank.entry(w % u64::from(banks)).or_default() += 1;
+    }
+    BankAccessOutcome {
+        cycles: per_bank.values().copied().max().unwrap_or(1),
+        broadcast: visits.iter().any(|&(_, new)| !new),
+    }
+}
+
+/// The public pricing functions every live model and the replayer call —
+/// `segment_count` and `bank_conflict_cycles` — against the set model.
 #[test]
-fn forced_backend_pricing_is_bit_identical() {
+fn pricing_matches_the_set_model() {
     let mut rng = Xoshiro::seeded(0xD1FF_F00D);
-    let mut warps = Vec::new();
     for _ in 0..2_000 {
         let (addrs, mask) = random_warp(&mut rng);
         let width = WIDTHS[(rng.next() % WIDTHS.len() as u64) as usize];
-        warps.push((addrs, mask, width));
+        let ctx = format!("width {width}, mask {:#x}", mask.0);
+        for seg in [32, 128] {
+            let distinct = set_model(&addrs, width, mask, seg)
+                .iter()
+                .filter(|&&(_, new)| new)
+                .count() as u64;
+            assert_eq!(
+                segment_count(&addrs, width, mask, seg),
+                distinct,
+                "{seg}-B segments: {ctx}"
+            );
+        }
+        for banks in [16, 24, 32, 64] {
+            for bank_width in [BankWidth::B4, BankWidth::B8] {
+                assert_eq!(
+                    bank_conflict_cycles(&addrs, width, mask, banks, bank_width),
+                    bank_model(&addrs, width, mask, banks, bank_width.bytes()),
+                    "{banks} banks of {bank_width:?}: {ctx}"
+                );
+            }
+        }
     }
-    let price = |warps: &[(WarpAddrs, LaneMask, u64)]| -> Vec<(u64, u64, u64, bool)> {
-        warps
-            .iter()
-            .map(|&(ref addrs, mask, width)| {
-                let segs128 = segment_count(addrs, width, mask, 128);
-                let segs32 = segment_count(addrs, width, mask, 32);
-                let bank = bank_conflict_cycles(addrs, width, mask, 32, BankWidth::B8);
-                (segs128, segs32, bank.cycles, bank.broadcast)
-            })
-            .collect()
-    };
-    lanes::force(Backend::Scalar);
-    let reference = price(&warps);
-    for backend in Backend::available()
-        .into_iter()
-        .filter(|&b| b != Backend::Scalar)
-    {
-        let installed = lanes::force(backend);
-        let got = price(&warps);
-        assert_eq!(got, reference, "forced {installed:?} diverged from scalar");
-    }
-    // Leave the process on auto dispatch for whatever runs next.
-    lanes::force(Backend::Simd);
 }

@@ -326,7 +326,7 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<GpuSpec, TraceError> {
             })
         }
     };
-    Ok(GpuSpec {
+    let spec = GpuSpec {
         name,
         sm_count,
         cores_per_sm,
@@ -346,7 +346,56 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<GpuSpec, TraceError> {
         cm_line_bytes: cur.read_u64("spec cm line bytes")?,
         latency_hiding_warps: cur.read_u64("spec latency hiding warps")? as u32,
         issue_efficiency: f64::from_bits(cur.read_u64("spec issue efficiency bits")?),
-    })
+    };
+    match spec_defect(&spec) {
+        Some(reason) => Err(TraceError::Malformed {
+            offset: cur.pos(),
+            reason,
+        }),
+        None => Ok(spec),
+    }
+}
+
+/// The largest transaction or constant line a recorded spec may declare,
+/// in bytes: far above any real part's, and small enough that a count of
+/// transactions or misses times it cannot overflow.
+const MAX_LINE_BYTES: u64 = 4096;
+
+/// Why a recorded spec cannot be priced, naming the field, or `None`:
+/// the pricing models index a 64-entry bank table, shift by the
+/// transaction sizes, divide by the constant line and the SM count, and
+/// multiply counts by the sizes, so a hostile header must fail here
+/// rather than panic in replay.
+fn spec_defect(spec: &GpuSpec) -> Option<String> {
+    if !(1..=64).contains(&spec.smem_banks) {
+        return Some(format!(
+            "spec smem banks {} outside 1..=64",
+            spec.smem_banks
+        ));
+    }
+    for (field, bytes) in [
+        ("gm transaction bytes", spec.gm_transaction_bytes),
+        (
+            "gm store transaction bytes",
+            spec.gm_store_transaction_bytes,
+        ),
+    ] {
+        if !bytes.is_power_of_two() || bytes > MAX_LINE_BYTES {
+            return Some(format!(
+                "spec {field} {bytes} is not a power of two up to {MAX_LINE_BYTES}"
+            ));
+        }
+    }
+    if !(1..=MAX_LINE_BYTES).contains(&spec.cm_line_bytes) {
+        return Some(format!(
+            "spec cm line bytes {} outside 1..={MAX_LINE_BYTES}",
+            spec.cm_line_bytes
+        ));
+    }
+    if spec.sm_count == 0 {
+        return Some("spec sm count is zero".into());
+    }
+    None
 }
 
 fn encode_stats(buf: &mut Vec<u8>, s: &KernelStats) {

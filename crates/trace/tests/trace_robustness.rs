@@ -470,3 +470,87 @@ fn wrapping_two_level_strides_decode() {
         assert_eq!(got[17], base.wrapping_add(s1).wrapping_add(s2));
     }
 }
+
+/// A one-event stream whose launch embeds `spec`.
+fn stream_with_spec(spec: &GpuSpec) -> Vec<u8> {
+    let buf = SharedBuffer::new();
+    let mut w = TraceWriter::new(buf.clone());
+    w.launch_begin(&launch("hostile-spec", spec));
+    w.write_block(0, &mixed_events()[..1]);
+    w.launch_end(&KernelStats::default());
+    drop(w);
+    buf.take()
+}
+
+/// A launch header whose spec the pricing models would divide, shift,
+/// index or multiply by out of range fails typed, naming the field; every
+/// preset decodes.
+#[test]
+fn hostile_spec_fields_are_malformed() {
+    let k40 = GpuSpec::kepler_k40m();
+    for (spec, field) in [
+        (
+            GpuSpec {
+                smem_banks: 0,
+                ..k40
+            },
+            "smem banks",
+        ),
+        (
+            GpuSpec {
+                smem_banks: 100,
+                ..k40
+            },
+            "smem banks",
+        ),
+        (
+            GpuSpec {
+                gm_transaction_bytes: 0,
+                ..k40
+            },
+            "gm transaction bytes",
+        ),
+        (
+            GpuSpec {
+                gm_transaction_bytes: 96,
+                ..k40
+            },
+            "gm transaction bytes",
+        ),
+        (
+            GpuSpec {
+                gm_store_transaction_bytes: 0,
+                ..k40
+            },
+            "gm store transaction bytes",
+        ),
+        (
+            GpuSpec {
+                gm_transaction_bytes: 1 << 63,
+                ..k40
+            },
+            "gm transaction bytes",
+        ),
+        (
+            GpuSpec {
+                cm_line_bytes: 0,
+                ..k40
+            },
+            "cm line bytes",
+        ),
+        (
+            GpuSpec {
+                cm_line_bytes: u64::MAX,
+                ..k40
+            },
+            "cm line bytes",
+        ),
+        (GpuSpec { sm_count: 0, ..k40 }, "sm count"),
+    ] {
+        assert_malformed(&stream_with_spec(&spec), field);
+    }
+    for spec in GpuSpec::presets_all() {
+        let trace = Trace::decode(&stream_with_spec(&spec)).expect(spec.name);
+        assert_eq!(trace.launches()[0].header.spec, spec);
+    }
+}
