@@ -167,8 +167,6 @@ pub fn sm_pattern_trace(name: &str, lane_bytes: u32, stride: u64, events: usize)
         warp: 0,
         mask: LaneMask::ALL,
         lane_bytes,
-        transactions: 0,
-        cycles: 1,
         addrs: std::array::from_fn(|lane| lane as u64 * stride),
     };
     w.write_block(0, &vec![event; events]);

@@ -140,7 +140,7 @@ fn check_special(c: &mut Checker, traces: &mut Vec<NamedTrace>) {
         "  GM: {:.2} load B/px, {:.2} store B/px, {} transactions",
         report.gm_ld_bytes_per_out_pixel(),
         report.gm_st_bytes_per_out_pixel(),
-        s.gm_transactions()
+        stats.gm_ld_transactions + stats.gm_st_transactions
     );
 
     c.eq_u64(
@@ -230,7 +230,7 @@ fn check_general_gm(c: &mut Checker, k: usize, traces: &mut Vec<NamedTrace>) {
     println!(
         "  GM: {:.2} load B/px, sm cycles/FMA {:.4}",
         s.gm_ld_useful_bytes() as f64 / problem.out_pixels() as f64,
-        s.sm_cycles_per_fma().unwrap_or(0.0)
+        stats.sm_cycles() as f64 / stats.fma_lane_ops.max(1) as f64
     );
 
     c.eq_u64(
@@ -313,11 +313,11 @@ fn check_sm_layout(c: &mut Checker, traces: &mut Vec<NamedTrace>) {
     );
     println!(
         "  SM conflict histogram (contig):  {:?}",
-        contig.summary.sm_conflict_histogram
+        contig_stats.sm_conflict_histogram
     );
     println!(
         "  SM conflict histogram (strided): {:?}",
-        strided.summary.sm_conflict_histogram
+        strided_stats.sm_conflict_histogram
     );
 
     // Expected absolute counts: every thread refills its row window

@@ -298,8 +298,6 @@ mod tests {
             warp: 0,
             mask: LaneMask::ALL,
             lane_bytes: 4,
-            transactions: 0,
-            cycles: 1,
             addrs,
         };
         w.write_block(0, &vec![event; events]);

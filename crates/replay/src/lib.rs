@@ -29,9 +29,9 @@
 //!   `segment_count` over addresses), read-only-cache hits vs misses
 //!   (FIFO residency per block), SM conflict cycles/broadcasts (bank
 //!   math over addresses), CM serialization/misses (distinct words and
-//!   first-touch lines). These may all legitimately differ from the
-//!   values recorded in the trace events when the target spec differs
-//!   from the capture spec.
+//!   first-touch lines). A trace event records no cost of its own; these
+//!   reproduce the launch-end record's live totals under the capture spec
+//!   and may legitimately differ from them under any other.
 //! * **Grafted from the launch-end record** (architecture-independent,
 //!   not re-derivable from memory events): `fma_lane_ops`,
 //!   `alu_lane_ops`, `barriers`.
@@ -862,8 +862,6 @@ mod tests {
                                 warp: rng.next() as u32 % 8,
                                 mask,
                                 lane_bytes: 1 << (rng.next() % 4),
-                                transactions: 0,
-                                cycles: 0,
                                 addrs,
                             }
                         })
@@ -1041,8 +1039,6 @@ mod tests {
                     warp: 0,
                     mask: LaneMask::ALL,
                     lane_bytes,
-                    transactions: 0,
-                    cycles: 1,
                     addrs,
                 }
             })
@@ -1107,8 +1103,6 @@ mod tests {
                 warp: 0,
                 mask: LaneMask::ALL,
                 lane_bytes: 4,
-                transactions: 1,
-                cycles: 0,
                 addrs,
             }],
         );

@@ -36,7 +36,7 @@ use crate::mem::{Lanes, SharedMemory};
 use crate::pricing::{RoCache, WarpAccess};
 use crate::spec::WARP_SIZE;
 use crate::stats::KernelStats;
-use crate::trace::{cost_counters, BlockTrace, EventEncoder, TraceEvent, TraceOp};
+use crate::trace::{BlockTrace, EventEncoder, TraceEvent, TraceOp};
 use crate::warp::{LaneMask, WarpAddrs};
 
 /// Geometry of the executing block within its launch.
@@ -259,8 +259,6 @@ impl<'a> BlockCtx<'a> {
                 warp: 0,
                 mask: LaneMask(0),
                 lane_bytes: 0,
-                transactions: 0,
-                cycles: 0,
                 addrs: [0; WARP_SIZE],
             };
             for warp in 0..warps {
@@ -331,10 +329,9 @@ impl WarpCtx<'_, '_> {
 
     /// Shared prologue/epilogue for every warp memory instruction: watchdog
     /// tick, population masking, lane expansion, fault injection — and,
-    /// when the launcher armed tracing, a [`TraceEvent`] capturing the
-    /// cost delta the memory model charged for this access (the
-    /// `op`-specific counter pair from [`cost_counters`]), encoded on the
-    /// spot by the sink's [`EventEncoder`].
+    /// when the launcher armed tracing, a [`TraceEvent`] of the access's
+    /// op, mask, bytes per lane and lane addresses, encoded on the spot by
+    /// the sink's [`EventEncoder`].
     ///
     /// The models price the access from its lane form and move data
     /// through its lanes, so a form is expanded here once; an explicit
@@ -372,16 +369,12 @@ impl WarpCtx<'_, '_> {
         if self.block.trace.is_none() {
             return access(self.block, site, lanes);
         }
-        let (t0, c0) = cost_counters(&self.block.stats, op);
         let out = access(self.block, site, lanes);
-        let (t1, c1) = cost_counters(&self.block.stats, op);
         let ev = TraceEvent {
             op,
             warp: self.wid as u32,
             mask,
             lane_bytes,
-            transactions: (t1 - t0) as u32,
-            cycles: (c1 - c0) as u32,
             addrs: *lanes.addrs,
         };
         self.block.trace.as_mut().expect("tracing armed").push(&ev);
@@ -757,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_one_event_per_memory_op_with_cost_deltas() {
+    fn tracing_records_one_event_per_memory_op_in_issue_order() {
         let (mut gm, mut cm, dims) = harness(40);
         let buf = gm.alloc_f32(1024).unwrap();
         let vals: Vec<f32> = (0..1024).map(|i| i as f32).collect();
@@ -782,18 +775,7 @@ mod tests {
         assert_eq!(events[0].mask.count(), 32);
         assert_eq!(events[0].lane_bytes, 4);
         assert_eq!(events[0].addrs[5], buf.f32_addr(0) + 20);
-        // Per-event cost deltas sum back to the aggregate counters.
-        let tx: u64 = events.iter().map(|e| u64::from(e.transactions)).sum();
-        assert_eq!(tx, blk.stats.gm_ld_transactions);
-        let st_cycles: u64 = events
-            .iter()
-            .filter(|e| e.op == TraceOp::SmSt)
-            .map(|e| u64::from(e.cycles))
-            .sum();
-        assert_eq!(st_cycles, blk.stats.sm_st_cycles);
-        // The bank-0 pile-up really replays: full warp serializes 32-deep.
-        assert_eq!(events[1].cycles, 32);
-        assert_eq!(events[3].cycles, 8);
+        assert_eq!(events[1].addrs[5], 5 * 256);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!
 //! A [`TraceSink`] installed on a [`Gpu`](crate::Gpu) observes one
 //! [`TraceEvent`] per warp memory instruction: the op kind and memory
-//! space, the live lane mask, the per-lane byte addresses, and the cost the
-//! memory model charged (global-memory transactions, shared-memory
-//! pipeline cycles including bank-conflict replays, constant-memory
-//! serialization cycles).
+//! space, the live lane mask, the bytes per lane and the per-lane byte
+//! addresses. An event records no cost: what an access costs is a
+//! function of its addresses and the architecture, which
+//! [`crate::pricing`] computes — live, and again when a recorded trace is
+//! re-priced.
 //!
 //! # Cost and determinism
 //!
@@ -59,7 +60,7 @@ pub enum TraceOp {
     CmLd = 5,
     /// Block-wide barrier arrival ([`BlockCtx::sync`](crate::BlockCtx::sync)):
     /// one event per warp per `__syncthreads()`. Touches no memory — the
-    /// mask, byte counts, costs and addresses are all zero — but its
+    /// mask, byte count and addresses are all zero — but its
     /// position in the per-block program-order stream is what lets offline
     /// tools count barrier rounds and check the pipeline's halving claim.
     Bar = 6,
@@ -136,14 +137,6 @@ pub struct TraceEvent {
     pub mask: LaneMask,
     /// Bytes accessed per active lane (e.g. 8 for a `float2` access).
     pub lane_bytes: u32,
-    /// Bus segments this instruction moved (global memory only; a fully
-    /// read-only-cached load moves 0). Zero for shared/constant ops.
-    pub transactions: u32,
-    /// Pipeline cycles the instruction consumed beyond free: for shared
-    /// memory the full access cycles including bank-conflict replays
-    /// (conflict-free = 1), for constant memory the serialization cycles
-    /// (distinct addresses − 1). Zero for global-memory ops.
-    pub cycles: u32,
     /// Per-lane byte addresses.
     pub addrs: WarpAddrs,
 }
@@ -173,8 +166,8 @@ impl TraceEvent {
 /// Carries everything an offline consumer needs to re-price the launch
 /// without the kernel: the full launch geometry and resource declaration
 /// (enough to rebuild a [`LaunchConfig`](crate::LaunchConfig) for the
-/// timing model) plus the capture [`GpuSpec`] the costs were charged
-/// under. Binary trace formats that persist this header are
+/// timing model) plus the capture [`GpuSpec`] the launch's final stats
+/// were charged under. Binary trace formats that persist this header are
 /// self-describing — see the KTRC layout in `kconv-trace`.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceLaunch<'a> {
@@ -193,8 +186,9 @@ pub struct TraceLaunch<'a> {
     /// The launch's compute/communication overlap declaration (timing-model
     /// input).
     pub overlap: OverlapMode,
-    /// The architecture the launch executed on — the spec every recorded
-    /// cost (transactions, conflict cycles) was charged under.
+    /// The architecture the launch executed on: its final [`KernelStats`]
+    /// were charged under this spec, and replay under the capture spec
+    /// prices the recorded addresses with it again.
     pub spec: &'a GpuSpec,
 }
 
@@ -267,39 +261,19 @@ impl BlockTrace {
     }
 }
 
-/// The [`KernelStats`] counters a [`TraceEvent`] for `op` is charged
-/// against, as (transaction-like, cycle-like) values: the hook records the
-/// per-instruction delta of this pair.
-pub(crate) fn cost_counters(stats: &KernelStats, op: TraceOp) -> (u64, u64) {
-    match op {
-        TraceOp::GmLd | TraceOp::GmLdRo => (stats.gm_ld_transactions, 0),
-        TraceOp::GmSt => (stats.gm_st_transactions, 0),
-        TraceOp::SmLd => (0, stats.sm_ld_cycles),
-        TraceOp::SmSt => (0, stats.sm_st_cycles),
-        TraceOp::CmLd => (0, stats.cm_cycles),
-        TraceOp::Bar => (0, 0),
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::spec::WARP_SIZE;
 
     /// Bytes per event of [`raw_encode`].
-    const RAW_BYTES: usize = 1 + 5 * 4 + WARP_SIZE * 8;
+    const RAW_BYTES: usize = 1 + 3 * 4 + WARP_SIZE * 8;
 
-    /// A test encoder that keeps every field: the op tag, the five `u32`
+    /// A test encoder that keeps every field: the op tag, the three `u32`
     /// head fields and all 32 addresses, little-endian.
     pub(crate) fn raw_encode(buf: &mut Vec<u8>, ev: &TraceEvent) {
         buf.push(ev.op as u8);
-        for v in [
-            ev.warp,
-            ev.mask.0,
-            ev.lane_bytes,
-            ev.transactions,
-            ev.cycles,
-        ] {
+        for v in [ev.warp, ev.mask.0, ev.lane_bytes] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         for a in ev.addrs {
@@ -320,10 +294,8 @@ pub(crate) mod tests {
                     warp: u32_at(0),
                     mask: LaneMask(u32_at(1)),
                     lane_bytes: u32_at(2),
-                    transactions: u32_at(3),
-                    cycles: u32_at(4),
                     addrs: std::array::from_fn(|l| {
-                        let at = 1 + 5 * 4 + 8 * l;
+                        let at = 1 + 3 * 4 + 8 * l;
                         u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
                     }),
                 }
@@ -338,8 +310,6 @@ pub(crate) mod tests {
             warp,
             mask: LaneMask::first(5),
             lane_bytes: 4,
-            transactions: 1,
-            cycles: 2,
             addrs: std::array::from_fn(|l| 64 * l as u64),
         };
         let events = [
@@ -381,33 +351,12 @@ pub(crate) mod tests {
             warp: 0,
             mask: LaneMask::first(3),
             lane_bytes: 8,
-            transactions: 0,
-            cycles: 1,
             addrs: [7; 32],
         };
         assert_eq!(ev.useful_bytes(), 24);
         let canon = ev.canonical();
         assert_eq!(canon.addrs[2], 7);
         assert_eq!(canon.addrs[3], 0);
-    }
-
-    #[test]
-    fn cost_counters_select_the_op_counter() {
-        let stats = KernelStats {
-            gm_ld_transactions: 3,
-            gm_st_transactions: 5,
-            sm_ld_cycles: 7,
-            sm_st_cycles: 11,
-            cm_cycles: 13,
-            ..Default::default()
-        };
-        assert_eq!(cost_counters(&stats, TraceOp::GmLd), (3, 0));
-        assert_eq!(cost_counters(&stats, TraceOp::GmLdRo), (3, 0));
-        assert_eq!(cost_counters(&stats, TraceOp::GmSt), (5, 0));
-        assert_eq!(cost_counters(&stats, TraceOp::SmLd), (0, 7));
-        assert_eq!(cost_counters(&stats, TraceOp::SmSt), (0, 11));
-        assert_eq!(cost_counters(&stats, TraceOp::CmLd), (0, 13));
-        assert_eq!(cost_counters(&stats, TraceOp::Bar), (0, 0));
     }
 
     #[test]

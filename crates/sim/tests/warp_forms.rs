@@ -222,13 +222,7 @@ struct Sink(Arc<Mutex<Vec<u8>>>);
 /// inactive lanes carry whatever the kernel's vector held.
 fn encode(buf: &mut Vec<u8>, ev: &TraceEvent) {
     buf.push(ev.op as u8);
-    for v in [
-        ev.warp,
-        ev.mask.0,
-        ev.lane_bytes,
-        ev.transactions,
-        ev.cycles,
-    ] {
+    for v in [ev.warp, ev.mask.0, ev.lane_bytes] {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     for lane in ev.mask.iter() {

@@ -196,8 +196,6 @@ mod tests {
             warp: 0,
             mask: LaneMask::first(lanes),
             lane_bytes: 4,
-            transactions: 1,
-            cycles: 0,
             addrs,
         }
     }
@@ -205,8 +203,6 @@ mod tests {
     fn sm_ld(base: u64, stride: u64, lanes: usize) -> TraceEvent {
         let mut ev = gm_ld(base, stride, lanes);
         ev.op = TraceOp::SmLd;
-        ev.transactions = 0;
-        ev.cycles = 1;
         ev
     }
 

@@ -8,11 +8,10 @@
 //! [`EfficiencyReport`](crate::EfficiencyReport)) walk it once more, so a
 //! [`Trace`] materializes the stream into flat slabs per launch —
 //!
-//! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane, recorded
-//!   transactions/cycles) that also carry the lane addresses of every
-//!   **affine** event compactly, as `first` and `step` — the form nearly
-//!   every convolution-kernel warp access takes, and every 0- or 1-lane
-//!   event,
+//! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane) that also
+//!   carry the lane addresses of every **affine** event compactly, as
+//!   `first` and `step` — the form nearly every convolution-kernel warp
+//!   access takes, and every 0- or 1-lane event,
 //! * one `[base, s1, s2]` row (24 bytes) per **two-level** event
 //!   ([`TwoLevel`]), its period riding in the head,
 //! * one `u64` address slab holding [`WARP_SIZE`] canonical addresses
@@ -66,12 +65,8 @@ pub struct EventHead {
     pub mask: LaneMask,
     /// Bytes accessed per active lane.
     pub lane_bytes: u32,
-    /// Transactions charged at capture time.
-    pub transactions: u32,
-    /// Cycles charged at capture time.
-    pub cycles: u32,
     /// The lane form. (Keeping `first` and `step` beside this two-byte
-    /// enum rather than inside it keeps the head at 40 bytes.)
+    /// enum rather than inside it keeps the head at 32 bytes.)
     pub(crate) lanes: Lanes,
     /// Affine: the lowest active lane's address; otherwise the index into
     /// the form's slab.
@@ -262,8 +257,6 @@ impl BlockView<'_> {
                 warp: head.warp,
                 mask: head.mask,
                 lane_bytes: head.lane_bytes,
-                transactions: head.transactions,
-                cycles: head.cycles,
                 addrs: access.addrs(head.mask),
             });
         });
@@ -441,8 +434,6 @@ mod tests {
                             warp: rng.next() as u32,
                             mask,
                             lane_bytes: (rng.next() % 17) as u32,
-                            transactions: rng.next() as u32,
-                            cycles: rng.next() as u32,
                             addrs,
                         }
                     })
@@ -610,10 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn event_heads_stay_forty_bytes() {
+    fn event_heads_stay_thirty_two_bytes() {
         // The decoded corpus is mostly heads; their size is what the
         // decode page-faults in.
-        assert_eq!(std::mem::size_of::<EventHead>(), 40);
+        assert_eq!(std::mem::size_of::<EventHead>(), 32);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The compact binary trace format: the writer (a [`TraceSink`]) and the
 //! record decoders [`Trace::decode`](crate::Trace::decode) drives.
 //!
-//! # Layout (version 6)
+//! # Layout (version 7)
 //!
 //! A trace file is a 5-byte header (`"KTRC"` + version) followed by a
 //! stream of tagged records; all integers are LEB128 varints (see
@@ -22,9 +22,13 @@
 //! `kconv-replay` crate and DESIGN.md §11.
 //!
 //! Each event is: op byte, warp, complemented lane mask (`!mask`, so a
-//! full warp costs one byte), bytes/lane, transactions, cycles — then the
-//! addresses of the **active lanes only**, in one of three forms chosen by
-//! the op byte's two high bits (the low six bits are the [`TraceOp`]):
+//! full warp costs one byte), bytes/lane — then the addresses of the
+//! **active lanes only**, in one of three forms chosen by the op byte's
+//! two high bits (the low six bits are the [`TraceOp`]). An event records
+//! no cost: transactions, bank-conflict cycles and constant-memory
+//! serialization are functions of the addresses and the architecture,
+//! which replay computes with the same pricing core as the live memory
+//! models; the launch-end record keeps the live totals.
 //!
 //! | op-byte flag | form | address fields | lane `l` (or `k`-th active lane) reads |
 //! |---|---|---|---|
@@ -39,7 +43,7 @@
 //! * **affine** exactly when at least two lanes are active and every
 //!   successive delta is equal. This is the paper's strided warp access
 //!   (Fig. 1, eq. 1) and the shape of almost every convolution-kernel
-//!   event: a 32-lane event costs ≈8 bytes. The reader rejects the flag on
+//!   event: a 32-lane event takes ≈6 bytes. The reader rejects the flag on
 //!   an event with fewer than two active lanes.
 //! * **two-level** ([`TwoLevel`]) with the smallest `p ∈ {2, 4, 8, 16}`
 //!   that fits, and only when lanes 0, 1 and `p` are active: `base` is
@@ -50,7 +54,7 @@
 //!   carrying both flags.
 //! * **explicit** otherwise.
 //!
-//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 6
+//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 7
 //! only; every other version byte is a typed [`TraceError::Malformed`].
 //!
 //! A `launch begin` arriving while a launch is open, or end-of-file inside
@@ -73,7 +77,7 @@ use crate::TraceError;
 /// File magic: the first four bytes of every trace.
 pub const MAGIC: [u8; 4] = *b"KTRC";
 /// The one format version the writer emits and the reader accepts.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 /// Event op-byte flag: the active lanes' addresses are stored as an
 /// arithmetic progression (`first`, zigzag `step`).
 pub const AFFINE: u8 = 0x80;
@@ -85,12 +89,14 @@ pub(crate) const TAG_LAUNCH_BEGIN: u8 = 1;
 pub(crate) const TAG_BLOCK: u8 = 2;
 pub(crate) const TAG_LAUNCH_END: u8 = 3;
 
-/// The longest affine or two-level event encoding: the op byte, five
-/// `u32` head varints, the period byte and three `u64` varints.
-const COMPACT_BYTES_MAX: usize = 64;
-/// The longest event encoding: the op byte, five `u32` head varints and
+/// The longest affine or two-level event encoding: the op byte, three
+/// `u32` head varints of up to five bytes, the period byte and three
+/// `u64` varints of up to ten (47 bytes), rounded up to a multiple of 16
+/// for the fixed-size copy.
+const COMPACT_BYTES_MAX: usize = 48;
+/// The longest event encoding: the op byte, three `u32` head varints and
 /// 32 explicit lane addresses of up to ten varint bytes each.
-const EXPLICIT_BYTES_MAX: usize = 1 + 5 * 5 + WARP_SIZE * 10;
+const EXPLICIT_BYTES_MAX: usize = 1 + 3 * 5 + WARP_SIZE * 10;
 
 /// One event's bytes, assembled on the stack: byte pushes onto the
 /// block's `Vec` itself would reload its length after every store.
@@ -100,7 +106,7 @@ struct EventBytes<const N: usize> {
 }
 
 impl<const N: usize> EventBytes<N> {
-    /// The op byte (with its lane-form `flag`) and the five head fields.
+    /// The op byte (with its lane-form `flag`) and the three head fields.
     #[inline]
     fn head(ev: &TraceEvent, flag: u8) -> Self {
         let mut out = EventBytes {
@@ -108,13 +114,7 @@ impl<const N: usize> EventBytes<N> {
             len: 0,
         };
         out.byte(ev.op as u8 | flag);
-        for v in [
-            ev.warp,
-            !ev.mask.0,
-            ev.lane_bytes,
-            ev.transactions,
-            ev.cycles,
-        ] {
+        for v in [ev.warp, !ev.mask.0, ev.lane_bytes] {
             out.varint(u64::from(v));
         }
         out
@@ -193,15 +193,13 @@ pub(crate) fn decode_event(
     };
     let op = TraceOp::from_u8(op_byte & !(AFFINE | TWO_LEVEL))
         .ok_or_else(|| malformed(cur, format!("unknown trace op tag {op_byte}")))?;
-    // The five head fields are one byte each in nearly every event.
-    let [warp, mask, lane_bytes, transactions, cycles] = match cur.read_small::<5>() {
+    // The three head fields are one byte each in nearly every event.
+    let [warp, mask, lane_bytes] = match cur.read_small::<3>() {
         Some(small) => small.map(u64::from),
         None => [
             cur.read_u64("event warp")?,
             cur.read_u64("event mask")?,
             cur.read_u64("event lane bytes")?,
-            cur.read_u64("event transactions")?,
-            cur.read_u64("event cycles")?,
         ],
     };
     let mut head = EventHead {
@@ -209,8 +207,6 @@ pub(crate) fn decode_event(
         warp: warp as u32,
         mask: LaneMask(!(mask as u32)),
         lane_bytes: lane_bytes as u32,
-        transactions: transactions as u32,
-        cycles: cycles as u32,
         lanes: Lanes::Affine,
         first: 0,
         step: 0,
@@ -365,7 +361,10 @@ const MAX_LINE_BYTES: u64 = 4096;
 /// the pricing models index a 64-entry bank table, shift by the
 /// transaction sizes, divide by the constant line and the SM count, and
 /// multiply counts by the sizes, so a hostile header must fail here
-/// rather than panic in replay.
+/// rather than panic in replay; the timing model divides by the cores,
+/// the clock, the bandwidth and the issue efficiency, so a zero,
+/// negative or non-finite one must fail here rather than time the launch
+/// as NaN.
 fn spec_defect(spec: &GpuSpec) -> Option<String> {
     if !(1..=64).contains(&spec.smem_banks) {
         return Some(format!(
@@ -394,6 +393,18 @@ fn spec_defect(spec: &GpuSpec) -> Option<String> {
     }
     if spec.sm_count == 0 {
         return Some("spec sm count is zero".into());
+    }
+    if spec.cores_per_sm == 0 {
+        return Some("spec cores per sm is zero".into());
+    }
+    for (field, v) in [
+        ("clock ghz", spec.clock_ghz),
+        ("gm bandwidth gbs", spec.gm_bandwidth_gbs),
+        ("issue efficiency", spec.issue_efficiency),
+    ] {
+        if !(v.is_finite() && v > 0.0) {
+            return Some(format!("spec {field} {v} is not finite and positive"));
+        }
     }
     None
 }
@@ -758,8 +769,6 @@ pub(crate) mod tests {
             warp,
             mask: LaneMask(mask),
             lane_bytes: 4,
-            transactions: u32::from(op.space() == Some(kconv_sim::MemSpace::Global)),
-            cycles: u32::from(op.space() != Some(kconv_sim::MemSpace::Global)),
             addrs,
         }
     }
@@ -886,10 +895,10 @@ pub(crate) mod tests {
             .collect();
         let bytes = one_block(&events);
         // 32 lanes x 8-byte addresses = 256 B/event raw. A full-mask
-        // strided warp is affine: six one-byte head fields plus `first`
-        // and `step`, about 9 B.
+        // strided warp is affine: the op byte, three one-byte head fields,
+        // `first` and `step`, about 7 B.
         let bytes_per_event = bytes.len() as f64 / events.len() as f64;
-        assert!(bytes_per_event < 12.0, "{bytes_per_event} B/event");
+        assert!(bytes_per_event < 10.0, "{bytes_per_event} B/event");
     }
 
     /// The event record right after a one-event block header: where the
@@ -967,7 +976,7 @@ pub(crate) mod tests {
     }
 
     /// The form the writer gave `e`: its op-byte flag and, for a two-level
-    /// event, the period byte after the five head fields.
+    /// event, the period byte after the three head fields.
     fn written_form(e: &TraceEvent) -> (u8, Option<u8>) {
         let flag = op_byte_of(e) & (AFFINE | TWO_LEVEL);
         if flag != TWO_LEVEL {
@@ -978,10 +987,39 @@ pub(crate) mod tests {
         let mut bytes = Vec::new();
         encode_event(&mut bytes, e);
         let mut cur = Cursor::new(&bytes[1..]);
-        for _ in 0..5 {
+        for _ in 0..3 {
             cur.read_u64("head").unwrap();
         }
         (flag, Some(cur.read_u8("period").unwrap()))
+    }
+
+    /// The longest compact event — every head field and address varint at
+    /// its widest — fills 47 of the stack buffer's bytes and round-trips.
+    #[test]
+    fn the_longest_two_level_event_fits_its_buffer() {
+        let mask = LaneMask(0b111);
+        let form = TwoLevel {
+            p: 2,
+            base: u64::MAX,
+            s1: 1 << 63,
+            s2: (1 << 63) + 1,
+        };
+        let e = TraceEvent {
+            op: TraceOp::SmLd,
+            warp: u32::MAX,
+            mask,
+            lane_bytes: u32::MAX,
+            addrs: form.addrs(mask),
+        };
+        assert_eq!(written_form(&e), (TWO_LEVEL, Some(2)));
+        let mut bytes = Vec::new();
+        encode_event(&mut bytes, &e);
+        assert_eq!(bytes.len(), 47);
+        assert!(bytes.len() <= COMPACT_BYTES_MAX);
+        assert_eq!(
+            decode(&one_block(&[e])).unwrap()[0].blocks[0].1,
+            [e.canonical()]
+        );
     }
 
     /// Seeded events built as two-level tiles of every period, under full,
@@ -1035,8 +1073,6 @@ pub(crate) mod tests {
                 warp: (rng.next() % 64) as u32,
                 mask,
                 lane_bytes: 4,
-                transactions: (rng.next() % 4) as u32,
-                cycles: (rng.next() % 4) as u32,
                 addrs,
             });
         }
@@ -1106,7 +1142,7 @@ pub(crate) mod tests {
         // The flag on an event with fewer than two active lanes.
         for mask in [0u32, 1 << 9] {
             let mut e = vec![TraceOp::CmLd as u8 | AFFINE];
-            for v in [0, u64::from(!mask), 4, 0, 0, 64, zigzag(4)] {
+            for v in [0, u64::from(!mask), 4, 64, zigzag(4)] {
                 write_u64(&mut e, v);
             }
             let reason = malformed_reason(&stream_with_event(&e));
@@ -1114,14 +1150,14 @@ pub(crate) mod tests {
         }
         // An unknown op under the flag.
         let mut e = vec![(TraceOp::COUNT as u8) | AFFINE];
-        for v in [0, 0, 4, 0, 0, 64, zigzag(4)] {
+        for v in [0, 0, 4, 64, zigzag(4)] {
             write_u64(&mut e, v);
         }
         let reason = malformed_reason(&stream_with_event(&e));
         assert!(reason.contains("unknown trace op tag"), "{reason}");
         // A well-formed affine event in the same frame decodes.
         let mut e = vec![TraceOp::GmLd as u8 | AFFINE];
-        for v in [0, 0, 4, 1, 0, 64, zigzag(-4)] {
+        for v in [0, 0, 4, 64, zigzag(-4)] {
             write_u64(&mut e, v);
         }
         let launches = decode(&stream_with_event(&e)).unwrap();
@@ -1131,15 +1167,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn only_version_6_is_accepted() {
+    fn only_version_7_is_accepted() {
         let good = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 0)]);
         assert!(decode(&good).is_ok());
-        for version in [0u8, 1, 2, 3, 4, 5, 7] {
+        for version in [0u8, 1, 2, 3, 4, 5, 6, 8] {
             let mut bytes = good.clone();
             bytes[MAGIC.len()] = version;
             assert_eq!(
                 malformed_reason(&bytes),
-                format!("unsupported trace version {version} (expected 6)")
+                format!("unsupported trace version {version} (expected 7)")
             );
         }
     }
@@ -1254,8 +1290,6 @@ pub(crate) mod tests {
             warp: 1,
             mask: LaneMask(0),
             lane_bytes: 0,
-            transactions: 0,
-            cycles: 0,
             addrs: [0; WARP_SIZE],
         };
         let events = vec![ev(TraceOp::SmLd, 0, u32::MAX, 4, 0), bar];
@@ -1292,8 +1326,7 @@ pub(crate) mod tests {
     /// through the decoder, across the varint/zigzag edge cases
     /// and both event forms: full, gapped, single-lane and empty masks;
     /// affine steps that are zero, positive, negative or wrap past
-    /// `u64::MAX`; non-affine lanes; zero-transaction events; and
-    /// multi-launch streams.
+    /// `u64::MAX`; non-affine lanes; and multi-launch streams.
     #[test]
     fn random_streams_round_trip_bit_exactly() {
         for seed in 0..8u64 {
@@ -1352,12 +1385,6 @@ pub(crate) mod tests {
                                 warp: rng.next() as u32,
                                 mask,
                                 lane_bytes: (rng.next() % 17) as u32,
-                                transactions: if rng.next().is_multiple_of(3) {
-                                    0
-                                } else {
-                                    rng.next() as u32
-                                },
-                                cycles: rng.next() as u32,
                                 addrs,
                             }
                         })

@@ -12,8 +12,11 @@
 //!   consumers decode once and walk or re-price many times.
 //!   [`capture`] attaches a writer to a `Gpu` around one closure and
 //!   hands back the bytes.
-//! * [`TraceSummary`] — per-launch roll-up of the event heads: per-op
-//!   totals and the bank-conflict histogram.
+//! * [`TraceSummary`] — per-launch roll-up of what the trace records:
+//!   per-op events, lane accesses and useful bytes, and barrier arrivals.
+//!   A trace records addresses, not costs: transactions and conflict
+//!   cycles come from the live launch's `KernelStats` or from re-pricing
+//!   the trace with `kconv-replay`.
 //! * [`EfficiencyReport`] — address-granular analysis: distinct
 //!   words/lines loaded from global memory, read-multiplicity histograms
 //!   (the paper's communication-optimality claim is "every interior pixel
@@ -27,7 +30,7 @@
 //! ## Capturing a trace
 //!
 //! ```
-//! use kconv_sim::{lane_addrs, Gpu, GpuSpec, LaneMask, LaunchConfig, SimMode};
+//! use kconv_sim::{lane_addrs, Gpu, GpuSpec, LaneMask, LaunchConfig, SimMode, TraceOp};
 //! use kconv_trace::TraceSummary;
 //!
 //! # fn main() -> Result<(), kconv_sim::SimError> {
@@ -43,11 +46,13 @@
 //!         });
 //!     })
 //! });
-//! report?;
+//! let report = report?;
 //!
 //! let summary = &TraceSummary::from_bytes(&bytes).unwrap()[0];
 //! assert_eq!(summary.gm_ld_useful_bytes(), 128);
-//! assert_eq!(summary.gm_transactions(), 1); // coalesced to one line
+//! assert_eq!(summary.op(TraceOp::GmLd).lane_accesses, 32);
+//! // The cost is the pricing's, not the trace's: coalesced to one line.
+//! assert_eq!(report.stats.gm_ld_transactions, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -104,8 +109,8 @@ pub fn capture<R>(gpu: &mut Gpu, run: impl FnOnce(&mut Gpu) -> R) -> (R, Vec<u8>
 /// header's (untrusted) event-count varint. A corrupt or hostile count
 /// reserves at most this many [`EventHead`]s up front; decoding then
 /// fails on the event bytes themselves, or the heads grow organically
-/// for a genuinely larger well-formed block. 64Ki heads ≈ 2.6 MB — far
-/// above any real block, far below an allocation-failure DoS.
+/// for a genuinely larger well-formed block. 64Ki heads of 32 bytes are
+/// 2 MiB — far above any real block, far below an allocation-failure DoS.
 pub const RESERVE_EVENTS_MAX: u64 = 1 << 16;
 
 /// Errors reading a binary trace.
@@ -155,9 +160,10 @@ mod tests {
         lane_addrs, Gpu, GpuSpec, LaneMask, LaunchConfig, Parallelism, SimMode, TraceOp,
     };
 
-    /// End to end against the simulator: the trace's totals must agree
-    /// with the launch's own counters, and serial vs threaded capture must
-    /// produce byte-identical streams.
+    /// End to end against the simulator: the trace's event and byte totals
+    /// must agree with the launch's own counters, its end record must
+    /// carry them whole, and serial vs threaded capture must produce
+    /// byte-identical streams.
     #[test]
     fn trace_totals_match_kernel_stats_and_parallelism_is_invisible() {
         let run = |parallelism: Parallelism| {
@@ -198,21 +204,18 @@ mod tests {
         assert_eq!(s.blocks, 16);
         assert!(!s.aborted);
         // Every traced total agrees with the simulator's own counters.
-        assert_eq!(s.op(TraceOp::GmLd).transactions, stats.gm_ld_transactions);
-        assert_eq!(s.op(TraceOp::GmSt).transactions, stats.gm_st_transactions);
+        assert_eq!(s.op(TraceOp::GmLd).events, stats.gm_ld_requests);
+        assert_eq!(s.op(TraceOp::GmSt).events, stats.gm_st_requests);
         assert_eq!(s.gm_ld_useful_bytes(), stats.gm_ld_bytes_useful);
         assert_eq!(s.gm_st_useful_bytes(), stats.gm_st_bytes_useful);
-        assert_eq!(s.op(TraceOp::SmLd).cycles, stats.sm_ld_cycles);
-        assert_eq!(s.op(TraceOp::SmSt).cycles, stats.sm_st_cycles);
         assert_eq!(s.op(TraceOp::SmLd).events, stats.sm_ld_requests);
         assert_eq!(s.op(TraceOp::SmSt).events, stats.sm_st_requests);
         assert_eq!(s.op(TraceOp::CmLd).events, stats.cm_requests);
-        assert_eq!(s.op(TraceOp::CmLd).cycles, stats.cm_cycles);
+        assert_eq!(s.bar_arrivals(), stats.bar_syncs);
         assert_eq!(s.fma_lane_ops, stats.fma_lane_ops);
-        assert_eq!(
-            s.sm_conflict_histogram.iter().sum::<u64>(),
-            stats.sm_conflict_histogram.iter().sum::<u64>()
-        );
+        // The launch's costs travel whole in its end record.
+        let trace = Trace::decode(&bytes).unwrap();
+        assert_eq!(trace.launches()[0].end.stats, Some(stats));
 
         // Threaded capture produces the identical byte stream.
         for threads in [2, 5] {

@@ -1,12 +1,14 @@
 //! Per-launch roll-ups of a binary trace.
 //!
 //! A [`TraceSummary`] is what the event heads alone give, with O(1) state
-//! per launch: per-op totals (events, lane accesses, useful bytes,
-//! transactions, cycles) and the shared-memory conflict histogram.
-//! Anything that needs per-address state (distinct lines, read
-//! multiplicity) lives in [`crate::analyze`].
+//! per launch: per-op totals (events, lane accesses, useful bytes) and
+//! barrier arrivals. A trace records no costs: transactions and conflict
+//! cycles are in the launch's [`KernelStats`](kconv_sim::KernelStats) —
+//! live, or re-priced from the addresses by `kconv-replay`. Anything that
+//! needs per-address state (distinct lines, read multiplicity) lives in
+//! [`crate::analyze`].
 
-use kconv_sim::{KernelStats, TraceOp};
+use kconv_sim::TraceOp;
 
 use crate::decoded::{DecodedLaunch, EventHead, Trace};
 use crate::TraceError;
@@ -20,10 +22,6 @@ pub struct OpTotals {
     pub lane_accesses: u64,
     /// Bytes the active lanes requested (`mask.count() * lane_bytes`).
     pub useful_bytes: u64,
-    /// Global-memory bus transactions charged (0 for SM/CM ops).
-    pub transactions: u64,
-    /// SM/CM pipeline cycles charged (0 for GM ops).
-    pub cycles: u64,
 }
 
 /// One launch's trace rolled up to totals.
@@ -37,11 +35,6 @@ pub struct TraceSummary {
     pub events: u64,
     /// Totals per op kind, indexed by [`TraceOp::index`].
     pub per_op: [OpTotals; TraceOp::COUNT],
-    /// Shared-memory accesses (loads + stores) bucketed by their replay
-    /// cost, using the same degree buckets as
-    /// [`KernelStats::sm_conflict_histogram`]: 1, 2, 3–4, 5–8, 9–16,
-    /// 17–32 cycles.
-    pub sm_conflict_histogram: [u64; 6],
     /// `fma_lane_ops` from the launch-end record (0 if aborted).
     pub fma_lane_ops: u64,
     /// Whether the launch aborted (faulted or truncated trace).
@@ -63,7 +56,6 @@ impl TraceSummary {
             blocks: launch.block_count() as u64,
             events: 0,
             per_op: [OpTotals::default(); TraceOp::COUNT],
-            sm_conflict_histogram: [0; 6],
             fma_lane_ops: launch.end.fma_lane_ops,
             aborted: launch.end.aborted,
             block_bar_min: 0,
@@ -91,11 +83,6 @@ impl TraceSummary {
         t.events += 1;
         t.lane_accesses += u64::from(head.mask.count());
         t.useful_bytes += u64::from(head.mask.count()) * u64::from(head.lane_bytes);
-        t.transactions += u64::from(head.transactions);
-        t.cycles += u64::from(head.cycles);
-        if matches!(head.op, TraceOp::SmLd | TraceOp::SmSt) && head.cycles > 0 {
-            self.sm_conflict_histogram[KernelStats::conflict_bucket(u64::from(head.cycles))] += 1;
-        }
     }
 
     /// Summarizes every launch in a binary trace, in file order.
@@ -126,18 +113,6 @@ impl TraceSummary {
         self.op(TraceOp::GmSt).useful_bytes
     }
 
-    /// Global-memory bus transactions (loads + stores).
-    pub fn gm_transactions(&self) -> u64 {
-        self.op(TraceOp::GmLd).transactions
-            + self.op(TraceOp::GmLdRo).transactions
-            + self.op(TraceOp::GmSt).transactions
-    }
-
-    /// Shared-memory pipeline cycles (loads + stores, replays included).
-    pub fn sm_cycles(&self) -> u64 {
-        self.op(TraceOp::SmLd).cycles + self.op(TraceOp::SmSt).cycles
-    }
-
     /// Shared-memory warp accesses (loads + stores).
     pub fn sm_accesses(&self) -> u64 {
         self.op(TraceOp::SmLd).events + self.op(TraceOp::SmSt).events
@@ -145,16 +120,9 @@ impl TraceSummary {
 
     /// Barrier-arrival events across the launch (one per warp per
     /// `__syncthreads()`) — the trace-side counterpart of
-    /// [`KernelStats::bar_syncs`].
+    /// [`KernelStats::bar_syncs`](kconv_sim::KernelStats::bar_syncs).
     pub fn bar_arrivals(&self) -> u64 {
         self.op(TraceOp::Bar).events
-    }
-
-    /// Shared-memory cycles per FMA lane-op — the paper's "SM transactions
-    /// per FMA" axis. `None` when the trace carries no FMA count (aborted
-    /// launch).
-    pub fn sm_cycles_per_fma(&self) -> Option<f64> {
-        (self.fma_lane_ops > 0).then(|| self.sm_cycles() as f64 / self.fma_lane_ops as f64)
     }
 }
 
@@ -165,23 +133,21 @@ mod tests {
     use crate::SharedBuffer;
     use crate::{EfficiencyReport, KernelMeta};
     use kconv_sim::{
-        GpuSpec, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
+        GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
     };
 
-    fn ev(op: TraceOp, lanes: usize, cycles: u32, tx: u32) -> TraceEvent {
+    fn ev(op: TraceOp, lanes: usize) -> TraceEvent {
         TraceEvent {
             op,
             warp: 0,
             mask: LaneMask::first(lanes),
             lane_bytes: 4,
-            transactions: tx,
-            cycles,
             addrs: [0; WARP_SIZE],
         }
     }
 
     #[test]
-    fn totals_and_histogram() {
+    fn per_op_totals() {
         let buf = SharedBuffer::new();
         let mut w = TraceWriter::new(buf.clone());
         let spec = GpuSpec::kepler_k40m();
@@ -198,15 +164,12 @@ mod tests {
         w.write_block(
             0,
             &[
-                ev(TraceOp::GmLd, 32, 0, 2),
-                ev(TraceOp::SmLd, 32, 1, 0),
-                ev(TraceOp::SmSt, 16, 4, 0),
+                ev(TraceOp::GmLd, 32),
+                ev(TraceOp::SmLd, 32),
+                ev(TraceOp::SmSt, 16),
             ],
         );
-        w.write_block(
-            1,
-            &[ev(TraceOp::SmLd, 32, 32, 0), ev(TraceOp::CmLd, 8, 3, 0)],
-        );
+        w.write_block(1, &[ev(TraceOp::SmLd, 32), ev(TraceOp::CmLd, 8)]);
         w.launch_end(&KernelStats {
             fma_lane_ops: 1000,
             ..Default::default()
@@ -219,15 +182,11 @@ mod tests {
         assert_eq!(s.events, 5);
         assert!(!s.aborted);
         assert_eq!(s.gm_ld_useful_bytes(), 32 * 4);
-        assert_eq!(s.gm_transactions(), 2);
         assert_eq!(s.op(TraceOp::SmLd).lane_accesses, 64);
-        assert_eq!(s.sm_cycles(), 1 + 4 + 32);
+        assert_eq!(s.op(TraceOp::SmSt).useful_bytes, 16 * 4);
         assert_eq!(s.sm_accesses(), 3);
-        assert_eq!(s.op(TraceOp::CmLd).cycles, 3);
-        // Buckets: 1 cycle -> 0, 4 -> 2, 32 -> 5.
-        assert_eq!(s.sm_conflict_histogram, [1, 0, 1, 0, 0, 1]);
+        assert_eq!(s.op(TraceOp::CmLd).events, 1);
         assert_eq!(s.fma_lane_ops, 1000);
-        assert_eq!(s.sm_cycles_per_fma(), Some(0.037));
         // No Bar events in this trace: zero arrivals everywhere.
         assert_eq!(s.bar_arrivals(), 0);
         assert_eq!((s.block_bar_min, s.block_bar_max), (0, 0));
@@ -239,8 +198,6 @@ mod tests {
             warp: 0,
             mask: LaneMask(0),
             lane_bytes: 0,
-            transactions: 0,
-            cycles: 0,
             addrs: [0; WARP_SIZE],
         }
     }
@@ -261,18 +218,18 @@ mod tests {
             spec: &spec,
         });
         // Blocks with 2, 4 and 0 barrier arrivals.
-        w.write_block(0, &[bar(), ev(TraceOp::GmLd, 32, 0, 2), bar()]);
+        w.write_block(0, &[bar(), ev(TraceOp::GmLd, 32), bar()]);
         w.write_block(1, &[bar(), bar(), bar(), bar()]);
-        w.write_block(2, &[ev(TraceOp::SmLd, 32, 1, 0)]);
+        w.write_block(2, &[ev(TraceOp::SmLd, 32)]);
         w.launch_end(&KernelStats::default());
         let summaries = TraceSummary::from_bytes(&buf.take()).unwrap();
         let s = &summaries[0];
         assert_eq!(s.bar_arrivals(), 6);
         assert_eq!(s.block_bar_min, 0);
         assert_eq!(s.block_bar_max, 4);
-        // Bar events move no bytes and charge no costs.
+        // Bar events move no bytes.
         assert_eq!(s.op(TraceOp::Bar).useful_bytes, 0);
-        assert_eq!(s.op(TraceOp::Bar).cycles, 0);
+        assert_eq!(s.op(TraceOp::Bar).lane_accesses, 0);
     }
 
     /// A trace that ends inside its last launch: both roll-ups report
@@ -294,15 +251,15 @@ mod tests {
         };
         w.launch_begin(&launch("whole"));
         for block in 0..4 {
-            w.write_block(block, &[ev(TraceOp::GmLd, 32, 0, 1)]);
+            w.write_block(block, &[ev(TraceOp::GmLd, 32)]);
         }
         w.launch_end(&KernelStats {
             fma_lane_ops: 64,
             ..Default::default()
         });
         w.launch_begin(&launch("cut"));
-        w.write_block(0, &[ev(TraceOp::GmLd, 32, 0, 1), bar()]);
-        w.write_block(1, &[ev(TraceOp::SmLd, 16, 2, 0)]);
+        w.write_block(0, &[ev(TraceOp::GmLd, 32), bar()]);
+        w.write_block(1, &[ev(TraceOp::SmLd, 16)]);
         drop(w); // the stream stops before blocks 2 and 3
         let bytes = buf.take();
 
@@ -320,7 +277,7 @@ mod tests {
         assert_eq!(cut.kernel, "cut");
         assert_eq!((cut.blocks, cut.events, cut.fma_lane_ops), (2, 3, 0));
         assert_eq!((cut.block_bar_min, cut.block_bar_max), (0, 1));
-        assert_eq!(cut.sm_conflict_histogram, [0, 1, 0, 0, 0, 0]);
+        assert_eq!(cut.op(TraceOp::SmLd).lane_accesses, 16);
         // Every GmLd lane reads word 0: 4 blocks' worth of reads in the
         // whole launch, only the delivered block's in the cut one.
         assert_eq!(reports[0].gm_ld_word_reads_max, 4 * 32);

@@ -2,7 +2,7 @@
 //!
 //! The binary trace format crosses a trust boundary: `trace_report
 //! --trace` and the replay tools accept arbitrary files. These tests feed
-//! systematically corrupted KTRC v6 streams — every truncation prefix,
+//! systematically corrupted KTRC v7 streams — every truncation prefix,
 //! seeded bit flips, seeded byte splices and hostile header varints —
 //! through [`Trace::decode`], the one reader, and assert the contract: a
 //! typed [`TraceError`](kconv_trace::TraceError) or a well-formed result
@@ -23,7 +23,7 @@ use kconv_trace::{
     TraceSummary, TraceWriter, TwoLevel, AFFINE, MAGIC, TWO_LEVEL, VERSION,
 };
 
-// The KTRC v6 record tags.
+// The KTRC v7 record tags.
 const TAG_LAUNCH_BEGIN: u8 = 1;
 const TAG_BLOCK: u8 = 2;
 
@@ -37,8 +37,6 @@ fn event(op: TraceOp, warp: u32, stride: u64, base: u64) -> TraceEvent {
         warp,
         mask: LaneMask::ALL,
         lane_bytes: 4,
-        transactions: 2,
-        cycles: 3,
         addrs,
     }
 }
@@ -48,7 +46,7 @@ fn masked(mut ev: TraceEvent, mask: u32) -> TraceEvent {
     ev.canonical()
 }
 
-/// One block of every event shape the v6 writer distinguishes.
+/// One block of every event shape the v7 writer distinguishes.
 fn mixed_events() -> Vec<TraceEvent> {
     let mut scattered = event(TraceOp::GmLdRo, 4, 4, 8192);
     scattered.addrs[5] = 3; // breaks the progression: explicit form
@@ -366,7 +364,7 @@ fn stream_with_event(event: &[u8]) -> Vec<u8> {
 /// the three address fields as already-encoded varint bytes.
 fn two_level_event(op_byte: u8, mask: u32, p: u8, fields: [&[u8]; 3]) -> Vec<u8> {
     let mut e = vec![op_byte];
-    for v in [0, u64::from(!mask), 4, 0, 1] {
+    for v in [0, u64::from(!mask), 4] {
         write_u64(&mut e, v);
     }
     e.push(p);
@@ -483,8 +481,9 @@ fn stream_with_spec(spec: &GpuSpec) -> Vec<u8> {
 }
 
 /// A launch header whose spec the pricing models would divide, shift,
-/// index or multiply by out of range fails typed, naming the field; every
-/// preset decodes.
+/// index or multiply by out of range, or the timing model divide by
+/// zero or a non-finite rate, fails typed, naming the field; every preset
+/// decodes.
 #[test]
 fn hostile_spec_fields_are_malformed() {
     let k40 = GpuSpec::kepler_k40m();
@@ -546,8 +545,44 @@ fn hostile_spec_fields_are_malformed() {
             "cm line bytes",
         ),
         (GpuSpec { sm_count: 0, ..k40 }, "sm count"),
+        (
+            GpuSpec {
+                cores_per_sm: 0,
+                ..k40
+            },
+            "cores per sm",
+        ),
     ] {
         assert_malformed(&stream_with_spec(&spec), field);
+    }
+    // The timing model's rates: zero, negative, infinite or NaN would
+    // time the launch as NaN.
+    for bad in [0.0, -0.0, -1.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        for (spec, field) in [
+            (
+                GpuSpec {
+                    clock_ghz: bad,
+                    ..k40
+                },
+                "clock ghz",
+            ),
+            (
+                GpuSpec {
+                    gm_bandwidth_gbs: bad,
+                    ..k40
+                },
+                "gm bandwidth gbs",
+            ),
+            (
+                GpuSpec {
+                    issue_efficiency: bad,
+                    ..k40
+                },
+                "issue efficiency",
+            ),
+        ] {
+            assert_malformed(&stream_with_spec(&spec), field);
+        }
     }
     for spec in GpuSpec::presets_all() {
         let trace = Trace::decode(&stream_with_spec(&spec)).expect(spec.name);

@@ -7,8 +7,10 @@
 //! Each case pins four things, so any change to the kernel body, its
 //! setup or its launch resources shows up here:
 //!
-//! * an FNV-1a-64 digest of the KTRC trace bytes (launch name, resources
-//!   and every warp-level memory event, in order);
+//! * an FNV-1a-64 digest of the decoded trace (launch name, geometry and
+//!   resources, and every warp-level memory event's op, warp, mask,
+//!   bytes/lane and lane addresses, in order), independent of the wire
+//!   format;
 //! * the kernel's [`Convolution::name`];
 //! * an FNV-1a-64 digest of the output's `f32` bit patterns;
 //! * an FNV-1a-64 digest of the `Debug` rendering of the launch's
@@ -18,14 +20,8 @@ use kconv::core::{Convolution, GeneralConvStrided};
 use kconv::prelude::*;
 use kconv::trace::capture;
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
+mod common;
+use common::{decoded_digest, fnv1a};
 
 fn spec_named(name: &str) -> GpuSpec {
     match name {
@@ -58,7 +54,7 @@ fn observe(
         .unwrap_or_else(|e| panic!("{spec} {}: {e}", conv.name()));
     let out = run.output.as_slice().iter().flat_map(|v| v.to_le_bytes());
     (
-        fnv1a(trace),
+        decoded_digest(&trace),
         conv.name(),
         fnv1a(out),
         fnv1a(format!("{:?}", run.report.stats).into_bytes()),
@@ -67,7 +63,7 @@ fn observe(
 
 fn check(at: &str, got: Observed, want: (u64, &str, u64, u64)) {
     assert_eq!(got.1, want.1, "{at}: name");
-    assert_eq!(got.0, want.0, "{at}: KTRC bytes");
+    assert_eq!(got.0, want.0, "{at}: decoded events");
     assert_eq!(got.2, want.2, "{at}: output bits");
     assert_eq!(got.3, want.3, "{at}: KernelStats");
 }
@@ -77,24 +73,24 @@ type Golden = (&'static str, usize, usize, u64, &'static str, u64, u64);
 
 #[rustfmt::skip]
 const TABLE1: &[Golden] = &[
-    ("kepler", 1, 3, 0xee335c5271e446fb, "general (n=1)", 0xd80aee0bea59b18a, 0xd55f4ab5853b9022),
-    ("kepler", 1, 5, 0xedf9a31da4fff997, "general (n=1)", 0xb835d94e6d63a877, 0xdf26597f77e23a85),
-    ("kepler", 1, 7, 0x043e2913b1037785, "general (n=1)", 0x2af17a6d5be0f146, 0xfea8e4c346fa83d1),
-    ("kepler", 2, 3, 0x856d5bf6604e2933, "general (n=2)", 0xd80aee0bea59b18a, 0xe2ed51338e369175),
-    ("kepler", 2, 5, 0x0bc088f4e6a8706e, "general (n=2)", 0xb835d94e6d63a877, 0x736c906d982944e2),
-    ("kepler", 2, 7, 0xdc2329efbc7522f8, "general (n=2)", 0x2af17a6d5be0f146, 0x76bf1ec57c1ba431),
-    ("kepler", 4, 3, 0x1be5f5d22009c768, "general (n=4)", 0xd80aee0bea59b18a, 0x04dc97200eb75d4e),
-    ("kepler", 4, 5, 0x2d5e73c808c1ffd1, "general (n=4)", 0xb835d94e6d63a877, 0x7c263ed6fa414432),
-    ("kepler", 4, 7, 0xa93c0fddf5a078fc, "general (n=4)", 0x2af17a6d5be0f146, 0x709f20abb09d863f),
-    ("maxwell", 1, 3, 0xc56bad3baff47541, "general (n=1)", 0xd80aee0bea59b18a, 0xd541e59180ecda85),
-    ("maxwell", 1, 5, 0xe95581014562f692, "general (n=1)", 0xb835d94e6d63a877, 0x0ca1d7a736fd8060),
-    ("maxwell", 1, 7, 0xde7fa39f5e76a8f4, "general (n=1)", 0x2af17a6d5be0f146, 0x0763e194e96433ef),
-    ("maxwell", 2, 3, 0xbb4debf9095b41b9, "general (n=2)", 0xd80aee0bea59b18a, 0x0e718fe4ff5b246e),
-    ("maxwell", 2, 5, 0x0897a8832e80b973, "general (n=2)", 0xb835d94e6d63a877, 0x907de5d0ec83d24f),
-    ("maxwell", 2, 7, 0x461d9535569e7c93, "general (n=2)", 0x2af17a6d5be0f146, 0xb3f75a14727f00a7),
-    ("maxwell", 4, 3, 0x723af6b12d983699, "general (n=4)", 0xd80aee0bea59b18a, 0x3c2e9858794a69de),
-    ("maxwell", 4, 5, 0x1cc3a1dd25f037fd, "general (n=4)", 0xb835d94e6d63a877, 0xf76cd5fdda617ffd),
-    ("maxwell", 4, 7, 0x54fcf2f3ada778c2, "general (n=4)", 0x2af17a6d5be0f146, 0x623ad2a2ce618d05),
+    ("kepler", 1, 3, 0xf6d624bf2c90daad, "general (n=1)", 0xd80aee0bea59b18a, 0xd55f4ab5853b9022),
+    ("kepler", 1, 5, 0x0ca9a20a6e6d4e29, "general (n=1)", 0xb835d94e6d63a877, 0xdf26597f77e23a85),
+    ("kepler", 1, 7, 0x2487e724cf852835, "general (n=1)", 0x2af17a6d5be0f146, 0xfea8e4c346fa83d1),
+    ("kepler", 2, 3, 0xff42352431e1c55a, "general (n=2)", 0xd80aee0bea59b18a, 0xe2ed51338e369175),
+    ("kepler", 2, 5, 0xbc87cb681c41c652, "general (n=2)", 0xb835d94e6d63a877, 0x736c906d982944e2),
+    ("kepler", 2, 7, 0x475ea4a647d4c7d2, "general (n=2)", 0x2af17a6d5be0f146, 0x76bf1ec57c1ba431),
+    ("kepler", 4, 3, 0x7bcb8da866f5c997, "general (n=4)", 0xd80aee0bea59b18a, 0x04dc97200eb75d4e),
+    ("kepler", 4, 5, 0x279bf723d362c294, "general (n=4)", 0xb835d94e6d63a877, 0x7c263ed6fa414432),
+    ("kepler", 4, 7, 0xadd10dc7b8c714f8, "general (n=4)", 0x2af17a6d5be0f146, 0x709f20abb09d863f),
+    ("maxwell", 1, 3, 0xf6d624bf2c90daad, "general (n=1)", 0xd80aee0bea59b18a, 0xd541e59180ecda85),
+    ("maxwell", 1, 5, 0x0ca9a20a6e6d4e29, "general (n=1)", 0xb835d94e6d63a877, 0x0ca1d7a736fd8060),
+    ("maxwell", 1, 7, 0x2487e724cf852835, "general (n=1)", 0x2af17a6d5be0f146, 0x0763e194e96433ef),
+    ("maxwell", 2, 3, 0xff42352431e1c55a, "general (n=2)", 0xd80aee0bea59b18a, 0x0e718fe4ff5b246e),
+    ("maxwell", 2, 5, 0xbc87cb681c41c652, "general (n=2)", 0xb835d94e6d63a877, 0x907de5d0ec83d24f),
+    ("maxwell", 2, 7, 0x475ea4a647d4c7d2, "general (n=2)", 0x2af17a6d5be0f146, 0xb3f75a14727f00a7),
+    ("maxwell", 4, 3, 0x7bcb8da866f5c997, "general (n=4)", 0xd80aee0bea59b18a, 0x3c2e9858794a69de),
+    ("maxwell", 4, 5, 0x279bf723d362c294, "general (n=4)", 0xb835d94e6d63a877, 0xf76cd5fdda617ffd),
+    ("maxwell", 4, 7, 0xadd10dc7b8c714f8, "general (n=4)", 0x2af17a6d5be0f146, 0x623ad2a2ce618d05),
 ];
 
 /// The Table 1 configuration for every `n ∈ {1, 2, 4}` and `K ∈ {3, 5,
@@ -131,10 +127,10 @@ type Adapted = (usize, usize, u64, u64, u64);
 
 #[rustfmt::skip]
 const ADAPTED: &[Adapted] = &[
-    (8, 2, 0xf6bb2434d3ca2dce, 0x25a26ebae95e6d7d, 0x6ef777ca4780aa7d),
-    (16, 4, 0xa991d6e76d54915f, 0x561f1d04a0c84ec0, 0xc61a7bb4a3042b2e),
-    (32, 8, 0x28c06fd1c4376bc2, 0xf148b5da99adfc3a, 0x2f4f382b001583f4),
-    (64, 16, 0x7bea33afa438845c, 0x8dc5ed6c54db750a, 0xf5663c55dee250c1),
+    (8, 2, 0x035d243bedb76b82, 0x25a26ebae95e6d7d, 0x6ef777ca4780aa7d),
+    (16, 4, 0xcb13eef8f3afc607, 0x561f1d04a0c84ec0, 0xc61a7bb4a3042b2e),
+    (32, 8, 0x135363b56de296b9, 0xf148b5da99adfc3a, 0x2f4f382b001583f4),
+    (64, 16, 0xe39119918221073e, 0x8dc5ed6c54db750a, 0xf5663c55dee250c1),
 ];
 
 /// `GeneralConfig::for_problem` on a three-channel 3×3 layer (so
@@ -168,7 +164,7 @@ fn tuner_and_ablation_variants_are_pinned() {
         "W_T=8",
         got,
         (
-            0xc3bea0800c1fb63f,
+            0xcf431b184e99d5b7,
             "general (n=2)",
             0x8b3028fda3c56ff1,
             0x63c7e0332ef6e409,
@@ -184,7 +180,7 @@ fn tuner_and_ablation_variants_are_pinned() {
         "strided layout",
         got,
         (
-            0xeac1461e92f147ca,
+            0x9f921236488dd902,
             "general (strided outputs, GEMM layout)",
             0x8b3028fda3c56ff1,
             0x8011fe5f92d47ed6,

@@ -106,8 +106,6 @@ fn random_stream(seed: u64) -> (Vec<u8>, Vec<Written>) {
                         warp: rng.next() as u32,
                         mask,
                         lane_bytes: 1 << (rng.next() % 4),
-                        transactions: rng.next() as u32,
-                        cycles: rng.next() as u32,
                         addrs,
                     }
                 })
@@ -142,6 +140,37 @@ fn random_stream(seed: u64) -> (Vec<u8>, Vec<Written>) {
         });
     }
     (buf.take(), written)
+}
+
+/// Every spec the farm sweeps is a well-formed capture spec: a trace
+/// whose header embeds it decodes, and replay under it times the launch.
+#[test]
+fn every_grid_spec_replays_as_a_capture_spec() {
+    for spec in kconv_bench::farm::spec_grid() {
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        w.launch_begin(&TraceLaunch {
+            kernel: "grid",
+            grid_blocks: 1,
+            executed_blocks: 1,
+            threads_per_block: 32,
+            smem_bytes: 0,
+            regs_per_thread: 32,
+            overlap: OverlapMode::Prefetch,
+            spec: &spec,
+        });
+        w.write_block(0, &[]);
+        w.launch_end(&KernelStats {
+            fma_lane_ops: 1 << 20,
+            blocks_executed: 1,
+            blocks_total: 1,
+            ..Default::default()
+        });
+        drop(w);
+        let reports = replay(&buf.take(), &TargetSpec::Capture).expect(spec.name);
+        let timing = reports[0].timing.as_ref().expect("timed");
+        assert!(timing.t_total.is_finite(), "{}: {timing:?}", spec.name);
+    }
 }
 
 #[test]

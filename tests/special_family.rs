@@ -5,8 +5,10 @@
 //! Each case pins four things, so any change to the kernel body, its
 //! setup or its launch resources shows up here:
 //!
-//! * an FNV-1a-64 digest of the KTRC trace bytes (launch name, resources
-//!   and every warp-level memory event, in order);
+//! * an FNV-1a-64 digest of the decoded trace (launch name, geometry and
+//!   resources, and every warp-level memory event's op, warp, mask,
+//!   bytes/lane and lane addresses, in order), independent of the wire
+//!   format;
 //! * the kernel's [`Convolution::name`];
 //! * an FNV-1a-64 digest of the output's `f32` bit patterns;
 //! * an FNV-1a-64 digest of the `Debug` rendering of the launch's
@@ -17,19 +19,13 @@ use kconv::core::{Convolution, DataType, Storage};
 use kconv::prelude::*;
 use kconv::trace::capture;
 
+mod common;
+use common::{decoded_digest, fnv1a};
+
 /// The kernel under test for `storage` with `n` elements per access and
 /// the paper's tile.
 fn kernel(storage: Storage, n: usize) -> Box<dyn Convolution> {
     Box::new(SpecialConv::with_storage(storage, n))
-}
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// `(spec, storage, n, trace digest, name, output digest, stats digest)`.
@@ -37,32 +33,32 @@ type Golden = (&'static str, Storage, usize, u64, &'static str, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    ("kepler", Storage::F32, 1, 0x1704fd45de40579d, "special (unmatched, n=1)", 0x46bd78de6111588e, 0x57e37a2015eff07c),
-    ("kepler", Storage::F32, 2, 0xb2f8df2225e5b9f3, "special (matched, n=2)", 0x46bd78de6111588e, 0x03177b8ebb9b8f17),
-    ("kepler", Storage::F32, 4, 0xe61ae92980092aa0, "special (matched, n=4)", 0x46bd78de6111588e, 0x61f84d17248185f3),
-    ("kepler", Storage::F16, 1, 0x6a8328a1bf89c4ce, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
-    ("kepler", Storage::F16, 2, 0x76d62e3ae20c9e07, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x22a1c54270d7101d),
-    ("kepler", Storage::F16, 4, 0x02204cd10d323adb, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x49167be1d9e094d5),
-    ("kepler", Storage::Half2, 1, 0x4514e8659b9ecf74, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
-    ("kepler", Storage::Half2, 2, 0xe803c4393a661885, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0x0566ae6dd5eff85e),
-    ("kepler", Storage::Half2, 4, 0x4226edd9a258a30b, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0x9e5bfa294cc3d530),
-    ("kepler", Storage::I8, 1, 0x7c79abfcd0a86bbc, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
-    ("kepler", Storage::I8, 2, 0xec280eaa0691516d, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
-    ("kepler", Storage::I8, 4, 0x18c2489bc37a74c9, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8a294beb51c7dbfa),
-    ("kepler", Storage::I8, 8, 0x93b48c18296872d3, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0x1a910b9ca26cf857),
-    ("maxwell", Storage::F32, 1, 0xa99d918b2cd4717f, "special (unmatched, n=1)", 0x46bd78de6111588e, 0xdd24a2c1b9dc6d52),
-    ("maxwell", Storage::F32, 2, 0x02382a1928eeb872, "special (matched, n=2)", 0x46bd78de6111588e, 0xbcd26143855457e1),
-    ("maxwell", Storage::F32, 4, 0x329472fef50bc588, "special (matched, n=4)", 0x46bd78de6111588e, 0x58a07c4e6967f0a3),
-    ("maxwell", Storage::F16, 1, 0xd41dcbe650a39a02, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
-    ("maxwell", Storage::F16, 2, 0x753e1e2f98d73c93, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x76c277f82318ffc3),
-    ("maxwell", Storage::F16, 4, 0x8c4ac0280156d3b7, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x226ef0d45820e2ee),
-    ("maxwell", Storage::Half2, 1, 0x92534726a932e098, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
-    ("maxwell", Storage::Half2, 2, 0xb5be7f518d5f9a75, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0xebff00d444874b24),
-    ("maxwell", Storage::Half2, 4, 0xb6172dc6a657e253, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0xe64beac569fee27d),
-    ("maxwell", Storage::I8, 1, 0x8aed969e8bd2fb26, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
-    ("maxwell", Storage::I8, 2, 0xe7e154ca11504ae1, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
-    ("maxwell", Storage::I8, 4, 0x5f06dbfa2a6e3f49, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8fd72013db0107c5),
-    ("maxwell", Storage::I8, 8, 0xea7d97a71d06541d, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0xf14ebca6e61c6da0),
+    ("kepler", Storage::F32, 1, 0x3977538fde919523, "special (unmatched, n=1)", 0x46bd78de6111588e, 0x57e37a2015eff07c),
+    ("kepler", Storage::F32, 2, 0xd516f1caf6159940, "special (matched, n=2)", 0x46bd78de6111588e, 0x03177b8ebb9b8f17),
+    ("kepler", Storage::F32, 4, 0xb74459419f79dbd3, "special (matched, n=4)", 0x46bd78de6111588e, 0x61f84d17248185f3),
+    ("kepler", Storage::F16, 1, 0x8d8dbbef1aa21a70, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
+    ("kepler", Storage::F16, 2, 0xc601a98169bda23f, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x22a1c54270d7101d),
+    ("kepler", Storage::F16, 4, 0xf223e9741f81be8c, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x49167be1d9e094d5),
+    ("kepler", Storage::Half2, 1, 0xa460486ba26a5aad, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
+    ("kepler", Storage::Half2, 2, 0x2eea45e1652dedae, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0x0566ae6dd5eff85e),
+    ("kepler", Storage::Half2, 4, 0xd7885c56ca32ae6d, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0x9e5bfa294cc3d530),
+    ("kepler", Storage::I8, 1, 0xfe5f9d355e911a6c, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
+    ("kepler", Storage::I8, 2, 0xa65814a4a1528a41, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
+    ("kepler", Storage::I8, 4, 0xb6e9f77665e8666c, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8a294beb51c7dbfa),
+    ("kepler", Storage::I8, 8, 0x972ef7de7d1217f1, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0x1a910b9ca26cf857),
+    ("maxwell", Storage::F32, 1, 0x3977538fde919523, "special (unmatched, n=1)", 0x46bd78de6111588e, 0xdd24a2c1b9dc6d52),
+    ("maxwell", Storage::F32, 2, 0xd516f1caf6159940, "special (matched, n=2)", 0x46bd78de6111588e, 0xbcd26143855457e1),
+    ("maxwell", Storage::F32, 4, 0xb74459419f79dbd3, "special (matched, n=4)", 0x46bd78de6111588e, 0x58a07c4e6967f0a3),
+    ("maxwell", Storage::F16, 1, 0x8d8dbbef1aa21a70, "special fp16 (unmatched, n=1)", 0x9da7cea3ff962623, 0xbc4fb7475cf834d1),
+    ("maxwell", Storage::F16, 2, 0xc601a98169bda23f, "special fp16 (partial, n=2)", 0x9da7cea3ff962623, 0x76c277f82318ffc3),
+    ("maxwell", Storage::F16, 4, 0xf223e9741f81be8c, "special fp16 (matched, n=4)", 0x9da7cea3ff962623, 0x226ef0d45820e2ee),
+    ("maxwell", Storage::Half2, 1, 0xa460486ba26a5aad, "special half2 (unmatched, n=1)", 0xbe6f5ecb98d4138b, 0x1ebd09c64747d2e0),
+    ("maxwell", Storage::Half2, 2, 0x2eea45e1652dedae, "special half2 (partial, n=2)", 0xbe6f5ecb98d4138b, 0xebff00d444874b24),
+    ("maxwell", Storage::Half2, 4, 0xd7885c56ca32ae6d, "special half2 (matched, n=4)", 0xbe6f5ecb98d4138b, 0xe64beac569fee27d),
+    ("maxwell", Storage::I8, 1, 0xfe5f9d355e911a6c, "special int8 (unmatched, n=1)", 0x6dd280d9e9438c64, 0xfc5ef401a8125f37),
+    ("maxwell", Storage::I8, 2, 0xa65814a4a1528a41, "special int8 (partial, n=2)", 0x6dd280d9e9438c64, 0xd4d5bad16127fbf7),
+    ("maxwell", Storage::I8, 4, 0xb6e9f77665e8666c, "special int8 (partial, n=4)", 0x6dd280d9e9438c64, 0x8fd72013db0107c5),
+    ("maxwell", Storage::I8, 8, 0x972ef7de7d1217f1, "special int8 (matched, n=8)", 0x6dd280d9e9438c64, 0xf14ebca6e61c6da0),
 ];
 
 fn spec_named(name: &str) -> GpuSpec {
@@ -86,7 +82,7 @@ fn observe(spec: &str, storage: Storage, n: usize) -> (u64, String, u64, u64) {
     let run = run.unwrap_or_else(|e| panic!("{spec} {storage:?} n={n}: {e}"));
     let out = run.output.as_slice().iter().flat_map(|v| v.to_le_bytes());
     (
-        fnv1a(trace),
+        decoded_digest(&trace),
         conv.name(),
         fnv1a(out),
         fnv1a(format!("{:?}", run.report.stats).into_bytes()),
@@ -114,7 +110,7 @@ fn every_storage_and_factor_is_pinned() {
         let (trace, name, output, stats) = observe(spec, storage, n);
         let at = format!("{spec} {storage:?} n={n}");
         assert_eq!(name, golden.4, "{at}: name");
-        assert_eq!(trace, golden.3, "{at}: KTRC bytes");
+        assert_eq!(trace, golden.3, "{at}: decoded events");
         assert_eq!(output, golden.5, "{at}: output bits");
         assert_eq!(stats, golden.6, "{at}: KernelStats");
     }
@@ -137,14 +133,14 @@ fn fused_batch_is_pinned() {
         .iter()
         .flat_map(|o| o.as_slice().iter().flat_map(|v| v.to_le_bytes()));
     let got = (
-        fnv1a(trace),
+        decoded_digest(&trace),
         fnv1a(out),
         fnv1a(format!("{:?}", run.report.stats).into_bytes()),
     );
     assert_eq!(
         got,
-        (0x9c58f0ed459437e4, 0xce6d4f7f8e78606b, 0x03f8c562384b7a9e),
-        "(KTRC bytes, output bits, KernelStats)"
+        (0x9597cc92bbfd9a60, 0xce6d4f7f8e78606b, 0x03f8c562384b7a9e),
+        "(decoded events, output bits, KernelStats)"
     );
 }
 
