@@ -81,5 +81,5 @@ pub use report::render_report;
 pub use spec::{BankWidth, GpuSpec, SpecGrid, WARP_SIZE};
 pub use stats::KernelStats;
 pub use timing::{occupancy, Occupancy, OverlapMode, Timing};
-pub use trace::{EventEncoder, TraceEvent, TraceLaunch, TraceOp, TraceSink};
+pub use trace::{EncoderState, EventEncoder, TraceEvent, TraceLaunch, TraceOp, TraceSink};
 pub use warp::{lane_addrs, lane_addrs_from, lane_addrs_uniform, LaneIter, LaneMask, WarpAddrs};

@@ -23,8 +23,9 @@
 //! construction, nothing to buffer.
 //!
 //! With a sink installed, each event is encoded at the access, on the
-//! thread that runs its block, by the sink's pure [`EventEncoder`]: a
-//! block carries only its encoded bytes and an event count. The blocks'
+//! thread that runs its block, by the sink's [`EventEncoder`], which is
+//! deterministic per block: a block carries only its encoded bytes, an
+//! event count and the encoder's small [`EncoderState`]. The blocks'
 //! bytes are delivered in ascending block-id order on the launching
 //! thread — mirroring how the parallel launch path replays write journals
 //! (see [`crate::launch`]). A trace captured under
@@ -196,11 +197,25 @@ pub struct TraceLaunch<'a> {
 /// buffer of the block that issued it.
 ///
 /// It runs on the block's worker thread, once per warp memory instruction
-/// (and once per warp per barrier), so it must be **pure**: its output
-/// may depend only on the event, never on sink state, the thread or the
-/// buffer's earlier bytes. That is what keeps a threaded trace
-/// byte-identical to the serial one.
-pub type EventEncoder = fn(&mut Vec<u8>, &TraceEvent);
+/// (and once per warp per barrier), so it must be **deterministic per
+/// block**: its output may depend on the event and on the same block's
+/// earlier events — through the block's [`EncoderState`], which only the
+/// encoder reads and writes — never on sink state, the thread or another
+/// block. That is what keeps a threaded trace byte-identical to the
+/// serial one.
+pub type EventEncoder = fn(&mut Vec<u8>, &mut EncoderState, &TraceEvent);
+
+/// What an [`EventEncoder`] remembers between the events of one block:
+/// a few words, zeroed when the block starts and opaque to the
+/// simulator. An encoder may, for example, keep the compact form of the
+/// block's previous event here and write the next one relative to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EncoderState(pub [u64; EncoderState::WORDS]);
+
+impl EncoderState {
+    /// Number of `u64` words an encoder may keep per block.
+    pub const WORDS: usize = 5;
+}
 
 /// Observer for per-warp memory-instruction traces.
 ///
@@ -211,7 +226,8 @@ pub type EventEncoder = fn(&mut Vec<u8>, &TraceEvent);
 /// 2. [`encoder`](TraceSink::encoder) once per traced launch, after
 ///    `launch_begin`: every executed block encodes its events with the
 ///    returned function, in program order, on whatever thread runs the
-///    block (see [`EventEncoder`] — it must be pure);
+///    block, starting from a zeroed [`EncoderState`] (see
+///    [`EventEncoder`] — it must be deterministic per block);
 /// 3. [`block_encoded`](TraceSink::block_encoded) once per executed block
 ///    in **ascending block-id order**, regardless of
 ///    [`Parallelism`](crate::Parallelism), with the block's event count
@@ -226,7 +242,7 @@ pub type EventEncoder = fn(&mut Vec<u8>, &TraceEvent);
 pub trait TraceSink: Send {
     /// A traced launch is starting.
     fn launch_begin(&mut self, launch: &TraceLaunch<'_>);
-    /// The pure per-event encoder the launch's blocks run.
+    /// The per-event encoder the launch's blocks run.
     fn encoder(&self) -> EventEncoder;
     /// One executed block: `events` events, encoded back to back in
     /// program order by [`encoder`](TraceSink::encoder) into `bytes`.
@@ -235,11 +251,12 @@ pub trait TraceSink: Send {
     fn launch_end(&mut self, stats: &KernelStats);
 }
 
-/// One block's trace while it runs: the sink's encoder and the bytes it
-/// has appended so far.
+/// One block's trace while it runs: the sink's encoder, its state and
+/// the bytes it has appended so far.
 #[derive(Debug)]
 pub(crate) struct BlockTrace {
     encode: EventEncoder,
+    state: EncoderState,
     pub(crate) bytes: Vec<u8>,
     pub(crate) events: u64,
 }
@@ -248,6 +265,7 @@ impl BlockTrace {
     pub(crate) fn new(encode: EventEncoder) -> Self {
         BlockTrace {
             encode,
+            state: EncoderState::default(),
             bytes: Vec::new(),
             events: 0,
         }
@@ -256,7 +274,7 @@ impl BlockTrace {
     /// Encodes one event onto the block's bytes.
     #[inline]
     pub(crate) fn push(&mut self, ev: &TraceEvent) {
-        (self.encode)(&mut self.bytes, ev);
+        (self.encode)(&mut self.bytes, &mut self.state, ev);
         self.events += 1;
     }
 }
@@ -271,7 +289,7 @@ pub(crate) mod tests {
 
     /// A test encoder that keeps every field: the op tag, the three `u32`
     /// head fields and all 32 addresses, little-endian.
-    pub(crate) fn raw_encode(buf: &mut Vec<u8>, ev: &TraceEvent) {
+    pub(crate) fn raw_encode(buf: &mut Vec<u8>, _: &mut EncoderState, ev: &TraceEvent) {
         buf.push(ev.op as u8);
         for v in [ev.warp, ev.mask.0, ev.lane_bytes] {
             buf.extend_from_slice(&v.to_le_bytes());
@@ -323,6 +341,31 @@ pub(crate) mod tests {
         }
         assert_eq!(t.events, 3);
         assert_eq!(raw_decode(&t.bytes), events);
+    }
+
+    /// An encoder that writes how many events its block encoded before
+    /// this one, kept in the state's first word.
+    fn ordinal_encode(buf: &mut Vec<u8>, state: &mut EncoderState, _: &TraceEvent) {
+        buf.push(state.0[0] as u8);
+        state.0[0] += 1;
+    }
+
+    #[test]
+    fn encoder_state_starts_zeroed_in_every_block() {
+        let ev = TraceEvent {
+            op: TraceOp::CmLd,
+            warp: 0,
+            mask: LaneMask::ALL,
+            lane_bytes: 4,
+            addrs: [0; WARP_SIZE],
+        };
+        for _ in 0..2 {
+            let mut t = BlockTrace::new(ordinal_encode);
+            for _ in 0..3 {
+                t.push(&ev);
+            }
+            assert_eq!(t.bytes, [0, 1, 2]);
+        }
     }
 
     #[test]

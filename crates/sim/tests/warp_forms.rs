@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 
 use kconv_sim::pricing::{TwoLevel, WarpAccess, TWO_LEVEL_PERIODS};
 use kconv_sim::{
-    lane_addrs, BlockCtx, EventEncoder, FaultInjection, GmBuf, Gpu, GpuSpec, KernelStats, LaneMask,
-    LaunchConfig, SanitizerMode, SimError, SimMode, TraceEvent, TraceLaunch, TraceSink, WarpAddrs,
-    WarpCtx, WARP_SIZE,
+    lane_addrs, BlockCtx, EncoderState, EventEncoder, FaultInjection, GmBuf, Gpu, GpuSpec,
+    KernelStats, LaneMask, LaunchConfig, SanitizerMode, SimError, SimMode, TraceEvent, TraceLaunch,
+    TraceSink, WarpAddrs, WarpCtx, WARP_SIZE,
 };
 
 /// Shared memory per block, in bytes.
@@ -220,7 +220,7 @@ struct Sink(Arc<Mutex<Vec<u8>>>);
 
 /// Every field of the event, and the active lanes' addresses only:
 /// inactive lanes carry whatever the kernel's vector held.
-fn encode(buf: &mut Vec<u8>, ev: &TraceEvent) {
+fn encode(buf: &mut Vec<u8>, _: &mut EncoderState, ev: &TraceEvent) {
     buf.push(ev.op as u8);
     for v in [ev.warp, ev.mask.0, ev.lane_bytes] {
         buf.extend_from_slice(&v.to_le_bytes());

@@ -12,18 +12,24 @@
 //!   carry the lane addresses of every **affine** event compactly, as
 //!   `first` and `step` — the form nearly every convolution-kernel warp
 //!   access takes, and every 0- or 1-lane event,
+//! * one **run** head per stretch of repeat records with one delta: its
+//!   event count and the delta ride in the head, so the special kernel's
+//!   K² − 1 constant-memory taps per filter and warp take one 32-byte
+//!   head, not K² − 1,
 //! * one `[base, s1, s2]` row (24 bytes) per **two-level** event
 //!   ([`TwoLevel`]), its period riding in the head,
 //! * one `u64` address slab holding [`WARP_SIZE`] canonical addresses
 //!   (inactive lanes zeroed) for each **explicit** event only, and
-//! * block spans (`block_id` + event range)
+//! * block spans (`block_id`, head range, event count)
 //!
 //! — no per-event `Vec`, no pointer chasing. Consumers walk a block with
 //! [`BlockView::for_each`], which lends each event's lanes in their
-//! decoded form, a [`WarpAccess`]: the form-taking pricing of
-//! [`kconv_sim::pricing`] prices it without expanding the lanes, and
-//! [`WarpAccess::addrs`] expands it for consumers that read addresses one
-//! by one. Consumers that need no addresses read [`BlockView::heads`].
+//! decoded form, a [`WarpAccess`], expanding a run by shifting the form
+//! it repeats: the form-taking pricing of [`kconv_sim::pricing`] prices
+//! it without expanding the lanes, and [`WarpAccess::addrs`] expands it
+//! for consumers that read addresses one by one. Every count —
+//! [`DecodedLaunch::event_count`], [`DecodedLaunch::op_events`],
+//! [`BlockView::len`] — counts events, not heads.
 //!
 //! The decoded form is *lossless*: every header, end record and event
 //! field the writer was given is recoverable (see
@@ -38,7 +44,7 @@ use crate::format::{
     TAG_LAUNCH_BEGIN, TAG_LAUNCH_END, VERSION,
 };
 use crate::varint::Cursor;
-use crate::{TraceError, RESERVE_EVENTS_MAX};
+use crate::TraceError;
 
 /// How one event's lane addresses are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +56,15 @@ pub(crate) enum Lanes {
     TwoLevel { p: u8 },
     /// In the launch's address slab, at row `first`.
     Explicit,
+    /// A run of `first` events, each the block's previous event with
+    /// every address advanced by `step` (wrapping).
+    Repeat,
 }
 
 /// The fixed-size part of one traced warp instruction, plus where its
 /// lane addresses live: inline for affine events, in one of the launch's
-/// side slabs for the rest.
+/// side slabs for two-level and explicit ones. One head also stands for
+/// a whole run of repeated events (see [`BlockView::for_each`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHead {
     /// Which instruction.
@@ -68,19 +78,22 @@ pub struct EventHead {
     /// The lane form. (Keeping `first` and `step` beside this two-byte
     /// enum rather than inside it keeps the head at 32 bytes.)
     pub(crate) lanes: Lanes,
-    /// Affine: the lowest active lane's address; otherwise the index into
-    /// the form's slab.
+    /// Affine: the lowest active lane's address; a run: its event count;
+    /// otherwise the index into the form's slab.
     pub(crate) first: u64,
-    /// Affine: the address step between successive active lanes.
+    /// Affine: the address step between successive active lanes; a run:
+    /// the address delta from each event to the next.
     pub(crate) step: u64,
 }
 
-/// One block's event range inside a [`DecodedLaunch`].
+/// One block's head range inside a [`DecodedLaunch`] and the number of
+/// events its heads stand for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockSpan {
     id: u64,
     start: usize,
-    len: usize,
+    heads: usize,
+    events: usize,
 }
 
 /// One launch of a [`Trace`]: header, end record, and the flat event slabs.
@@ -121,7 +134,7 @@ impl DecodedLaunch {
 
     /// Number of traced events across all blocks.
     pub fn event_count(&self) -> usize {
-        self.heads.len()
+        self.op_events.iter().sum()
     }
 
     /// Number of block records.
@@ -145,7 +158,8 @@ impl DecodedLaunch {
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = BlockView<'_>> + '_ {
         self.blocks.iter().map(|span| BlockView {
             block_id: span.id,
-            heads: &self.heads[span.start..span.start + span.len],
+            heads: &self.heads[span.start..span.start + span.heads],
+            events: span.events,
             two_level: &self.two_level,
             addrs: &self.addrs,
         })
@@ -186,6 +200,34 @@ impl DecodedLaunch {
         self.push(head);
     }
 
+    /// The last head of the block being decoded, whose heads start at
+    /// `block_start`, if it has one.
+    #[inline]
+    pub(crate) fn block_last(&self, block_start: usize) -> Option<&EventHead> {
+        self.heads[block_start..].last()
+    }
+
+    /// Appends a run of `count` repeats of the block's last event, each
+    /// shifted by `delta` from the one before: the last head grows when
+    /// it is a run with the same delta. The caller has checked that the
+    /// block has a last head.
+    #[inline]
+    pub(crate) fn push_repeat(&mut self, count: u64, delta: u64) {
+        let last = self.heads.last_mut().expect("a repeated event");
+        self.op_events[last.op.index()] += count as usize;
+        if last.lanes == Lanes::Repeat && last.step == delta {
+            last.first += count;
+        } else {
+            let run = EventHead {
+                lanes: Lanes::Repeat,
+                first: count,
+                step: delta,
+                ..*last
+            };
+            self.heads.push(run);
+        }
+    }
+
     #[inline]
     fn push(&mut self, head: EventHead) {
         self.op_events[head.op.index()] += 1;
@@ -199,51 +241,67 @@ pub struct BlockView<'a> {
     /// The block id recorded by the writer.
     pub block_id: u64,
     heads: &'a [EventHead],
+    /// Events the heads stand for.
+    events: usize,
     /// The launch's whole two-level slab.
     two_level: &'a [[u64; 3]],
     /// The launch's whole explicit-address slab.
     addrs: &'a [u64],
 }
 
-impl BlockView<'_> {
+impl<'a> BlockView<'a> {
     /// Number of events in this block.
     pub fn len(&self) -> usize {
-        self.heads.len()
+        self.events
     }
 
     /// Whether the block recorded no events.
     pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
-    }
-
-    /// The block's event heads in issue order, for consumers that read no
-    /// lane addresses.
-    pub fn heads(&self) -> &[EventHead] {
-        self.heads
+        self.events == 0
     }
 
     /// Calls `f` on the block's events in issue order, each head paired
     /// with its lanes in decoded form: affine and two-level events as
-    /// their form, explicit ones as a borrow of the slab.
+    /// their form, explicit ones as a borrow of the slab. A run head is
+    /// expanded here: each of its events is the one before with the
+    /// affine `first` or two-level `base` shifted by the run's delta.
     #[inline]
     pub fn for_each(&self, mut f: impl FnMut(&EventHead, WarpAccess<'_>)) {
+        // The lanes of the block's latest event, which a run shifts. One
+        // call site for `f`, so the caller's closure is inlined once.
+        let mut last = WarpAccess::Affine { first: 0, step: 0 };
         for head in self.heads {
-            let i = head.first as usize;
-            let access = match head.lanes {
-                Lanes::Affine => WarpAccess::Affine {
-                    first: head.first,
-                    step: head.step,
-                },
-                Lanes::TwoLevel { p } => {
-                    let [base, s1, s2] = self.two_level[i];
-                    WarpAccess::TwoLevel(TwoLevel { p, base, s1, s2 })
-                }
-                Lanes::Explicit => {
-                    let slice = &self.addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
-                    WarpAccess::Explicit(<&WarpAddrs>::try_from(slice).expect("slab stride"))
-                }
+            let (count, delta) = if head.lanes == Lanes::Repeat {
+                (head.first, head.step)
+            } else {
+                last = self.lanes_of(head);
+                (1, 0)
             };
-            f(head, access);
+            for _ in 0..count {
+                last = shifted(last, delta);
+                f(head, last);
+            }
+        }
+    }
+
+    /// The lanes of a head that is not a run.
+    #[inline]
+    fn lanes_of(&self, head: &EventHead) -> WarpAccess<'a> {
+        let i = head.first as usize;
+        match head.lanes {
+            Lanes::Affine => WarpAccess::Affine {
+                first: head.first,
+                step: head.step,
+            },
+            Lanes::TwoLevel { p } => {
+                let [base, s1, s2] = self.two_level[i];
+                WarpAccess::TwoLevel(TwoLevel { p, base, s1, s2 })
+            }
+            Lanes::Explicit => {
+                let slice = &self.addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
+                WarpAccess::Explicit(<&WarpAddrs>::try_from(slice).expect("slab stride"))
+            }
+            Lanes::Repeat => unreachable!("a run head has no lanes of its own"),
         }
     }
 
@@ -264,6 +322,24 @@ impl BlockView<'_> {
     }
 }
 
+/// `access` with every lane address advanced by `delta` (wrapping).
+#[inline]
+fn shifted(access: WarpAccess<'_>, delta: u64) -> WarpAccess<'_> {
+    match access {
+        WarpAccess::Affine { first, step } => WarpAccess::Affine {
+            first: first.wrapping_add(delta),
+            step,
+        },
+        WarpAccess::TwoLevel(form) => WarpAccess::TwoLevel(TwoLevel {
+            base: form.base.wrapping_add(delta),
+            ..form
+        }),
+        // Only with delta 0: the reader lets no run follow an explicit
+        // event.
+        WarpAccess::Explicit(_) => access,
+    }
+}
+
 /// A fully decoded KTRC byte stream: every launch in slab form, ready to be
 /// re-priced many times without touching the varint decoder again.
 #[derive(Debug, Clone, Default)]
@@ -273,7 +349,8 @@ pub struct Trace {
 
 impl Trace {
     /// Decodes a binary KTRC stream into slabs. Affine and two-level
-    /// events stay compact; explicit ones whose lanes happen to form a
+    /// events stay compact, and repeat records with one delta fold into
+    /// one run head; explicit ones whose lanes happen to form a
     /// progression (every 0- and 1-lane event) are stored compactly too.
     ///
     /// A launch cut off by a new launch-begin record or by the end of the
@@ -317,17 +394,20 @@ impl Trace {
                     let launch = open.as_mut().ok_or_else(|| outside(&cur, "block"))?;
                     let id = cur.read_u64("block id")?;
                     let count = cur.read_u64("event count")?;
-                    // The count is an untrusted varint: clamp the
-                    // speculative pre-allocation so a corrupt header
-                    // cannot demand gigabytes (or overflow the capacity
-                    // math) before the event bytes fail to decode.
-                    launch.heads.reserve(count.min(RESERVE_EVENTS_MAX) as usize);
+                    // The count is an untrusted varint and a run of
+                    // repeats takes one head, so nothing is reserved from
+                    // it: the heads grow as records decode.
                     let start = launch.heads.len();
-                    for _ in 0..count {
-                        decode_event(&mut cur, launch)?;
+                    let mut left = count;
+                    while left > 0 {
+                        left -= decode_event(&mut cur, launch, start, left)?;
                     }
-                    let len = launch.heads.len() - start;
-                    launch.blocks.push(BlockSpan { id, start, len });
+                    launch.blocks.push(BlockSpan {
+                        id,
+                        start,
+                        heads: launch.heads.len() - start,
+                        events: count as usize,
+                    });
                 }
                 TAG_LAUNCH_END => {
                     let mut launch = open.take().ok_or_else(|| outside(&cur, "launch-end"))?;
@@ -360,25 +440,14 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::tests::{decode, Written};
+    use crate::format::tests::{decode, push_runs, repeats, split_blocks, Rng, Written};
     use crate::format::{SharedBuffer, TraceWriter};
     use kconv_sim::pricing::{affine_addrs, TWO_LEVEL_PERIODS};
     use kconv_sim::{GpuSpec, KernelStats, OverlapMode, TraceLaunch, TraceSink};
 
-    /// splitmix64, as in the format round-trip property test.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
-    /// A seeded random stream and the launches its writer was given.
+    /// A seeded random stream and the launches its writer was given:
+    /// random events and runs of repeats, cut into blocks at seeded
+    /// points.
     fn random_stream(seed: u64) -> (Vec<u8>, Vec<Written>) {
         let mut rng = Rng(0xFA43_0000 + seed);
         let spec = GpuSpec::kepler_k40m();
@@ -407,39 +476,46 @@ mod tests {
                 overlap: header.overlap,
                 spec: &spec,
             });
+            let mut events = Vec::new();
+            for _ in 0..blocks {
+                let n = rng.next() % 20;
+                events.extend((0..n).map(|_| {
+                    let mask = LaneMask(match rng.next() % 4 {
+                        0 => 0,
+                        1 => 1 << (rng.next() % 32),
+                        2 => u32::MAX,
+                        _ => rng.next() as u32,
+                    });
+                    let mut addrs = match rng.next() % 5 {
+                        0 => affine_addrs(mask, rng.next(), 0),
+                        1 => affine_addrs(mask, rng.next() % (1 << 40), rng.next() % 64),
+                        2 => affine_addrs(mask, 1 << 20, (rng.next() % 64).wrapping_neg()),
+                        3 => affine_addrs(mask, u64::MAX - rng.next() % 8, 1 << 12),
+                        _ => [0; WARP_SIZE],
+                    };
+                    for (lane, slot) in addrs.iter_mut().enumerate() {
+                        if mask.is_active(lane) && *slot == 0 {
+                            *slot = rng.next() % (1 << 40);
+                        }
+                    }
+                    TraceEvent {
+                        op: TraceOp::ALL[(rng.next() % 6) as usize],
+                        warp: rng.next() as u32,
+                        mask,
+                        lane_bytes: (rng.next() % 17) as u32,
+                        addrs,
+                    }
+                }));
+                let n = (rng.next() % 40) as usize;
+                push_runs(&mut rng, n, &mut events);
+            }
             let mut block_events = Vec::new();
-            for block_id in 0..blocks {
-                let events: Vec<TraceEvent> = (0..rng.next() % 20)
-                    .map(|_| {
-                        let mask = LaneMask(match rng.next() % 4 {
-                            0 => 0,
-                            1 => 1 << (rng.next() % 32),
-                            2 => u32::MAX,
-                            _ => rng.next() as u32,
-                        });
-                        let mut addrs = match rng.next() % 5 {
-                            0 => affine_addrs(mask, rng.next(), 0),
-                            1 => affine_addrs(mask, rng.next() % (1 << 40), rng.next() % 64),
-                            2 => affine_addrs(mask, 1 << 20, (rng.next() % 64).wrapping_neg()),
-                            3 => affine_addrs(mask, u64::MAX - rng.next() % 8, 1 << 12),
-                            _ => [0; WARP_SIZE],
-                        };
-                        for (lane, slot) in addrs.iter_mut().enumerate() {
-                            if mask.is_active(lane) && *slot == 0 {
-                                *slot = rng.next() % (1 << 40);
-                            }
-                        }
-                        TraceEvent {
-                            op: TraceOp::ALL[(rng.next() % 6) as usize],
-                            warp: rng.next() as u32,
-                            mask,
-                            lane_bytes: (rng.next() % 17) as u32,
-                            addrs,
-                        }
-                    })
-                    .collect();
-                w.write_block(block_id as usize, &events);
-                block_events.push((block_id, events));
+            for (block_id, block) in split_blocks(&mut rng, &events, blocks)
+                .into_iter()
+                .enumerate()
+            {
+                w.write_block(block_id, block);
+                block_events.push((block_id as u64, block.to_vec()));
             }
             let stats = KernelStats {
                 fma_lane_ops: rng.next(),
@@ -464,9 +540,11 @@ mod tests {
 
     /// Corpus round-trip property: on seeded random streams the decoded
     /// slab view reproduces exactly what the writer was given — headers,
-    /// ends, block ids, and every event field-exact (canonical form).
+    /// ends, block ids, event and per-op counts, and every event
+    /// field-exact (canonical form), runs of repeats included.
     #[test]
     fn decoded_view_equals_materialized_launches() {
+        let mut runs = 0;
         for seed in 0..8u64 {
             let (bytes, written) = random_stream(seed);
             let trace = Trace::decode(&bytes).unwrap();
@@ -475,29 +553,31 @@ mod tests {
                 assert_eq!(dl.header, wl.header, "seed {seed}");
                 assert_eq!(dl.end, wl.end, "seed {seed}");
                 assert_eq!(dl.block_count(), wl.blocks.len(), "seed {seed}");
-                assert_eq!(
-                    dl.event_count(),
-                    wl.blocks.iter().map(|(_, evs)| evs.len()).sum::<usize>(),
-                    "seed {seed}"
-                );
+                let events = || wl.blocks.iter().flat_map(|(_, evs)| evs);
+                assert_eq!(dl.event_count(), events().count(), "seed {seed}");
+                for op in TraceOp::ALL {
+                    let n = events().filter(|e| e.op == op).count();
+                    assert_eq!(dl.op_events(op), n, "seed {seed} {op}");
+                }
                 for (bv, (wid, wevs)) in dl.blocks().zip(&wl.blocks) {
                     assert_eq!(bv.block_id, *wid, "seed {seed}");
                     assert_eq!(bv.len(), wevs.len(), "seed {seed}");
+                    assert_eq!(bv.is_empty(), wevs.is_empty(), "seed {seed}");
                     let canonical: Vec<TraceEvent> = wevs.iter().map(|e| e.canonical()).collect();
                     assert_eq!(bv.to_events(), canonical, "seed {seed}");
-                    assert!(bv
-                        .heads()
-                        .iter()
-                        .map(|h| h.op)
-                        .eq(wevs.iter().map(|e| e.op)));
+                    // A run never continues into the next block.
+                    assert!(bv.heads.first().is_none_or(|h| h.lanes != Lanes::Repeat));
+                    runs += bv.heads.iter().filter(|h| h.lanes == Lanes::Repeat).count();
                 }
             }
         }
+        assert!(runs > 50, "{runs} run heads");
     }
 
     /// Only events whose lanes form neither a progression nor a
-    /// two-level tile take an address-slab row; two-level events take one
-    /// three-word row; the rest round-trip from their heads alone.
+    /// two-level tile take an address-slab row; two-level events that do
+    /// not repeat their predecessor take one three-word row; the rest
+    /// round-trip from their heads alone, a run of repeats from one head.
     #[test]
     fn affine_events_take_no_slab_space() {
         for seed in 0..8u64 {
@@ -508,28 +588,37 @@ mod tests {
                 .iter()
                 .zip(written)
             {
-                let events: Vec<TraceEvent> = wl
+                // Each event with whether it repeats its block's previous
+                // one.
+                let events: Vec<(TraceEvent, bool)> = wl
                     .blocks
                     .iter()
-                    .flat_map(|(_, evs)| evs)
-                    .map(|e| e.canonical())
+                    .flat_map(|(_, evs)| {
+                        let prevs = std::iter::once(None).chain(evs.iter().map(Some));
+                        evs.iter()
+                            .zip(prevs)
+                            .map(|(e, prev)| (e.canonical(), prev.is_some_and(|p| repeats(p, e))))
+                    })
                     .collect();
                 let affine = |e: &TraceEvent| affine_lanes(e.mask, &e.addrs).is_some();
-                let two_level = events
-                    .iter()
-                    .filter(|e| !affine(e) && TwoLevel::of(e.mask, &e.addrs).is_some())
-                    .count();
-                let explicit = events.iter().filter(|e| !affine(e)).count() - two_level;
+                let two_level =
+                    |e: &TraceEvent| !affine(e) && TwoLevel::of(e.mask, &e.addrs).is_some();
+                let count = |f: &dyn Fn(&(TraceEvent, bool)) -> bool| {
+                    events.iter().filter(|e| f(e)).count()
+                };
+                let explicit = count(&|(e, _)| !affine(e) && !two_level(e));
+                let two_level_rows = count(&|(e, rep)| !rep && two_level(e));
+                let affine_heads = count(&|(e, rep)| !rep && affine(e));
+                let repeated = count(&|(_, rep)| *rep);
                 assert_eq!(dl.addrs.len(), explicit * WARP_SIZE, "seed {seed}");
-                assert_eq!(dl.two_level.len(), two_level, "seed {seed}");
+                assert_eq!(dl.two_level.len(), two_level_rows, "seed {seed}");
                 assert_eq!(dl.explicit_events(), explicit, "seed {seed}");
-                for op in TraceOp::ALL {
-                    let n = events.iter().filter(|e| e.op == op).count();
-                    assert_eq!(dl.op_events(op), n, "seed {seed}");
-                }
-                let heads_affine = dl.heads.iter().filter(|h| h.lanes == Lanes::Affine).count();
+                let heads_of = |lanes: Lanes| dl.heads.iter().filter(move |h| h.lanes == lanes);
+                assert_eq!(heads_of(Lanes::Affine).count(), affine_heads, "seed {seed}");
+                let runs: u64 = heads_of(Lanes::Repeat).map(|h| h.first).sum();
+                assert_eq!(runs as usize, repeated, "seed {seed}");
                 assert_eq!(
-                    heads_affine + two_level + explicit,
+                    affine_heads + two_level_rows + explicit + repeated,
                     dl.event_count(),
                     "seed {seed}"
                 );

@@ -1,7 +1,7 @@
 //! The compact binary trace format: the writer (a [`TraceSink`]) and the
 //! record decoders [`Trace::decode`](crate::Trace::decode) drives.
 //!
-//! # Layout (version 7)
+//! # Layout (version 8)
 //!
 //! A trace file is a 5-byte header (`"KTRC"` + version) followed by a
 //! stream of tagged records; all integers are LEB128 varints (see
@@ -24,7 +24,9 @@
 //! Each event is: op byte, warp, complemented lane mask (`!mask`, so a
 //! full warp costs one byte), bytes/lane — then the addresses of the
 //! **active lanes only**, in one of three forms chosen by the op byte's
-//! two high bits (the low six bits are the [`TraceOp`]). An event records
+//! two high bits (the low six bits are the [`TraceOp`]) — or, with both
+//! bits set, a two-field **repeat** record that stands for the block's
+//! previous event shifted by one delta. An event records
 //! no cost: transactions, bank-conflict cycles and constant-memory
 //! serialization are functions of the addresses and the architecture,
 //! which replay computes with the same pricing core as the live memory
@@ -35,10 +37,26 @@
 //! | [`AFFINE`] | affine | `first`, zigzag `step` | `first + k·step` |
 //! | [`TWO_LEVEL`] | two-level | `p` (u8), `base`, zigzag `s1`, zigzag `s2` | `base + (l mod p)·s1 + (l div p)·s2` |
 //! | neither | explicit | first active lane's address, then zigzag deltas between successive active lanes | — |
+//! | [`REPEAT`] (both) | repeat | zigzag `delta` only — no head fields | the previous event's address `+ delta` |
 //!
 //! All address arithmetic wraps. The writer tries the forms in that order
-//! and takes the first that fits, so each event has one encoding and
-//! serial ≡ threaded traces stay byte-identical:
+//! — repeat first — and takes the first that fits, so each event has one
+//! encoding. Its choice depends on the event and on the same block's
+//! previous event only, which the simulator's per-block
+//! [`EncoderState`] carries, so serial ≡ threaded traces stay
+//! byte-identical:
+//!
+//! * **repeat** exactly when the block's previous event took the affine
+//!   or two-level form and this one has the same op, warp, mask,
+//!   bytes/lane, form and strides (`step`, or `p`, `s1` and `s2`): then
+//!   every address is the previous one's plus `delta`, the difference of
+//!   the two `first`s (or `base`s). The special kernel's (§4.1)
+//!   warp-uniform constant-memory filter walk is such a run — one affine
+//!   event per filter, then K² − 1 two-byte repeats 4 B apart. The
+//!   reader rejects a repeat that opens a block, follows an explicit
+//!   event, or names another op than the previous event's; a run never
+//!   crosses a block boundary, and a block's event count counts each
+//!   repeat.
 //!
 //! * **affine** exactly when at least two lanes are active and every
 //!   successive delta is equal. This is the paper's strided warp access
@@ -50,11 +68,10 @@
 //!   lane 0's address and `s1`, `s2` the deltas from it to lanes 1 and `p`.
 //!   This is the shape of a 2-D register tile (§4.2), whose thread `t`
 //!   works at column `t mod p`, row `t div p`. The reader rejects any other
-//!   `p`, a flagged event with lane 0, 1 or `p` inactive, and an event
-//!   carrying both flags.
+//!   `p` and a flagged event with lane 0, 1 or `p` inactive.
 //! * **explicit** otherwise.
 //!
-//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 7
+//! The reader, [`Trace::decode`](crate::Trace::decode), accepts version 8
 //! only; every other version byte is a typed [`TraceError::Malformed`].
 //!
 //! A `launch begin` arriving while a launch is open, or end-of-file inside
@@ -66,24 +83,28 @@ use std::sync::{Arc, Mutex};
 
 use kconv_sim::pricing::{affine_lanes, TwoLevel, TWO_LEVEL_PERIODS};
 use kconv_sim::{
-    BankWidth, EventEncoder, GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch,
-    TraceOp, TraceSink, WARP_SIZE,
+    BankWidth, EncoderState, EventEncoder, GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent,
+    TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
 };
 
 use crate::decoded::{DecodedLaunch, EventHead, Lanes};
-use crate::varint::{write_u64, zigzag, Cursor};
+use crate::varint::{unzigzag, write_u64, zigzag, Cursor};
 use crate::TraceError;
 
 /// File magic: the first four bytes of every trace.
 pub const MAGIC: [u8; 4] = *b"KTRC";
 /// The one format version the writer emits and the reader accepts.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 /// Event op-byte flag: the active lanes' addresses are stored as an
 /// arithmetic progression (`first`, zigzag `step`).
 pub const AFFINE: u8 = 0x80;
 /// Event op-byte flag: the lane addresses are stored in the two-level
 /// form ([`TwoLevel`]: `p`, `base`, zigzag `s1`, zigzag `s2`).
 pub const TWO_LEVEL: u8 = 0x40;
+/// Event op-byte flags of a repeat record (both lane-form flags): the
+/// block's previous event, with every address advanced by one zigzag
+/// `delta`.
+pub const REPEAT: u8 = AFFINE | TWO_LEVEL;
 
 pub(crate) const TAG_LAUNCH_BEGIN: u8 = 1;
 pub(crate) const TAG_BLOCK: u8 = 2;
@@ -106,13 +127,18 @@ struct EventBytes<const N: usize> {
 }
 
 impl<const N: usize> EventBytes<N> {
+    #[inline]
+    fn new() -> Self {
+        EventBytes {
+            buf: [0; N],
+            len: 0,
+        }
+    }
+
     /// The op byte (with its lane-form `flag`) and the three head fields.
     #[inline]
     fn head(ev: &TraceEvent, flag: u8) -> Self {
-        let mut out = EventBytes {
-            buf: [0; N],
-            len: 0,
-        };
+        let mut out = Self::new();
         out.byte(ev.op as u8 | flag);
         for v in [ev.warp, !ev.mask.0, ev.lane_bytes] {
             out.varint(u64::from(v));
@@ -137,25 +163,28 @@ impl<const N: usize> EventBytes<N> {
     }
 }
 
-/// Encodes one event in the first lane form that fits: affine (two or
-/// more active lanes in progression), two-level (see [`TwoLevel::of`]),
-/// explicit. The [`EventEncoder`] [`TraceWriter`] hands the simulator.
-fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
-    let compact = if let Some((first, step)) =
+/// Where the writer's [`EncoderState`] keeps the start address of the
+/// block's previous compact event. The words before it are what a repeat
+/// must match: a key packing op, lane-form flag, period and bytes/lane
+/// (zero at block start and after an explicit event, so that nothing
+/// repeats it), warp and mask, and the two strides (`step` and 0, or
+/// `s1` and `s2`); the start is the affine `first` or two-level `base`.
+const START: usize = 4;
+
+/// Encodes one event: as a repeat record when it is the block's previous
+/// compact event shifted by one delta, else in the first lane form that
+/// fits — affine (two or more active lanes in progression), two-level
+/// (see [`TwoLevel::of`]), explicit. The [`EventEncoder`] [`TraceWriter`]
+/// hands the simulator; `state` holds the block's previous event.
+fn encode_event(buf: &mut Vec<u8>, state: &mut EncoderState, ev: &TraceEvent) {
+    let (flag, p, start, strides) = if let Some((first, step)) =
         affine_lanes(ev.mask, &ev.addrs).filter(|_| ev.mask.count() >= 2)
     {
-        let mut out = EventBytes::<COMPACT_BYTES_MAX>::head(ev, AFFINE);
-        out.varint(first);
-        out.varint(zigzag(step as i64));
-        out
+        (AFFINE, 0, first, [step, 0])
     } else if let Some(form) = TwoLevel::of(ev.mask, &ev.addrs) {
-        let mut out = EventBytes::<COMPACT_BYTES_MAX>::head(ev, TWO_LEVEL);
-        out.byte(form.p);
-        out.varint(form.base);
-        out.varint(zigzag(form.s1 as i64));
-        out.varint(zigzag(form.s2 as i64));
-        out
+        (TWO_LEVEL, form.p, form.base, [form.s1, form.s2])
     } else {
+        *state = EncoderState::default();
         // The first active lane's address, then deltas between successive
         // active lanes.
         let mut out = EventBytes::<EXPLICIT_BYTES_MAX>::head(ev, 0);
@@ -171,28 +200,64 @@ fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
         buf.extend_from_slice(&out.buf[..out.len]);
         return;
     };
+    let key = u64::from(ev.op as u8)
+        | u64::from(flag) << 8
+        | u64::from(p) << 16
+        | u64::from(ev.lane_bytes) << 32;
+    let warp_mask = u64::from(ev.warp) | u64::from(ev.mask.0) << 32;
+    let now = [key, warp_mask, strides[0], strides[1], start];
+    let out = if state.0[..START] == now[..START] {
+        let mut out = EventBytes::<COMPACT_BYTES_MAX>::new();
+        out.byte(ev.op as u8 | REPEAT);
+        out.varint(zigzag(start.wrapping_sub(state.0[START]) as i64));
+        out
+    } else {
+        let mut out = EventBytes::<COMPACT_BYTES_MAX>::head(ev, flag);
+        if flag == TWO_LEVEL {
+            out.byte(p);
+        }
+        out.varint(start);
+        out.varint(zigzag(strides[0] as i64));
+        if flag == TWO_LEVEL {
+            out.varint(zigzag(strides[1] as i64));
+        }
+        out
+    };
+    state.0 = now;
     // A fixed-size copy and a truncate instead of a variable-length
     // `memcpy` call.
-    let len = buf.len() + compact.len;
-    buf.extend_from_slice(&compact.buf);
+    let len = buf.len() + out.len;
+    buf.extend_from_slice(&out.buf);
     buf.truncate(len);
 }
 
-/// Decodes one event into the block `launch` is decoding: an affine event
-/// as its head alone, a two-level one as its head and form, an explicit
-/// one with its canonical lane addresses (inactive lanes zeroed).
+fn malformed(cur: &Cursor<'_>, reason: String) -> TraceError {
+    TraceError::Malformed {
+        offset: cur.pos(),
+        reason,
+    }
+}
+
+/// Decodes one record of the block `launch` is decoding, whose heads
+/// start at `block_start` and which has `left` (at least one) declared
+/// events still to come, and returns how many events it held: an affine
+/// event as its head alone, a two-level one as its head and form, an
+/// explicit one with its canonical lane addresses (inactive lanes
+/// zeroed), and a repeat together with the identical two-byte repeats
+/// right after it, up to `left`, as one run.
 #[inline]
 pub(crate) fn decode_event(
     cur: &mut Cursor<'_>,
     launch: &mut DecodedLaunch,
-) -> Result<(), TraceError> {
+    block_start: usize,
+    left: u64,
+) -> Result<u64, TraceError> {
     let op_byte = cur.read_u8("event op")?;
-    let malformed = |cur: &Cursor<'_>, reason: String| TraceError::Malformed {
-        offset: cur.pos(),
-        reason,
-    };
-    let op = TraceOp::from_u8(op_byte & !(AFFINE | TWO_LEVEL))
+    let op = TraceOp::from_u8(op_byte & !REPEAT)
         .ok_or_else(|| malformed(cur, format!("unknown trace op tag {op_byte}")))?;
+    if op_byte & REPEAT == REPEAT {
+        return decode_repeat(cur, launch, block_start, left, op);
+    }
     // The three head fields are one byte each in nearly every event.
     let [warp, mask, lane_bytes] = match cur.read_small::<3>() {
         Some(small) => small.map(u64::from),
@@ -222,7 +287,7 @@ pub(crate) fn decode_event(
             head.first = cur.read_u64("event first address")?;
             head.step = cur.read_i64("event address step")? as u64;
             launch.push_affine(head);
-            return Ok(());
+            return Ok(1);
         }
         TWO_LEVEL => {
             let p = cur.read_u8("two-level period")?;
@@ -245,13 +310,9 @@ pub(crate) fn decode_event(
                 s2: cur.read_i64("event row step")? as u64,
             };
             launch.push_two_level(head, form);
-            return Ok(());
+            return Ok(1);
         }
-        0 => {}
-        _ => {
-            let reason = format!("event op byte {op_byte:#04x} sets both lane-form flags");
-            return Err(malformed(cur, reason));
-        }
+        _ => {}
     }
     // Walk only the active lanes, lowest first: the first carries an
     // absolute address, each later one a delta from its predecessor.
@@ -268,7 +329,45 @@ pub(crate) fn decode_event(
         }
     }
     launch.push_explicit(head, &addrs);
-    Ok(())
+    Ok(1)
+}
+
+/// Decodes a repeat record of `op` (after its op byte) and the identical
+/// two-byte repeats that follow it, at most `left` events in all.
+#[inline]
+fn decode_repeat(
+    cur: &mut Cursor<'_>,
+    launch: &mut DecodedLaunch,
+    block_start: usize,
+    left: u64,
+    op: TraceOp,
+) -> Result<u64, TraceError> {
+    let Some(prev) = launch.block_last(block_start) else {
+        return Err(malformed(
+            cur,
+            "repeat record as a block's first event".into(),
+        ));
+    };
+    // An explicit event decodes to an affine head when its lanes form a
+    // progression — always so for fewer than two active lanes, which the
+    // writer never gives a compact form.
+    if prev.lanes == Lanes::Explicit || (prev.lanes == Lanes::Affine && prev.mask.count() < 2) {
+        return Err(malformed(
+            cur,
+            "repeat record after an explicit event".into(),
+        ));
+    }
+    if prev.op != op {
+        let reason = format!("repeat record of {op} after a {} event", prev.op);
+        return Err(malformed(cur, reason));
+    }
+    let delta = cur.read_u64("repeat delta")?;
+    let mut count = 1;
+    if delta < 0x80 && left > 1 {
+        count += cur.skip_pairs([op as u8 | REPEAT, delta as u8], left - 1);
+    }
+    launch.push_repeat(count, unzigzag(delta) as u64);
+    Ok(count)
 }
 
 fn encode_spec(buf: &mut Vec<u8>, spec: &GpuSpec) {
@@ -594,8 +693,9 @@ impl<W: Write> TraceWriter<W> {
     /// would deliver for these events.
     pub fn write_block(&mut self, block_id: usize, events: &[TraceEvent]) {
         let mut bytes = Vec::new();
+        let mut state = EncoderState::default();
         for ev in events {
-            encode_event(&mut bytes, ev);
+            encode_event(&mut bytes, &mut state, ev);
         }
         self.block_record(block_id, events.len() as u64, &bytes);
     }
@@ -756,6 +856,7 @@ pub struct LaunchEnd {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use kconv_sim::pricing::WarpAccess;
 
     fn ev(op: TraceOp, warp: u32, mask: u32, stride: u64, base: u64) -> TraceEvent {
         let mut addrs = [0u64; WARP_SIZE];
@@ -985,7 +1086,7 @@ pub(crate) mod tests {
         // Re-encode the event alone to find the period byte after its
         // head.
         let mut bytes = Vec::new();
-        encode_event(&mut bytes, e);
+        encode_event(&mut bytes, &mut EncoderState::default(), e);
         let mut cur = Cursor::new(&bytes[1..]);
         for _ in 0..3 {
             cur.read_u64("head").unwrap();
@@ -1013,7 +1114,7 @@ pub(crate) mod tests {
         };
         assert_eq!(written_form(&e), (TWO_LEVEL, Some(2)));
         let mut bytes = Vec::new();
-        encode_event(&mut bytes, &e);
+        encode_event(&mut bytes, &mut EncoderState::default(), &e);
         assert_eq!(bytes.len(), 47);
         assert!(bytes.len() <= COMPACT_BYTES_MAX);
         assert_eq!(
@@ -1167,17 +1268,73 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn only_version_7_is_accepted() {
+    fn only_version_8_is_accepted() {
         let good = one_block(&[ev(TraceOp::GmLd, 0, u32::MAX, 4, 0)]);
         assert!(decode(&good).is_ok());
-        for version in [0u8, 1, 2, 3, 4, 5, 6, 8] {
+        for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 9] {
             let mut bytes = good.clone();
             bytes[MAGIC.len()] = version;
             assert_eq!(
                 malformed_reason(&bytes),
-                format!("unsupported trace version {version} (expected 7)")
+                format!("unsupported trace version {version} (expected 8)")
             );
         }
+    }
+
+    /// Whether `e` is `prev` with every active address advanced by one
+    /// delta, from a brute-force walk of the lanes: what the writer
+    /// writes as a repeat record when `prev` took a compact form.
+    fn shifts(prev: &TraceEvent, e: &TraceEvent) -> bool {
+        let same_head = (prev.op, prev.warp, prev.mask, prev.lane_bytes)
+            == (e.op, e.warp, e.mask, e.lane_bytes);
+        let mut deltas = e
+            .mask
+            .iter()
+            .map(|l| e.addrs[l].wrapping_sub(prev.addrs[l]));
+        let delta = deltas.next();
+        same_head && delta.is_some() && deltas.all(|d| Some(d) == delta)
+    }
+
+    /// Whether the writer gives `e` a repeat record after `prev`: `prev`
+    /// took a compact form and `e` shifts it.
+    pub(crate) fn repeats(prev: &TraceEvent, e: &TraceEvent) -> bool {
+        reference_form(prev).0 != 0 && shifts(prev, e)
+    }
+
+    /// Event by event through one encoder state, on the seeded runs of
+    /// [`push_runs`] split into blocks: the writer emits a two-byte-plus
+    /// repeat record exactly when the event shifts the block's previous
+    /// one and that one was compact, and a block's first event never
+    /// repeats.
+    #[test]
+    fn repeats_are_written_exactly_for_shifted_compact_events() {
+        let mut rng = Rng(0x4E9E_A700);
+        let mut written = 0;
+        for _ in 0..40 {
+            let mut events = Vec::new();
+            push_runs(&mut rng, 60, &mut events);
+            for block in split_blocks(&mut rng, &events, 3) {
+                let mut state = EncoderState::default();
+                let mut prev: Option<&TraceEvent> = None;
+                for e in block {
+                    let mut bytes = Vec::new();
+                    encode_event(&mut bytes, &mut state, e);
+                    let want = prev.is_some_and(|p| repeats(p, e));
+                    assert_eq!(bytes[0] & REPEAT == REPEAT, want, "{prev:?} -> {e:?}");
+                    if want {
+                        assert_eq!(bytes[0], e.op as u8 | REPEAT);
+                        let delta = e.addrs[e.mask.iter().next().unwrap()]
+                            .wrapping_sub(prev.unwrap().addrs[e.mask.iter().next().unwrap()]);
+                        let mut cur = Cursor::new(&bytes[1..]);
+                        assert_eq!(cur.read_i64("delta").unwrap() as u64, delta);
+                        assert!(cur.is_empty());
+                        written += 1;
+                    }
+                    prev = Some(e);
+                }
+            }
+        }
+        assert!(written > 500, "{written} repeats");
     }
 
     #[test]
@@ -1308,12 +1465,12 @@ pub(crate) mod tests {
         assert_eq!(l.blocks[0].1[1], bar);
     }
 
-    /// splitmix64: a tiny seeded generator so the property test needs no
+    /// splitmix64: a tiny seeded generator so the property tests need no
     /// external crate.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1322,11 +1479,103 @@ pub(crate) mod tests {
         }
     }
 
+    /// Appends `n` events in runs, as a convolution kernel's warp issues
+    /// them: each event is the previous one with every address advanced
+    /// by a delta that mostly stays and sometimes changes, and now and
+    /// then the run breaks on a changed warp, mask, bytes/lane or stride.
+    /// The lanes are affine or two-level; every few events a run restarts
+    /// from a fresh event of either form, with a zero, small, negative or
+    /// wrapping delta.
+    pub(crate) fn push_runs(rng: &mut Rng, n: usize, events: &mut Vec<TraceEvent>) {
+        let draw_delta = |rng: &mut Rng| match rng.next() % 5 {
+            0 => 0,
+            1 => 4,
+            2 => rng.next() % 60,
+            3 => (rng.next() % 60).wrapping_neg(),
+            _ => rng.next(),
+        };
+        let mut form = WarpAccess::Affine { first: 0, step: 0 };
+        let mut e = ev(TraceOp::CmLd, 0, u32::MAX, 0, 0);
+        let mut delta = 0;
+        for i in 0..n {
+            if i % 16 == 0 {
+                let p = TWO_LEVEL_PERIODS[(rng.next() % 4) as usize];
+                let first = rng.next() % (1 << 40);
+                form = match rng.next() % 3 {
+                    0 => WarpAccess::Affine { first, step: 0 },
+                    1 => WarpAccess::Affine { first, step: 4 },
+                    _ => WarpAccess::TwoLevel(TwoLevel {
+                        p,
+                        base: first,
+                        s1: 4,
+                        s2: 4096,
+                    }),
+                };
+                e.op = TraceOp::ALL[(rng.next() % 6) as usize];
+                e.warp = (rng.next() % 4) as u32;
+                e.mask = LaneMask(if rng.next().is_multiple_of(2) {
+                    u32::MAX
+                } else {
+                    0x0001_ffff
+                });
+                delta = draw_delta(rng);
+            }
+            match rng.next() % 12 {
+                0 => delta = draw_delta(rng),
+                1 => e.warp ^= 1,
+                2 => e.mask.0 ^= 1 << 31,
+                3 => e.lane_bytes = [4, 8, 16][(rng.next() % 3) as usize],
+                4 => match &mut form {
+                    WarpAccess::Affine { step, .. } => *step = step.wrapping_add(4),
+                    WarpAccess::TwoLevel(t) => t.s2 = t.s2.wrapping_add(64),
+                    WarpAccess::Explicit(_) => unreachable!(),
+                },
+                _ => {}
+            }
+            form = match form {
+                WarpAccess::Affine { first, step } => WarpAccess::Affine {
+                    first: first.wrapping_add(delta),
+                    step,
+                },
+                WarpAccess::TwoLevel(t) => WarpAccess::TwoLevel(TwoLevel {
+                    base: t.base.wrapping_add(delta),
+                    ..t
+                }),
+                WarpAccess::Explicit(_) => unreachable!(),
+            };
+            e.addrs = form.addrs(e.mask);
+            events.push(e);
+        }
+    }
+
+    /// `events` cut into `blocks` consecutive blocks at seeded points
+    /// (some may be empty), so runs cross block boundaries.
+    pub(crate) fn split_blocks<'e>(
+        rng: &mut Rng,
+        events: &'e [TraceEvent],
+        blocks: u64,
+    ) -> Vec<&'e [TraceEvent]> {
+        let mut cuts: Vec<usize> = (1..blocks)
+            .map(|_| (rng.next() % (events.len() as u64 + 1)) as usize)
+            .collect();
+        cuts.sort_unstable();
+        cuts.push(events.len());
+        let mut at = 0;
+        cuts.into_iter()
+            .map(|cut| {
+                let block = &events[at..cut];
+                at = cut;
+                block
+            })
+            .collect()
+    }
+
     /// Seeded-random streams through the writer must come back field-exact
     /// through the decoder, across the varint/zigzag edge cases
-    /// and both event forms: full, gapped, single-lane and empty masks;
+    /// and every event form: full, gapped, single-lane and empty masks;
     /// affine steps that are zero, positive, negative or wrap past
-    /// `u64::MAX`; non-affine lanes; and multi-launch streams.
+    /// `u64::MAX`; non-affine lanes; runs of repeats ([`push_runs`]) cut
+    /// at block boundaries; and multi-launch streams.
     #[test]
     fn random_streams_round_trip_bit_exactly() {
         for seed in 0..8u64 {
@@ -1353,49 +1602,56 @@ pub(crate) mod tests {
                     overlap,
                     spec: &spec,
                 });
-                let mut blocks_want = Vec::new();
-                for block_id in 0..blocks {
+                let mut launch_events = Vec::new();
+                for _ in 0..blocks {
                     let n = rng.next() % 20;
-                    let events: Vec<TraceEvent> = (0..n)
-                        .map(|_| {
-                            let mask = match rng.next() % 5 {
-                                0 => LaneMask(0),                      // empty
-                                1 => LaneMask(1 << (rng.next() % 32)), // single lane
-                                2 => LaneMask(u32::MAX),               // full warp
-                                _ => LaneMask(rng.next() as u32),      // gapped
-                            };
-                            let (first, step) = match rng.next() % 4 {
-                                0 => (rng.next(), 0),
-                                1 => (rng.next() % (1 << 40), rng.next() % 256),
-                                2 => (rng.next() % (1 << 40), (rng.next() % 256).wrapping_neg()),
-                                _ => (u64::MAX - rng.next() % 64, 1 + rng.next() % (1 << 20)),
-                            };
-                            let mut addrs = crate::affine_addrs(mask, first, step);
-                            if rng.next().is_multiple_of(3) {
-                                // Bend one active lane: non-affine unless
-                                // the mask has fewer than three lanes.
-                                for (lane, slot) in addrs.iter_mut().enumerate() {
-                                    if mask.is_active(lane) && rng.next().is_multiple_of(2) {
-                                        *slot = slot.wrapping_add(1 + rng.next() % 1000);
-                                    }
+                    launch_events.extend((0..n).map(|_| {
+                        let mask = match rng.next() % 5 {
+                            0 => LaneMask(0),                      // empty
+                            1 => LaneMask(1 << (rng.next() % 32)), // single lane
+                            2 => LaneMask(u32::MAX),               // full warp
+                            _ => LaneMask(rng.next() as u32),      // gapped
+                        };
+                        let (first, step) = match rng.next() % 4 {
+                            0 => (rng.next(), 0),
+                            1 => (rng.next() % (1 << 40), rng.next() % 256),
+                            2 => (rng.next() % (1 << 40), (rng.next() % 256).wrapping_neg()),
+                            _ => (u64::MAX - rng.next() % 64, 1 + rng.next() % (1 << 20)),
+                        };
+                        let mut addrs = crate::affine_addrs(mask, first, step);
+                        if rng.next().is_multiple_of(3) {
+                            // Bend one active lane: non-affine unless
+                            // the mask has fewer than three lanes.
+                            for (lane, slot) in addrs.iter_mut().enumerate() {
+                                if mask.is_active(lane) && rng.next().is_multiple_of(2) {
+                                    *slot = slot.wrapping_add(1 + rng.next() % 1000);
                                 }
                             }
-                            TraceEvent {
-                                op: TraceOp::ALL[(rng.next() % 6) as usize],
-                                warp: rng.next() as u32,
-                                mask,
-                                lane_bytes: (rng.next() % 17) as u32,
-                                addrs,
-                            }
-                        })
-                        .collect();
+                        }
+                        TraceEvent {
+                            op: TraceOp::ALL[(rng.next() % 6) as usize],
+                            warp: rng.next() as u32,
+                            mask,
+                            lane_bytes: (rng.next() % 17) as u32,
+                            addrs,
+                        }
+                    }));
+                    let n = (rng.next() % 40) as usize;
+                    push_runs(&mut rng, n, &mut launch_events);
+                }
+                let mut blocks_want = Vec::new();
+                for (block_id, events) in split_blocks(&mut rng, &launch_events, blocks)
+                    .into_iter()
+                    .enumerate()
+                {
+                    let block_id = block_id as u64;
                     affine_seen += events
                         .iter()
                         .filter(|e| {
                             e.mask.count() >= 2 && crate::affine_lanes(e.mask, &e.addrs).is_some()
                         })
                         .count();
-                    w.write_block(block_id as usize, &events);
+                    w.write_block(block_id as usize, events);
                     blocks_want.push((block_id, events.iter().map(|e| e.canonical()).collect()));
                 }
                 let stats = KernelStats {

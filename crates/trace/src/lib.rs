@@ -69,7 +69,7 @@ pub mod varint;
 pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
 pub use decoded::{BlockView, DecodedLaunch, EventHead, Trace};
 pub use format::{
-    LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, TWO_LEVEL, VERSION,
+    LaunchEnd, LaunchHeader, SharedBuffer, TraceWriter, AFFINE, MAGIC, REPEAT, TWO_LEVEL, VERSION,
 };
 /// The lane forms KTRC stores, defined beside the pricing that reads them.
 pub use kconv_sim::pricing::{affine_addrs, affine_lanes, TwoLevel, WarpAccess};
@@ -104,14 +104,6 @@ pub fn capture<R>(gpu: &mut Gpu, run: impl FnOnce(&mut Gpu) -> R) -> (R, Vec<u8>
     gpu.set_trace_sink(None);
     (result, buf.take())
 }
-
-/// Upper bound on speculative event pre-allocation from one block
-/// header's (untrusted) event-count varint. A corrupt or hostile count
-/// reserves at most this many [`EventHead`]s up front; decoding then
-/// fails on the event bytes themselves, or the heads grow organically
-/// for a genuinely larger well-formed block. 64Ki heads of 32 bytes are
-/// 2 MiB — far above any real block, far below an allocation-failure DoS.
-pub const RESERVE_EVENTS_MAX: u64 = 1 << 16;
 
 /// Errors reading a binary trace.
 #[derive(Debug)]

@@ -49,7 +49,7 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Rolls up one decoded launch from its event heads.
+    /// Rolls up one decoded launch from its events' heads.
     pub(crate) fn of(launch: &DecodedLaunch) -> Self {
         let mut s = TraceSummary {
             kernel: launch.header.kernel.clone(),
@@ -63,10 +63,10 @@ impl TraceSummary {
         };
         for (i, block) in launch.blocks().enumerate() {
             let mut bars = 0;
-            for head in block.heads() {
+            block.for_each(|head, _| {
                 s.absorb(head);
                 bars += u64::from(head.op == TraceOp::Bar);
-            }
+            });
             s.block_bar_min = if i == 0 {
                 bars
             } else {

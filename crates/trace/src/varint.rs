@@ -150,6 +150,20 @@ impl<'a> Cursor<'a> {
         Some(bytes)
     }
 
+    /// Consumes up to `max` consecutive copies of the two bytes `pair`
+    /// and returns how many it consumed.
+    #[inline]
+    pub fn skip_pairs(&mut self, pair: [u8; 2], max: u64) -> u64 {
+        let max = usize::try_from(max).unwrap_or(usize::MAX);
+        let n = self.buf[self.pos..]
+            .chunks_exact(2)
+            .take(max)
+            .take_while(|c| *c == pair)
+            .count();
+        self.pos += 2 * n;
+        n as u64
+    }
+
     /// Reads one zigzag-folded signed varint.
     #[inline]
     pub fn read_i64(&mut self, what: &str) -> Result<i64, TraceError> {

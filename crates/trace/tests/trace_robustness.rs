@@ -2,15 +2,17 @@
 //!
 //! The binary trace format crosses a trust boundary: `trace_report
 //! --trace` and the replay tools accept arbitrary files. These tests feed
-//! systematically corrupted KTRC v7 streams — every truncation prefix,
+//! systematically corrupted KTRC v8 streams — every truncation prefix,
 //! seeded bit flips, seeded byte splices and hostile header varints —
 //! through [`Trace::decode`], the one reader, and assert the contract: a
 //! typed [`TraceError`](kconv_trace::TraceError) or a well-formed result
 //! whose views and roll-ups can be walked, never a panic, never an
 //! abort-by-allocation, never a hang. The corpus comes from the real
 //! writer and mixes affine, two-level, explicit, partial-mask and
-//! zero-lane events; hand-built events put the two-level form's hostile
-//! values in front of the reader.
+//! zero-lane events, and runs of repeat records shaped like the special
+//! kernel's constant-memory filter walk; hand-built events put the
+//! two-level form's and the repeat record's hostile values in front of
+//! the reader.
 
 use kconv_sim::{
     GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
@@ -20,10 +22,10 @@ use kconv_tensor::rng::StdRng;
 use kconv_trace::varint::{write_u64, zigzag};
 use kconv_trace::{
     affine_addrs, affine_lanes, LaunchEnd, LaunchHeader, SharedBuffer, Trace, TraceError,
-    TraceSummary, TraceWriter, TwoLevel, AFFINE, MAGIC, TWO_LEVEL, VERSION,
+    TraceSummary, TraceWriter, TwoLevel, AFFINE, MAGIC, REPEAT, TWO_LEVEL, VERSION,
 };
 
-// The KTRC v7 record tags.
+// The KTRC v8 record tags.
 const TAG_LAUNCH_BEGIN: u8 = 1;
 const TAG_BLOCK: u8 = 2;
 
@@ -46,7 +48,8 @@ fn masked(mut ev: TraceEvent, mask: u32) -> TraceEvent {
     ev.canonical()
 }
 
-/// One block of every event shape the v7 writer distinguishes.
+/// One block of every event shape the v8 writer distinguishes but the
+/// repeat (see [`run_events`]).
 fn mixed_events() -> Vec<TraceEvent> {
     let mut scattered = event(TraceOp::GmLdRo, 4, 4, 8192);
     scattered.addrs[5] = 3; // breaks the progression: explicit form
@@ -78,6 +81,38 @@ fn mixed_events() -> Vec<TraceEvent> {
         full_tile,                                            // two-level, full
         gapped_tile,                                          // two-level, gapped
     ]
+}
+
+/// One block of the special kernel's shape: per filter and warp, the
+/// warp-uniform constant loads of a 3×3 filter's taps — an affine event
+/// with step 0, then eight repeats 4 B apart — and the output row's
+/// store; one warp's taps continue from a two-level event instead.
+fn run_events() -> Vec<TraceEvent> {
+    let mut events = Vec::new();
+    for f in 0..2u64 {
+        for warp in 0..2 {
+            for tap in 0..9 {
+                events.push(event(TraceOp::CmLd, warp, 0, (f * 9 + tap) * 4));
+            }
+            events.push(event(TraceOp::GmSt, warp, 4, 1 << 20));
+        }
+    }
+    let tile = TwoLevel {
+        p: 4,
+        base: 0,
+        s1: 4,
+        s2: 512,
+    };
+    for row in 0..4 {
+        let mut e = event(TraceOp::SmLd, 3, 0, 0);
+        e.addrs = TwoLevel {
+            base: 64 * row,
+            ..tile
+        }
+        .addrs(LaneMask::ALL);
+        events.push(e);
+    }
+    events
 }
 
 fn launch<'a>(kernel: &'a str, spec: &'a GpuSpec) -> TraceLaunch<'a> {
@@ -150,8 +185,23 @@ fn aborted_stream() -> Vec<u8> {
     buf.take()
 }
 
+/// One launch of runs, cut mid-run into two blocks: the second block's
+/// first event is written in full.
+fn run_stream() -> Vec<u8> {
+    let spec = GpuSpec::kepler_k40m();
+    let buf = SharedBuffer::new();
+    let mut w = TraceWriter::new(buf.clone());
+    w.launch_begin(&launch("runs", &spec));
+    let events = run_events();
+    w.write_block(0, &events[..14]);
+    w.write_block(1, &events[14..]);
+    w.launch_end(&KernelStats::default());
+    buf.take()
+}
+
 fn corpus() -> Vec<(&'static str, Vec<u8>, Vec<Written>)> {
     let events = mixed_events();
+    let runs = run_events();
     let complete = |kernel| {
         let blocks = vec![(0, events.clone()), (1, events[2..5].to_vec())];
         (kernel, blocks, end(false))
@@ -180,6 +230,15 @@ fn corpus() -> Vec<(&'static str, Vec<u8>, Vec<Written>)> {
                 ),
             ],
         ),
+        (
+            "runs",
+            run_stream(),
+            vec![(
+                "runs",
+                vec![(0, runs[..14].to_vec()), (1, runs[14..].to_vec())],
+                end(false),
+            )],
+        ),
     ]
 }
 
@@ -200,6 +259,16 @@ fn corpus_mixes_every_event_form() {
         .iter()
         .any(|e| !affine(e) && !two_level(e) && e.mask.count() >= 2));
     assert!(events.iter().any(|e| e.mask.count() == 0));
+    // The run stream repeats affine and two-level events, and its block
+    // boundary (event 14) cuts an affine run.
+    let runs = run_events();
+    let repeats = |i: usize| {
+        let (prev, e) = (&runs[i - 1], &runs[i]);
+        (prev.op, prev.warp, prev.mask) == (e.op, e.warp, e.mask) && prev.addrs != e.addrs
+    };
+    assert!(affine(&runs[14]) && repeats(14) && repeats(15));
+    let last = runs.len() - 1;
+    assert!(two_level(&runs[last]) && repeats(last));
     for (name, bytes, _) in corpus() {
         assert_eq!(bytes[MAGIC.len()], VERSION, "{name}");
     }
@@ -215,8 +284,13 @@ fn decode_checked(bytes: &[u8]) -> bool {
     for launch in trace.launches() {
         let mut events = 0;
         for block in launch.blocks() {
-            block.for_each(|_, _| events += 1);
-            assert_eq!(block.heads().len(), block.len());
+            let mut block_events = 0;
+            block.for_each(|_, access| {
+                access.addrs(LaneMask::ALL);
+                block_events += 1;
+            });
+            assert_eq!(block_events, block.len());
+            events += block_events;
         }
         assert_eq!(events, launch.event_count());
     }
@@ -280,10 +354,9 @@ fn seeded_byte_splices_never_panic() {
 #[test]
 fn hostile_event_counts_fail_without_huge_allocation() {
     // A block header claiming up to u64::MAX events backed by zero event
-    // bytes: the reader must reject it with a typed error, and the
-    // clamped pre-allocation (`RESERVE_EVENTS_MAX`) must keep it from
-    // reserving terabytes first (an unclamped reserve aborts the process,
-    // which this test would report as a crash, not a failure).
+    // bytes: the reader must reject it with a typed error, and must not
+    // reserve room for the claim first (a reserve of terabytes aborts the
+    // process, which this test would report as a crash, not a failure).
     let spec = GpuSpec::kepler_k40m();
     let buf = SharedBuffer::new();
     let mut w = TraceWriter::new(buf.clone());
@@ -291,7 +364,7 @@ fn hostile_event_counts_fail_without_huge_allocation() {
     drop(w);
     let begin = buf.take();
     for claim in [
-        kconv_trace::RESERVE_EVENTS_MAX + 1,
+        (1 << 16) + 1,
         1 << 40,
         u64::MAX / WARP_SIZE as u64,
         u64::MAX,
@@ -347,6 +420,12 @@ fn intact_corpus_decodes_identically_across_paths() {
 /// A stream whose one launch holds one block of one hand-built event:
 /// the writer's launch-begin record, then the block header and `event`.
 fn stream_with_event(event: &[u8]) -> Vec<u8> {
+    stream_with_events(1, event)
+}
+
+/// [`stream_with_event`] with a block that declares `count` events and
+/// holds the hand-built `events` bytes.
+fn stream_with_events(count: u64, events: &[u8]) -> Vec<u8> {
     let spec = GpuSpec::kepler_k40m();
     let buf = SharedBuffer::new();
     let mut w = TraceWriter::new(buf.clone());
@@ -355,8 +434,8 @@ fn stream_with_event(event: &[u8]) -> Vec<u8> {
     let mut bytes = buf.take();
     bytes.push(TAG_BLOCK);
     write_u64(&mut bytes, 0); // block id
-    write_u64(&mut bytes, 1); // event count
-    bytes.extend_from_slice(event);
+    write_u64(&mut bytes, count); // event count
+    bytes.extend_from_slice(events);
     bytes
 }
 
@@ -418,9 +497,9 @@ fn hostile_two_level_events_are_malformed() {
         &stream_with_event(&two_level_event(op, 0, 2, fields)),
         "inactive",
     );
-    // Both lane-form flags.
+    // Both lane-form flags: a repeat record, which cannot open a block.
     let e = two_level_event(op | AFFINE, u32::MAX, 8, fields);
-    assert_malformed(&stream_with_event(&e), "both lane-form flags");
+    assert_malformed(&stream_with_event(&e), "block's first event");
     // `s1` or `s2` wider than 64 bits: eleven varint bytes, or ten whose
     // last carries more than the 64th bit.
     let wide: Vec<Vec<u8>> = vec![
@@ -435,6 +514,81 @@ fn hostile_two_level_events_are_malformed() {
             assert_malformed(&stream_with_event(&e), "varint overflow");
         }
     }
+}
+
+/// An event's head and affine fields: `op_byte`, warp 0, `mask`, 4
+/// bytes/lane, then `fields` as varints.
+fn event_bytes(op_byte: u8, mask: u32, fields: &[u64]) -> Vec<u8> {
+    let mut e = vec![op_byte];
+    for v in [0, u64::from(!mask), 4].iter().chain(fields) {
+        write_u64(&mut e, *v);
+    }
+    e
+}
+
+/// A repeat record of `op` shifting the previous event by `delta`.
+fn repeat(op: TraceOp, delta: i64) -> Vec<u8> {
+    [vec![op as u8 | REPEAT], varint(zigzag(delta))].concat()
+}
+
+#[test]
+fn hostile_repeats_are_malformed() {
+    let cm = TraceOp::CmLd as u8;
+    let affine = event_bytes(cm | AFFINE, u32::MAX, &[64, 0]);
+    let again = repeat(TraceOp::CmLd, 4);
+    // A well-formed run in the same frame decodes: two heads, five events.
+    let good = stream_with_events(5, &[affine.clone(), again.repeat(4)].concat());
+    assert!(decode_checked(&good));
+    let trace = Trace::decode(&good).unwrap();
+    let got = trace.launches()[0].blocks().next().unwrap().to_events();
+    let firsts: Vec<u64> = got.iter().map(|e| e.addrs[31]).collect();
+    assert_eq!(firsts, [64, 68, 72, 76, 80]);
+
+    // The block's first event, also after a block that ended with an
+    // event it could repeat.
+    assert_malformed(&stream_with_event(&again), "block's first event");
+    let mut bytes = stream_with_event(&affine);
+    bytes.push(TAG_BLOCK);
+    write_u64(&mut bytes, 1); // block id
+    write_u64(&mut bytes, 1); // event count
+    bytes.extend_from_slice(&again);
+    assert_malformed(&bytes, "block's first event");
+    // After an explicit event, whether its lanes are scattered or it has
+    // fewer than two (a progression the writer never writes compactly).
+    for explicit in [
+        event_bytes(cm, 0b111, &[64, zigzag(4), zigzag(8)]),
+        event_bytes(cm, 1 << 5, &[64]),
+        event_bytes(TraceOp::Bar as u8, 0, &[]),
+    ] {
+        let bytes = stream_with_events(2, &[explicit, again.clone()].concat());
+        assert_malformed(&bytes, "after an explicit event");
+    }
+    // An op that differs from the previous event's.
+    let bytes = stream_with_events(2, &[affine.clone(), repeat(TraceOp::SmLd, 4)].concat());
+    assert_malformed(&bytes, "repeat record of sm.ld after a cm.ld event");
+    // More identical records than the block declares: the run stops at
+    // the count, and the next pair is read as a record tag.
+    let bytes = stream_with_events(3, &[affine.clone(), again.repeat(5)].concat());
+    match Trace::decode(&bytes) {
+        Err(TraceError::Malformed { offset, reason }) => {
+            assert!(reason.contains("unknown record tag"), "{reason}");
+            assert_eq!(offset, bytes.len() - 3 * again.len() + 1);
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    // A truncated delta, alone and inside a run of one-byte deltas.
+    for events in [
+        [affine.clone(), vec![cm | REPEAT]].concat(),
+        [affine.clone(), again.clone(), vec![cm | REPEAT, 0x80]].concat(),
+    ] {
+        assert_malformed(&stream_with_events(3, &events), "truncated repeat delta");
+    }
+    // A delta wider than 64 bits.
+    let wide = [vec![cm | REPEAT], vec![0xff; 10], vec![0x01]].concat();
+    assert_malformed(
+        &stream_with_events(2, &[affine, wide].concat()),
+        "varint overflow",
+    );
 }
 
 /// Strides at the edges of `u64` are well-formed: the lanes wrap, and

@@ -8,6 +8,7 @@ use kconv::core::{Convolution, GeneralConv, SpecialConv};
 use kconv::replay::{replay, TargetSpec};
 use kconv::sim::{
     lane_addrs_from, Gpu, GpuSpec, KernelStats, LaneMask, LaunchConfig, Parallelism, SimMode,
+    TraceOp,
 };
 use kconv::tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
 use kconv::trace::{
@@ -92,6 +93,44 @@ fn tracing_is_a_pure_observer_on_the_general_kernel() {
 #[test]
 fn tracing_is_a_pure_observer_on_the_special_kernel() {
     check_observer_effect(&SpecialConv::default(), ConvProblem::special(130, 8, 3), 43);
+}
+
+/// The special kernel's trace is mostly runs: each warp reads a filter's
+/// K² taps from constant memory one word after another, so all but the
+/// first tap of a filter is a two-byte repeat record. The writer keeps
+/// the previous event per block, so a capture on two workers is still
+/// the serial one byte for byte, and replaying it under the capture spec
+/// gives the live stats.
+#[test]
+fn run_heavy_special_capture_is_identical_serial_and_threaded() {
+    let conv = SpecialConv::default();
+    let problem = ConvProblem::special(66, 8, 5);
+    let input = random_maps(problem.channels, problem.height, problem.width, 47);
+    let filters = random_filters(problem.filters, problem.channels, problem.k, 48);
+    let (serial_stats, serial_out, serial) =
+        run(&conv, &problem, &input, &filters, Parallelism::Serial, true);
+    let (threaded_stats, threaded_out, threaded) = run(
+        &conv,
+        &problem,
+        &input,
+        &filters,
+        Parallelism::Threads(2),
+        true,
+    );
+    assert_eq!(serial, threaded, "serial and threaded KTRC bytes differ");
+    assert_eq!((serial_stats, serial_out), (threaded_stats, threaded_out));
+
+    let trace = Trace::decode(&serial).expect("readable trace");
+    let [launch] = trace.launches() else {
+        panic!("expected one launch");
+    };
+    let events = launch.event_count();
+    let taps = launch.op_events(TraceOp::CmLd);
+    assert!(2 * taps > events, "{taps} of {events} events are taps");
+    let bytes_per_event = serial.len() as f64 / events as f64;
+    assert!(bytes_per_event < 4.0, "{bytes_per_event:.2} B/event");
+    let replayed = replay(&serial, &TargetSpec::Capture).expect("replays");
+    assert_eq!(replayed[0].stats, serial_stats);
 }
 
 /// Blocks encode their events on the worker that runs them, so the
